@@ -1,34 +1,31 @@
-// Command designdb inspects, verifies, and converts the repository's
-// binary file formats: design databases ("H3DB", written by
-// hetero3d/ppac -save-design) and evaluation journals ("H3CK", the
-// binary sibling of the JSONL checkpoint).
+// Command designdb inspects and verifies the repository's binary file
+// formats: design databases ("H3DB", written by hetero3d/ppac
+// -save-design) and evaluation journals ("H3CK", written by ppac
+// -checkpoint and evalfarm).
 //
 // Usage:
 //
 //	designdb inspect file.db...
 //	designdb verify file.db...
-//	designdb convert src dst
 //
 // inspect prints each file's kind, format version, section framing
 // (tag, offset, payload size, CRC), and — for design databases — the
-// design, configuration, and save boundary from the META section.
+// design, configuration, and save boundary from the META section. For
+// evaluation journals it then prints one line per record: the header's
+// suite options, "fmax design cells GHz", "flow design config" with the
+// PPAC headline, and "lease shard action owner attempt reason".
 //
 // verify decodes each design database and re-encodes it, requiring the
 // bytes to match exactly: the canonical-encoding invariant every writer
 // in the tree maintains and CI enforces over the committed golden
 // fixtures. Evaluation journals are verified by a full parse (header
 // first, every frame CRC-checked).
-//
-// convert translates an evaluation checkpoint between the JSONL and
-// binary framings; the destination format follows dst's extension
-// (.db/.bin = binary). Converted journals resume exactly where the
-// original did.
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/db"
@@ -46,8 +43,6 @@ func main() {
 		err = inspect(args)
 	case "verify":
 		err = verify(args)
-	case "convert":
-		err = convert(args)
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -66,7 +61,6 @@ func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   designdb inspect file.db...   list sections of design databases / evaluation journals
   designdb verify file.db...    decode + re-encode, require byte-identical canonical form
-  designdb convert src dst      translate an evaluation checkpoint (JSONL <-> binary)
 `)
 }
 
@@ -93,7 +87,9 @@ func inspect(paths []string) error {
 			return err
 		}
 		magic, secs, err := db.List(data)
-		if err != nil {
+		// A journal's truncated final frame is a killed append, which
+		// resume tolerates; its record listing below notes it.
+		if err != nil && !(magic == db.MagicJournal && errors.Is(err, db.ErrTruncated)) {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 		fmt.Printf("%s: %s (magic %q, format v%d, %d bytes, %d sections)\n",
@@ -108,6 +104,16 @@ func inspect(paths []string) error {
 		fmt.Printf("  %-6s %10s %10s %10s\n", "tag", "offset", "bytes", "crc32")
 		for _, s := range secs {
 			fmt.Printf("  %-6s %10d %10d   %08x\n", s.Tag, s.Offset, s.Len, s.CRC)
+		}
+		if magic == db.MagicJournal {
+			lines, err := eval.JournalLines(data)
+			if err != nil {
+				return fmt.Errorf("%s: %w", path, err)
+			}
+			fmt.Println("  records:")
+			for _, l := range lines {
+				fmt.Println("  " + l)
+			}
 		}
 	}
 	return nil
@@ -124,13 +130,11 @@ func verify(paths []string) error {
 			return err
 		}
 		magic, _, err := db.List(data)
-		if err == nil {
-			switch magic {
-			case db.MagicDesign:
-				err = core.VerifyDesignFile(data)
-			case db.MagicJournal:
-				err = eval.VerifyJournal(data)
-			}
+		switch {
+		case magic == db.MagicJournal:
+			err = eval.VerifyJournal(data) // tolerates a truncated final frame, as resume does
+		case err == nil:
+			err = core.VerifyDesignFile(data)
 		}
 		if err != nil {
 			bad++
@@ -142,24 +146,5 @@ func verify(paths []string) error {
 	if bad > 0 {
 		return fmt.Errorf("%d of %d file(s) failed verification", bad, len(paths))
 	}
-	return nil
-}
-
-func convert(args []string) error {
-	if len(args) != 2 {
-		return fmt.Errorf("convert: want src and dst, got %d argument(s)", len(args))
-	}
-	src, dst := args[0], args[1]
-	if err := eval.ConvertCheckpoint(src, dst); err != nil {
-		return err
-	}
-	from, to := "JSONL", "binary"
-	if strings.HasSuffix(src, ".db") || strings.HasSuffix(src, ".bin") {
-		from = "binary"
-	}
-	if !strings.HasSuffix(dst, ".db") && !strings.HasSuffix(dst, ".bin") {
-		to = "JSONL"
-	}
-	fmt.Printf("converted %s (%s) -> %s (%s)\n", src, from, dst, to)
 	return nil
 }

@@ -10,7 +10,7 @@
 // Usage:
 //
 //	evalfarm [-scale 0.1] [-seed 1] [-fmax-iters 3] [-dir evalfarm-work]
-//	         [-shards 4] [-procs 0] [-binary] [-stall-timeout 30s]
+//	         [-shards 4] [-procs 0] [-stall-timeout 30s]
 //	         [-max-restarts 2] [-workers 0] [-flow-workers 0]
 //	         [-check off|fast|full] [-out dir]
 //	         [-chaos-kill 1,3] [-chaos-stall 'aes/*/cts'] [-v]
@@ -68,7 +68,6 @@ func main() {
 		dir       = flag.String("dir", "evalfarm-work", "working directory for every journal of the farm")
 		shards    = flag.Int("shards", 4, "number of shards to split the matrix into")
 		procs     = flag.Int("procs", 0, "concurrent worker processes (0 = one per shard)")
-		binary    = flag.Bool("binary", false, "use the compact binary journal framing (.db) instead of JSONL")
 		stallTO   = flag.Duration("stall-timeout", 30*time.Second, "kill a worker whose journal stops growing for this long")
 		maxRest   = flag.Int("max-restarts", 2, "restarts allowed per shard before the farm fails")
 		workers   = flag.Int("workers", 0, "suite workers inside each worker process (0 = GOMAXPROCS)")
@@ -119,7 +118,6 @@ func main() {
 		Dir:          *dir,
 		Shards:       *shards,
 		Procs:        *procs,
-		Binary:       *binary,
 		StallTimeout: *stallTO,
 		MaxRestarts:  *maxRest,
 		Chaos:        chaos,

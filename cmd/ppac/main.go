@@ -20,10 +20,9 @@
 // a comma-separated list of design/config/stage[@occurrence]=class
 // injections, e.g. "cpu/Hetero-M3D/eco=corrupt:extraction-cache" or
 // "*/*/cts@1=error:retryable". -retries re-attempts flows that fail with
-// transient errors; -checkpoint journals completed flows so an
-// interrupted evaluation resumes without repeating work (a .db or .bin
-// path selects the compact binary journal, anything else JSONL — both
-// resume interchangeably and the designdb tool converts between them);
+// transient errors; -checkpoint journals completed flows to a binary
+// evaluation journal so an interrupted evaluation resumes without
+// repeating work (designdb inspect prints the journal as text);
 // -resilience prints the per-flow fault/retry/degradation table.
 //
 // -resume-from-place splits every configuration flow in two at the

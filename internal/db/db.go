@@ -21,7 +21,7 @@
 //
 // Two file kinds share the framing: design databases (MagicDesign,
 // written by the flow's -save-design hook) and streamed evaluation
-// journals (MagicJournal, the binary sibling of the JSONL checkpoint).
+// journals (MagicJournal, the checkpoint internal/eval resumes from).
 // Journals are append-only: each record is one frame, written in a
 // single O_APPEND write, and a truncated final frame is reported as
 // ErrTruncated so loaders can tolerate a run killed mid-append without
@@ -44,8 +44,8 @@ const (
 	// MagicDesign opens a design-database file (cmd/ppac -save-design,
 	// cmd/hetero3d -save-design, the flow's stage-boundary snapshots).
 	MagicDesign = "H3DB"
-	// MagicJournal opens a binary evaluation journal (the streamed
-	// sibling of the JSONL checkpoint).
+	// MagicJournal opens an evaluation journal (cmd/ppac -checkpoint,
+	// the shard farm's shard, coordination and merged journals).
 	MagicJournal = "H3CK"
 	// FormatVersion is the current wire-format version; bumped on any
 	// incompatible layout change. Readers refuse other versions with

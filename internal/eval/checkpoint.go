@@ -1,12 +1,8 @@
 package eval
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 
@@ -17,57 +13,57 @@ import (
 	"repro/internal/flow"
 )
 
-// The evaluation checkpoint is an append-only JSONL journal: a header
-// line binding the file to the suite options that produced it, then one
-// record per completed unit of work (an f_max search or a finished flow).
-// RunSuite appends records as flows finish and, on resume, serves
-// completed work from the journal instead of re-running it.
+// The evaluation checkpoint is an append-only journal over internal/db's
+// length-prefixed, CRC-checked framing under the "H3CK" magic: a header
+// frame binding the file to the suite options that produced it, then one
+// frame per completed unit of work (an f_max search or a finished flow)
+// or shard-coordination lease. RunSuite appends records as flows finish
+// and, on resume, serves completed work from the journal instead of
+// re-running it.
 //
 // Only what the tables consume is persisted: the PPAC record (with the
 // non-serializable clock-tree pointer dropped), the per-stage metrics,
 // the degraded-mode flags, the stage-boundary check reports, and the
-// precomputed Table VIII deep dive. The floats survive the JSON round
-// trip exactly (encoding/json emits shortest-round-trip float64), which
-// is what makes a resumed suite's Tables I–VIII byte-identical to an
-// uninterrupted run. The live Design/Timing/Power state is not
-// persisted; figure rendering detects restored results and says so
-// instead of failing.
+// precomputed Table VIII deep dive. Records are written with the same
+// explicit per-field encoders the design database uses, so floats
+// survive bit-exactly — which is what makes a resumed suite's Tables
+// I–VIII byte-identical to an uninterrupted run. The live
+// Design/Timing/Power state is not persisted; figure rendering detects
+// restored results and says so instead of failing.
 //
-// A record is one line, written with O_APPEND in a single Write call; a
-// run killed mid-write leaves at most one truncated final line, which
-// loading tolerates (the half-written record's work re-runs).
+// A record is one frame, written with O_APPEND in a single Write call; a
+// run killed mid-write leaves at most one truncated final frame, which
+// loading tolerates (the half-written record's work re-runs) and
+// OpenCheckpoint cuts off before it appends again.
 
 // ckptVersion is bumped whenever the record schema changes shape
 // incompatibly.
 const ckptVersion = 1
 
 type ckptHeader struct {
-	Kind           string   `json:"kind"`
-	Version        int      `json:"version"`
-	Scale          float64  `json:"scale"`
-	Seed           int64    `json:"seed"`
-	Designs        []string `json:"designs"`
-	Configs        []string `json:"configs"`
-	FmaxIterations int      `json:"fmaxIterations"`
-	Check          string   `json:"check,omitempty"`
+	Version        int
+	Scale          float64
+	Seed           int64
+	Designs        []string
+	Configs        []string
+	FmaxIterations int
+	Check          string
 }
 
 type ckptFmax struct {
-	Kind    string  `json:"kind"`
-	Design  string  `json:"design"`
-	Cells   int     `json:"cells"`
-	FmaxGHz float64 `json:"fmaxGHz"`
+	Design  string
+	Cells   int
+	FmaxGHz float64
 }
 
 type ckptFlow struct {
-	Kind     string             `json:"kind"`
-	Design   string             `json:"design"`
-	Config   string             `json:"config"`
-	PPAC     *core.PPAC         `json:"ppac"`
-	Stages   []flow.StageMetric `json:"stages,omitempty"`
-	Degraded []string           `json:"degraded,omitempty"`
-	Dive     *core.DeepDive     `json:"dive,omitempty"`
-	Checks   []*check.Report    `json:"checks,omitempty"`
+	Design   string
+	Config   string
+	PPAC     *core.PPAC
+	Stages   []flow.StageMetric
+	Degraded []string
+	Dive     *core.DeepDive
+	Checks   []*check.Report
 }
 
 // Lease actions, in lifecycle order. A shard's lease history reads
@@ -90,18 +86,17 @@ const (
 // live at once (the supervisor kills and reaps the old process before
 // appending the expiry that frees the shard).
 type Lease struct {
-	Kind    string `json:"kind"`
-	Shard   int    `json:"shard"`
-	Action  string `json:"action"`
-	Owner   string `json:"owner"`
-	Attempt int    `json:"attempt"`
+	Shard   int
+	Action  string
+	Owner   string
+	Attempt int
 	// Reason qualifies expire ("stalled", "signal: killed", "exit 2") and
 	// quarantine ("crc mismatch", "option mismatch") records.
-	Reason string `json:"reason,omitempty"`
+	Reason string
 	// Units is the shard's work set, recorded on the grant so the journal
 	// is self-describing and a resumed supervisor can verify the sharding
 	// still matches.
-	Units []Unit `json:"units,omitempty"`
+	Units []Unit
 }
 
 type flowKey struct {
@@ -110,8 +105,7 @@ type flowKey struct {
 }
 
 // ckptRecord is one journal entry in file order — exactly one of its
-// fields is set. Both formats parse to this, which is what lets
-// ConvertCheckpoint translate between them without loss.
+// fields is set.
 type ckptRecord struct {
 	fmax  *ckptFmax
 	flow  *ckptFlow
@@ -123,10 +117,6 @@ type ckptRecord struct {
 // use by the suite's worker pool.
 type Checkpoint struct {
 	path string
-	// bin selects the length-prefixed binary framing (internal/db,
-	// magic "H3CK") over JSONL. Decided by sniffing an existing file's
-	// first bytes, or by extension (.db/.bin) for a fresh one.
-	bin bool
 
 	mu     sync.Mutex
 	f      *os.File
@@ -139,7 +129,6 @@ type Checkpoint struct {
 // options that produce its results.
 func headerFor(opt SuiteOptions) ckptHeader {
 	h := ckptHeader{
-		Kind:           "header",
 		Version:        ckptVersion,
 		Scale:          opt.Scale,
 		Seed:           opt.Seed,
@@ -207,34 +196,10 @@ func sameStrings(a, b []string) bool {
 	return true
 }
 
-func sameHeader(a, b ckptHeader) bool { return len(headerDiff(a, b)) == 0 }
-
-// binaryExt reports whether a fresh checkpoint at path should use the
-// binary framing (existing files are sniffed instead).
-func binaryExt(path string) bool {
-	switch filepath.Ext(path) {
-	case ".db", ".bin":
-		return true
-	}
-	return false
-}
-
-// parseCheckpoint dispatches on the file's first bytes: the journal
-// magic selects the binary framing, anything else parses as JSONL (a
-// JSONL journal starts with '{').
-func parseCheckpoint(data []byte) (hdr ckptHeader, recs []ckptRecord, bin bool, err error) {
-	if len(data) >= 4 && string(data[:4]) == db.MagicJournal {
-		hdr, recs, err = parseBinaryCkpt(data)
-		return hdr, recs, true, err
-	}
-	hdr, recs, err = parseJSONLCkpt(data)
-	return hdr, recs, false, err
-}
-
 // errDifferentOptions builds the option-mismatch refusal, naming exactly
 // which header fields differ so the operator can tell a wrong flag from a
-// wrong file. Shared by both formats so callers see one message
-// regardless of encoding.
+// wrong file. Shared by resume, status probes and merge so callers see
+// one message.
 func errDifferentOptions(diffs []string) error {
 	return fmt.Errorf("journal was written under different suite options — %s — delete it or rerun with the original options",
 		strings.Join(diffs, "; "))
@@ -242,34 +207,37 @@ func errDifferentOptions(diffs []string) error {
 
 // OpenCheckpoint opens (or creates) the journal at path for the given
 // suite options. An existing journal written under different options is
-// refused — resuming it would silently mix incompatible results. The
-// journal format is auto-detected for existing files; fresh journals
-// are binary when the path ends in .db or .bin, JSONL otherwise.
+// refused — resuming it would silently mix incompatible results — and so
+// is a file that is not an evaluation journal at all. A truncated final
+// frame left by a killed append is cut off before the first new append,
+// so the journal stays resumable however often it is interrupted.
 func OpenCheckpoint(path string, opt SuiteOptions) (*Checkpoint, error) {
 	opt = opt.withDefaults()
 	c := &Checkpoint{
 		path:  path,
-		bin:   binaryExt(path),
 		fmax:  make(map[designs.Name]ckptFmax),
 		flows: make(map[flowKey]*ckptFlow),
 	}
 	want := headerFor(opt)
 
 	data, err := os.ReadFile(path)
+	end := len(data) // offset just past the last complete frame
 	switch {
 	case os.IsNotExist(err) || (err == nil && len(data) == 0):
 		// Fresh journal: write the header first.
 	case err != nil:
 		return nil, fmt.Errorf("eval: checkpoint %s: %w", path, err)
 	default:
-		hdr, recs, bin, err := parseCheckpoint(data)
-		if err != nil {
+		var (
+			hdr  ckptHeader
+			recs []ckptRecord
+		)
+		if hdr, recs, end, err = parseCheckpoint(data); err != nil {
 			return nil, fmt.Errorf("eval: checkpoint %s: %w", path, err)
 		}
 		if diffs := headerDiff(hdr, want); len(diffs) > 0 {
 			return nil, fmt.Errorf("eval: checkpoint %s: %w", path, errDifferentOptions(diffs))
 		}
-		c.bin = bin
 		c.index(recs)
 	}
 
@@ -278,8 +246,19 @@ func OpenCheckpoint(path string, opt SuiteOptions) (*Checkpoint, error) {
 		return nil, fmt.Errorf("eval: checkpoint %s: %w", path, err)
 	}
 	c.f = f
+	if end < len(data) {
+		// O_APPEND writes land at the new end of file.
+		if err := f.Truncate(int64(end)); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("eval: checkpoint %s: drop truncated final frame: %w", path, err)
+		}
+	}
 	if len(data) == 0 {
-		if err := c.appendHeader(want); err != nil {
+		hdr, err := appendHeaderFrame(db.Header(db.MagicJournal), want)
+		if err == nil {
+			err = c.write(hdr)
+		}
+		if err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -302,113 +281,14 @@ func (c *Checkpoint) index(recs []ckptRecord) {
 	}
 }
 
-// parseJSONLCkpt parses the line-oriented format. A truncated or
-// malformed final line is tolerated (the journal may have been killed
-// mid-append); a malformed line anywhere else is an error.
-func parseJSONLCkpt(data []byte) (ckptHeader, []ckptRecord, error) {
-	var (
-		hdr  ckptHeader
-		recs []ckptRecord
-	)
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	line := 0
-	bad := -1 // line number of a malformed record, if any
-	sawHeader := false
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		if bad >= 0 {
-			return hdr, nil, fmt.Errorf("malformed record at line %d (only the final line may be truncated)", bad)
-		}
-		var kind struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(raw, &kind); err != nil {
-			bad = line
-			continue
-		}
-		switch kind.Kind {
-		case "header":
-			var h ckptHeader
-			if err := json.Unmarshal(raw, &h); err != nil {
-				bad = line
-				continue
-			}
-			if sawHeader {
-				return hdr, nil, fmt.Errorf("duplicate header at line %d", line)
-			}
-			sawHeader = true
-			hdr = h
-		case "fmax":
-			var r ckptFmax
-			if err := json.Unmarshal(raw, &r); err != nil {
-				bad = line
-				continue
-			}
-			recs = append(recs, ckptRecord{fmax: &r})
-		case "flow":
-			var r ckptFlow
-			if err := json.Unmarshal(raw, &r); err != nil || r.PPAC == nil {
-				bad = line
-				continue
-			}
-			recs = append(recs, ckptRecord{flow: &r})
-		case "lease":
-			var r Lease
-			if err := json.Unmarshal(raw, &r); err != nil || !validLeaseAction(r.Action) {
-				bad = line
-				continue
-			}
-			recs = append(recs, ckptRecord{lease: &r})
-		default:
-			bad = line
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return hdr, nil, err
-	}
-	if !sawHeader {
-		return hdr, nil, fmt.Errorf("no header record — not an evaluation checkpoint")
-	}
-	return hdr, recs, nil
-}
-
-// appendHeader writes the journal's first record.
-func (c *Checkpoint) appendHeader(h ckptHeader) error {
-	if c.bin {
-		return c.appendRaw(db.Header(db.MagicJournal), func() ([]byte, error) {
-			return appendHeaderFrame(nil, h)
-		})
-	}
-	return c.append(h)
-}
-
-// append marshals one record and writes it with a single Write call.
+// append encodes one record and writes it with a single Write call.
 // Callers hold no lock; append takes it.
 func (c *Checkpoint) append(rec any) error {
-	if c.bin {
-		return c.appendRaw(nil, func() ([]byte, error) {
-			return appendRecordFrame(nil, rec)
-		})
-	}
-	b, err := json.Marshal(rec)
+	b, err := appendRecordFrame(nil, rec)
 	if err != nil {
 		return fmt.Errorf("eval: checkpoint %s: %w", c.path, err)
 	}
-	return c.write(append(b, '\n'))
-}
-
-// appendRaw builds prefix+frame and writes it in one call.
-func (c *Checkpoint) appendRaw(prefix []byte, frame func() ([]byte, error)) error {
-	b, err := frame()
-	if err != nil {
-		return fmt.Errorf("eval: checkpoint %s: %w", c.path, err)
-	}
-	return c.write(append(prefix, b...))
+	return c.write(b)
 }
 
 func (c *Checkpoint) write(b []byte) error {
@@ -433,8 +313,8 @@ func (c *Checkpoint) Fmax(n designs.Name) (fmaxGHz float64, cells int, ok bool) 
 
 // PutFmax records a completed f_max search.
 func (c *Checkpoint) PutFmax(n designs.Name, cells int, fmaxGHz float64) error {
-	rec := ckptFmax{Kind: "fmax", Design: string(n), Cells: cells, FmaxGHz: fmaxGHz}
-	if err := c.append(rec); err != nil {
+	rec := ckptFmax{Design: string(n), Cells: cells, FmaxGHz: fmaxGHz}
+	if err := c.append(&rec); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -477,7 +357,6 @@ func (c *Checkpoint) PutFlow(design designs.Name, cfg core.ConfigName, r *core.R
 	p := *r.PPAC
 	p.Clock = nil // pointer-rich clock tree is not serializable
 	rec := &ckptFlow{
-		Kind:     "flow",
 		Design:   string(design),
 		Config:   string(cfg),
 		PPAC:     &p,
@@ -505,13 +384,11 @@ func validLeaseAction(a string) bool {
 	return false
 }
 
-// PutLease appends one shard-coordination record. The Kind field is
-// normalized; callers fill everything else.
+// PutLease appends one shard-coordination record.
 func (c *Checkpoint) PutLease(l Lease) error {
 	if !validLeaseAction(l.Action) {
 		return fmt.Errorf("eval: checkpoint %s: invalid lease action %q", c.path, l.Action)
 	}
-	l.Kind = "lease"
 	if err := c.append(&l); err != nil {
 		return err
 	}

@@ -1,24 +1,22 @@
 package eval
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"os"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/designs"
 )
 
-// The binary evaluation journal is the streamable sibling of the JSONL
-// checkpoint: the same append-only semantics (header first, one frame
-// per completed unit of work, a truncated final frame tolerated) over
-// internal/db's length-prefixed CRC-checked framing under the "H3CK"
-// magic. Records are written with the same explicit per-field encoders
-// the design database uses — no reflection, and floats survive exactly
-// by construction rather than by shortest-round-trip printing.
+// Frame codecs of the evaluation journal (see checkpoint.go for its
+// semantics). Records are written with the same explicit per-field
+// encoders the design database uses — no reflection, and floats survive
+// exactly by construction. The encoders are deterministic, so two records
+// are equal exactly when their frames are byte-equal; the merge relies on
+// that to refuse divergent duplicates.
 
 // Frame tags of the binary journal.
 const (
@@ -50,7 +48,7 @@ func appendHeaderFrame(dst []byte, h ckptHeader) ([]byte, error) {
 }
 
 func readHeaderFrame(r *db.Reader) (ckptHeader, error) {
-	h := ckptHeader{Kind: "header"}
+	var h ckptHeader
 	v, err := r.I32()
 	if err != nil {
 		return h, err
@@ -92,11 +90,11 @@ func readHeaderFrame(r *db.Reader) (ckptHeader, error) {
 	return h, err
 }
 
-// appendRecordFrame encodes one fmax or flow record as a frame.
+// appendRecordFrame encodes one fmax, flow or lease record as a frame.
 func appendRecordFrame(dst []byte, rec any) ([]byte, error) {
 	w := db.NewWriter()
 	switch r := rec.(type) {
-	case ckptFmax:
+	case *ckptFmax:
 		w.PutString(r.Design)
 		w.PutI32(int32(r.Cells))
 		w.PutF64(r.FmaxGHz)
@@ -140,7 +138,7 @@ func appendRecordFrame(dst []byte, rec any) ([]byte, error) {
 }
 
 func readLeaseFrame(r *db.Reader) (*Lease, error) {
-	rec := &Lease{Kind: "lease"}
+	rec := &Lease{}
 	v, err := r.I32()
 	if err != nil {
 		return nil, err
@@ -183,7 +181,7 @@ func readLeaseFrame(r *db.Reader) (*Lease, error) {
 }
 
 func readFmaxFrame(r *db.Reader) (*ckptFmax, error) {
-	rec := &ckptFmax{Kind: "fmax"}
+	rec := &ckptFmax{}
 	var err error
 	if rec.Design, err = r.String(); err != nil {
 		return nil, err
@@ -198,7 +196,7 @@ func readFmaxFrame(r *db.Reader) (*ckptFmax, error) {
 }
 
 func readFlowFrame(r *db.Reader) (*ckptFlow, error) {
-	rec := &ckptFlow{Kind: "flow"}
+	rec := &ckptFlow{}
 	var err error
 	if rec.Design, err = r.String(); err != nil {
 		return nil, err
@@ -254,146 +252,98 @@ func readFlowFrame(r *db.Reader) (*ckptFlow, error) {
 	return rec, nil
 }
 
-// parseBinaryCkpt walks the framed journal. Semantics mirror the JSONL
-// parser: the header frame must come first and exactly once, unknown
-// tags are skipped, and a truncated final frame is tolerated (the run
-// was killed mid-append; that record's work re-runs). A CRC failure on
-// a complete frame is corruption and refuses the journal.
-func parseBinaryCkpt(data []byte) (ckptHeader, []ckptRecord, error) {
-	var (
-		hdr  ckptHeader
-		recs []ckptRecord
-	)
+// parseCheckpoint walks the framed journal: the header frame must come
+// first and exactly once, unknown tags are skipped, and a truncated final
+// frame is tolerated (the run was killed mid-append; that record's work
+// re-runs). end is the offset just past the last complete frame. A CRC
+// failure on a complete frame is corruption and refuses the journal, as
+// does a file without the journal magic.
+func parseCheckpoint(data []byte) (hdr ckptHeader, recs []ckptRecord, end int, err error) {
 	body, err := db.ParseHeader(data, db.MagicJournal)
 	if err != nil {
-		return hdr, nil, err
+		return hdr, nil, 0, fmt.Errorf("not an evaluation journal: %w", err)
 	}
 	it := db.NewFrameIter(body)
 	sawHeader := false
 	for {
 		tag, payload, err := it.Next()
-		if errors.Is(err, db.ErrTruncated) {
-			break // killed mid-append: the partial final frame re-runs
-		}
-		if err == io.EOF {
-			break
+		if errors.Is(err, db.ErrTruncated) || err == io.EOF {
+			break // a partial final frame is the killed append; it re-runs
 		}
 		if err != nil {
-			return hdr, nil, err
+			return hdr, nil, 0, err
 		}
 		r := db.NewReader(payload)
+		var rec ckptRecord
 		switch tag {
 		case tagCkptHeader:
 			if sawHeader {
-				return hdr, nil, db.Corruptf("duplicate header frame")
+				return hdr, nil, 0, db.Corruptf("duplicate header frame")
 			}
 			sawHeader = true
 			if hdr, err = readHeaderFrame(r); err != nil {
-				return hdr, nil, err
+				return hdr, nil, 0, err
 			}
+			continue
 		case tagCkptFmax:
-			rec, err := readFmaxFrame(r)
-			if err != nil {
-				return hdr, nil, err
-			}
-			recs = append(recs, ckptRecord{fmax: rec})
+			rec.fmax, err = readFmaxFrame(r)
 		case tagCkptFlow:
-			rec, err := readFlowFrame(r)
-			if err != nil {
-				return hdr, nil, err
-			}
-			recs = append(recs, ckptRecord{flow: rec})
+			rec.flow, err = readFlowFrame(r)
 		case tagCkptLease:
-			rec, err := readLeaseFrame(r)
-			if err != nil {
-				return hdr, nil, err
-			}
-			recs = append(recs, ckptRecord{lease: rec})
+			rec.lease, err = readLeaseFrame(r)
 		default:
-			// Unknown frame: a future record kind; skip it.
+			continue // unknown frame: a future record kind; skip it
 		}
+		if err != nil {
+			return hdr, nil, 0, err
+		}
+		recs = append(recs, rec)
 	}
 	if !sawHeader {
-		return hdr, nil, fmt.Errorf("no header record — not an evaluation checkpoint")
+		return hdr, nil, 0, fmt.Errorf("no header record — not an evaluation journal")
 	}
-	return hdr, recs, nil
+	return hdr, recs, len(data) - len(body) + it.Offset(), nil
 }
 
-// VerifyJournal fully parses an evaluation journal in either framing:
-// the header must come first, and in the binary form every complete
-// frame must pass its CRC. A truncated final frame is legal (it is on
-// disk whenever a run is killed mid-append), so verification accepts
-// it just as resume does.
+// VerifyJournal fully parses an evaluation journal: the header must come
+// first and every complete frame must pass its CRC. A truncated final
+// frame is legal (it is on disk whenever a run is killed mid-append), so
+// verification accepts it just as resume does.
 func VerifyJournal(data []byte) error {
 	_, _, _, err := parseCheckpoint(data)
 	return err
 }
 
-// ConvertCheckpoint rewrites the journal at src into dst, translating
-// between the JSONL and binary formats. The destination format follows
-// dst's extension (.db/.bin = binary, anything else JSONL); record
-// order is preserved, so a converted journal resumes exactly where the
-// original did.
-func ConvertCheckpoint(src, dst string) error {
-	data, err := os.ReadFile(src)
+// JournalLines renders an evaluation journal as text, one line per
+// record in file order: the header's suite options, then each fmax, flow
+// (with its PPAC headline) and lease record, and a last line noting a
+// truncated final frame if one is present. It parses exactly as resume
+// does, so it refuses what resume refuses.
+func JournalLines(data []byte) ([]string, error) {
+	hdr, recs, end, err := parseCheckpoint(data)
 	if err != nil {
-		return fmt.Errorf("eval: convert %s: %w", src, err)
+		return nil, err
 	}
-	hdr, recs, _, err := parseCheckpoint(data)
-	if err != nil {
-		return fmt.Errorf("eval: convert %s: %w", src, err)
+	lines := []string{fmt.Sprintf("header v%d scale %g seed %d fmax-iters %d check %s designs %s configs %s",
+		hdr.Version, hdr.Scale, hdr.Seed, hdr.FmaxIterations, orOff(hdr.Check),
+		strings.Join(hdr.Designs, ","), strings.Join(hdr.Configs, ","))}
+	for _, rec := range recs {
+		var line string
+		switch {
+		case rec.fmax != nil:
+			line = fmt.Sprintf("fmax %s %d cells %g GHz", rec.fmax.Design, rec.fmax.Cells, rec.fmax.FmaxGHz)
+		case rec.flow != nil:
+			p := rec.flow.PPAC
+			line = fmt.Sprintf("flow %s %s  %.4g GHz  %.4g mW  WNS %.4g ns  %.4g mm2  cost %.4g  PPC %.4g",
+				rec.flow.Design, rec.flow.Config, p.FreqGHz, p.PowerMW, p.WNS, p.SiAreaMM2, p.DieCostMicroC, p.PPC)
+		case rec.lease != nil:
+			l := rec.lease
+			line = fmt.Sprintf("lease %d %s %s %d %s", l.Shard, l.Action, l.Owner, l.Attempt, l.Reason)
+		}
+		lines = append(lines, strings.TrimRight(line, " "))
 	}
-	var out []byte
-	if binaryExt(dst) {
-		out = db.Header(db.MagicJournal)
-		if out, err = appendHeaderFrame(out, hdr); err != nil {
-			return fmt.Errorf("eval: convert %s: %w", src, err)
-		}
-		for _, rec := range recs {
-			switch {
-			case rec.fmax != nil:
-				out, err = appendRecordFrame(out, *rec.fmax)
-			case rec.flow != nil:
-				out, err = appendRecordFrame(out, rec.flow)
-			case rec.lease != nil:
-				out, err = appendRecordFrame(out, rec.lease)
-			}
-			if err != nil {
-				return fmt.Errorf("eval: convert %s: %w", src, err)
-			}
-		}
-	} else {
-		var buf []byte
-		add := func(rec any) error {
-			b, err := json.Marshal(rec)
-			if err != nil {
-				return err
-			}
-			buf = append(buf, b...)
-			buf = append(buf, '\n')
-			return nil
-		}
-		if err := add(hdr); err != nil {
-			return fmt.Errorf("eval: convert %s: %w", src, err)
-		}
-		for _, rec := range recs {
-			var e error
-			switch {
-			case rec.fmax != nil:
-				e = add(*rec.fmax)
-			case rec.flow != nil:
-				e = add(rec.flow)
-			case rec.lease != nil:
-				e = add(rec.lease)
-			}
-			if e != nil {
-				return fmt.Errorf("eval: convert %s: %w", src, e)
-			}
-		}
-		out = buf
+	if end < len(data) {
+		lines = append(lines, fmt.Sprintf("truncated final frame (%d bytes), dropped on the next resume", len(data)-end))
 	}
-	if err := os.WriteFile(dst, out, 0o644); err != nil {
-		return fmt.Errorf("eval: convert: %w", err)
-	}
-	return nil
+	return lines, nil
 }

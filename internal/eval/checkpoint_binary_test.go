@@ -41,9 +41,6 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ck.bin {
-		t.Fatal(".db checkpoint must choose the binary framing")
-	}
 	if err := ck.PutFmax(designs.CPU, 1234, 0.4375); err != nil {
 		t.Fatal(err)
 	}
@@ -66,9 +63,6 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ck2.Close()
-	if !ck2.bin {
-		t.Error("reopen must sniff the binary framing")
-	}
 	fmax, cells, ok := ck2.Fmax(designs.CPU)
 	if !ok || fmax != 0.4375 || cells != 1234 {
 		t.Errorf("fmax record = %v/%d/%v", fmax, cells, ok)
@@ -174,91 +168,53 @@ func TestBinaryCheckpointRejectsMidFileCorruption(t *testing.T) {
 	}
 }
 
-// TestConvertCheckpoint proves lossless translation in both directions:
-// JSONL → binary → JSONL reproduces the original file byte for byte,
-// and both forms serve identical completions.
-func TestConvertCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	jsonl := filepath.Join(dir, "ckpt.jsonl")
-	opt := ckptOpts()
-	ck, err := OpenCheckpoint(jsonl, opt)
+// TestJournalLines pins the text rendering designdb inspect prints: one
+// line per record in file order, and a note for a truncated final frame.
+func TestJournalLines(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.db")
+	ck, err := OpenCheckpoint(path, ckptOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ck.PutFmax(designs.CPU, 1234, 0.4375); err != nil {
 		t.Fatal(err)
 	}
+	if err := ck.PutLease(Lease{Shard: 3, Action: LeaseExpire, Owner: "s3-a1", Attempt: 1, Reason: "stalled"}); err != nil {
+		t.Fatal(err)
+	}
 	if err := ck.PutFlow(designs.CPU, core.ConfigHetero, binaryFlowResult()); err != nil {
 		t.Fatal(err)
 	}
 	ck.Close()
-
-	bin := filepath.Join(dir, "ckpt.db")
-	if err := ConvertCheckpoint(jsonl, bin); err != nil {
-		t.Fatal(err)
-	}
-	back := filepath.Join(dir, "back.jsonl")
-	if err := ConvertCheckpoint(bin, back); err != nil {
-		t.Fatal(err)
-	}
-	a, err := os.ReadFile(jsonl)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	b, err := os.ReadFile(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Errorf("JSONL→binary→JSONL not lossless:\n--- original ---\n%s--- converted ---\n%s", a, b)
 	}
 
-	ck2, err := OpenCheckpoint(bin, opt)
+	lines, err := JournalLines(data)
 	if err != nil {
-		t.Fatalf("converted journal must resume: %v", err)
+		t.Fatal(err)
 	}
-	defer ck2.Close()
-	if _, _, ok := ck2.Fmax(designs.CPU); !ok {
-		t.Error("fmax record lost in conversion")
+	want := []string{
+		"header v1 scale 0.05 seed 1 fmax-iters 3 check off designs netcard,aes,ldpc,cpu configs ",
+		"fmax cpu 1234 cells 0.4375 GHz",
+		"lease 3 expire s3-a1 1 stalled",
+		"flow cpu Hetero-M3D  0.4375 GHz  12.5 mW  WNS -0.03125 ns",
 	}
-	r, ok := ck2.Flow(designs.CPU, core.ConfigHetero)
-	if !ok || r.Dive == nil || len(r.Checks) != 1 {
-		t.Errorf("flow record lost in conversion: %+v", r)
+	if len(lines) != len(want) {
+		t.Fatalf("got %d lines, want %d:\n%s", len(lines), len(want), strings.Join(lines, "\n"))
 	}
-}
+	for i, w := range want {
+		if !strings.HasPrefix(lines[i], w) {
+			t.Errorf("line %d = %q, want prefix %q", i, lines[i], w)
+		}
+	}
 
-// TestCheckpointPreBinaryCompat pins backward compatibility: a JSONL
-// journal written before the binary format existed (committed fixture)
-// still opens and serves its records.
-func TestCheckpointPreBinaryCompat(t *testing.T) {
-	src, err := os.ReadFile("testdata/ckpt_pre_binary.jsonl")
+	lines, err = JournalLines(data[:len(data)-7])
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	if err := os.WriteFile(path, src, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ck, err := OpenCheckpoint(path, ckptOpts())
-	if err != nil {
-		t.Fatalf("pre-binary journal must still open: %v", err)
-	}
-	defer ck.Close()
-	if ck.bin {
-		t.Error("JSONL journal misdetected as binary")
-	}
-	fmax, cells, ok := ck.Fmax(designs.CPU)
-	if !ok || fmax != 0.4375 || cells != 4321 {
-		t.Errorf("fmax = %v/%d/%v", fmax, cells, ok)
-	}
-	r, ok := ck.Flow(designs.CPU, core.ConfigHetero)
-	if !ok {
-		t.Fatal("flow record missing")
-	}
-	if r.PPAC.MIVs != 210 || r.PPAC.Refinement != "hetero flow, cut=140, preassigned=12" {
-		t.Errorf("PPAC fields lost: %+v", r.PPAC)
-	}
-	if len(r.Stages) != 1 || r.Stages[0].Stats[flow.StatCongestionRetries] != 1 {
-		t.Errorf("stages lost: %+v", r.Stages)
+	if n := len(lines); n != 4 || !strings.HasPrefix(lines[3], "truncated final frame") {
+		t.Errorf("truncated journal lines:\n%s", strings.Join(lines, "\n"))
 	}
 }

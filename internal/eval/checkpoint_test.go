@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -20,7 +21,7 @@ func ckptOpts() SuiteOptions {
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	path := filepath.Join(t.TempDir(), "ckpt.db")
 	opt := ckptOpts()
 
 	ck, err := OpenCheckpoint(path, opt)
@@ -77,7 +78,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestCheckpointRefusesOptionMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	path := filepath.Join(t.TempDir(), "ckpt.db")
 	ck, err := OpenCheckpoint(path, ckptOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -96,8 +97,68 @@ func TestCheckpointRefusesOptionMismatch(t *testing.T) {
 	}
 }
 
+// TestCheckpointResumesTwiceAfterTruncatedAppend is the double-resume
+// regression: a kill mid-append leaves a partial final frame, a resumed
+// run appends after it, and a second resume must still read every
+// complete record. Opening the journal cuts the partial frame off before
+// appending, so new frames never follow garbage.
+func TestCheckpointResumesTwiceAfterTruncatedAppend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.db")
+	ck, err := OpenCheckpoint(path, ckptOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.PutFmax(designs.AES, 99, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.PutFmax(designs.LDPC, 77, 0.625); err != nil {
+		t.Fatal(err)
+	}
+	ck.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)-7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ck2, err := OpenCheckpoint(path, ckptOpts())
+	if err != nil {
+		t.Fatalf("first resume: %v", err)
+	}
+	if err := ck2.PutFmax(designs.CPU, 1234, 0.4375); err != nil {
+		t.Fatal(err)
+	}
+	ck2.Close()
+
+	ck3, err := OpenCheckpoint(path, ckptOpts())
+	if err != nil {
+		t.Fatalf("second resume: %v", err)
+	}
+	defer ck3.Close()
+	if _, _, ok := ck3.Fmax(designs.AES); !ok {
+		t.Error("record before the truncation lost")
+	}
+	if _, _, ok := ck3.Fmax(designs.LDPC); ok {
+		t.Error("the half-written record must not be served")
+	}
+	if fmax, cells, ok := ck3.Fmax(designs.CPU); !ok || fmax != 0.4375 || cells != 1234 {
+		t.Errorf("record appended on resume = %v/%d/%v", fmax, cells, ok)
+	}
+	if data, err := os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	} else if err := VerifyJournal(data); err != nil {
+		t.Errorf("resumed journal does not verify: %v", err)
+	}
+}
+
+// TestCheckpointToleratesTruncatedFinalLine cuts the final record at
+// every byte inside its frame: each cut opens, keeps the complete
+// records, withholds the partial one, and leaves the file ending at the
+// last complete frame.
 func TestCheckpointToleratesTruncatedFinalLine(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	path := filepath.Join(t.TempDir(), "ckpt.db")
 	ck, err := OpenCheckpoint(path, ckptOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -106,49 +167,128 @@ func TestCheckpointToleratesTruncatedFinalLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck.Close()
-
-	// A kill mid-append leaves a half-written final record.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	intact, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"kind":"flow","design":"cpu","conf`); err != nil {
+	ck, err = OpenCheckpoint(path, ckptOpts())
+	if err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-
-	ck2, err := OpenCheckpoint(path, ckptOpts())
+	if err := ck.PutFlow(designs.CPU, core.ConfigHetero, testFlowResult("cpu", core.ConfigHetero, 0.4375)); err != nil {
+		t.Fatal(err)
+	}
+	ck.Close()
+	full, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("truncated final line must be tolerated: %v", err)
+		t.Fatal(err)
 	}
-	defer ck2.Close()
-	if _, _, ok := ck2.Fmax(designs.AES); !ok {
-		t.Error("intact records before the truncation lost")
-	}
-	if _, ok := ck2.Flow(designs.CPU, core.ConfigHetero); ok {
-		t.Error("the half-written record must not be served")
+
+	for cut := len(intact) + 1; cut < len(full); cut++ {
+		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := OpenCheckpoint(path, ckptOpts())
+		if err != nil {
+			t.Fatalf("cut at %d/%d: truncated final record must be tolerated: %v", cut, len(full), err)
+		}
+		_, _, fmaxOK := ck.Fmax(designs.AES)
+		_, flowOK := ck.Flow(designs.CPU, core.ConfigHetero)
+		ck.Close()
+		if !fmaxOK {
+			t.Fatalf("cut at %d/%d: intact record before the truncation lost", cut, len(full))
+		}
+		if flowOK {
+			t.Fatalf("cut at %d/%d: the half-written record must not be served", cut, len(full))
+		}
+		if data, err := os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		} else if !bytes.Equal(data, intact) {
+			t.Fatalf("cut at %d/%d: file is %d bytes after open, want the %d complete bytes",
+				cut, len(full), len(data), len(intact))
+		}
 	}
 }
 
+// TestCheckpointRejectsMidFileCorruption corrupts a record that has
+// complete records after it: the journal is refused, not cut back to
+// the corruption, and the file is left as it was.
 func TestCheckpointRejectsMidFileCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	path := filepath.Join(t.TempDir(), "ckpt.db")
 	ck, err := OpenCheckpoint(path, ckptOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck.Close()
-	data, _ := os.ReadFile(path)
-	data = append(data, []byte("not json at all\n")...)
-	ck2, _ := OpenCheckpoint(path, ckptOpts())
-	if ck2 != nil {
-		ck2.Close()
-	}
-	if err := os.WriteFile(path, append(data, []byte(`{"kind":"fmax","design":"aes","cells":1,"fmaxGHz":0.5}`+"\n")...), 0o644); err != nil {
+	if err := ck.PutFmax(designs.AES, 99, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenCheckpoint(path, ckptOpts()); err == nil {
-		t.Error("malformed record followed by more records must be rejected")
+	ck.Close()
+	first, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	ck, err = OpenCheckpoint(path, ckptOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.PutFmax(designs.CPU, 1234, 0.4375); err != nil {
+		t.Fatal(err)
+	}
+	ck.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flip a payload bit of the AES frame, the second-to-last frame: its
+	// CRC sits 4 bytes before the CPU frame starts.
+	data[len(first)-6] ^= 1
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if ck, err := OpenCheckpoint(path, ckptOpts()); err == nil {
+		ck.Close()
+		t.Error("corrupt record followed by more records must be rejected")
+	}
+	if after, err := os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	} else if !bytes.Equal(after, data) {
+		t.Error("refused journal was modified")
+	}
+}
+
+// jsonJournal is a journal in the line-oriented JSON framing earlier
+// builds wrote. It is no longer read.
+const jsonJournal = `{"kind":"header","version":1,"scale":0.05,"seed":1,"designs":["netcard","aes","ldpc","cpu"],"configs":["2D-9T","2D-12T","M3D-9T","M3D-12T","Hetero-M3D"],"fmaxIterations":3}
+{"kind":"fmax","design":"cpu","cells":4321,"fmaxGHz":0.4375}
+{"kind":"flow","design":"cpu","config":"Hetero-M3D","ppac":{"Design":"cpu","Config":"Hetero-M3D","FreqGHz":0.4375,"FootprintMM2":0.0125,"SiAreaMM2":0.025,"ChipWidthUM":111.8,"Density":0.68,"WLm":0.25,"MIVs":210,"PowerMW":12.5,"LeakageMW":0.8,"ClockPowerMW":1.9,"WNS":-0.031,"TNS":-1.25,"EffDelayNS":2.3167,"PDPpJ":28.96,"DieCostMicroC":4.2,"CostPerCm2":168,"PPC":8.33,"Cells":4321,"Clock":null,"CutSize":140,"Refinement":"hetero flow, cut=140, preassigned=12"},"stages":[{"Name":"place","Wall":1000000,"Cells":4321,"Stats":{"congestion_retries":1}}],"degraded":["full-sta"]}
+`
+
+// TestJSONJournalRefused pins that every journal reader refuses a
+// line-oriented JSON journal as not an evaluation journal and leaves it
+// untouched, rather than restarting over it.
+func TestJSONJournalRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "suite.ckpt")
+	if err := os.WriteFile(path, []byte(jsonJournal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opt := ckptOpts()
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "not an evaluation journal") {
+			t.Errorf("%s: want a not-an-evaluation-journal refusal, got %v", what, err)
+		}
+		if data, rerr := os.ReadFile(path); rerr != nil || string(data) != jsonJournal {
+			t.Errorf("%s: JSON journal was modified (%v)", what, rerr)
+		}
+	}
+	ck, err := OpenCheckpoint(path, opt)
+	if ck != nil {
+		ck.Close()
+	}
+	check("OpenCheckpoint", err)
+	_, _, _, err = JournalStatus(path, opt)
+	check("JournalStatus", err)
+	check("MergeCheckpoints", MergeCheckpoints(path, opt, path))
 }
 
 // killSink cancels the suite's context after n config completions — the

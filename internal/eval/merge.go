@@ -2,7 +2,6 @@ package eval
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -27,7 +26,8 @@ import (
 // have produced identical records, because every record is a pure
 // function of (design, config, scale, seed). A divergent duplicate can
 // only mean corruption or a nondeterminism bug, so the merge refuses it
-// loudly instead of picking a winner.
+// loudly instead of picking a winner. Equality is byte equality of the
+// records' frame encodings, which are deterministic.
 
 // errDivergent builds the refuse-don't-pick error for mismatched
 // duplicate records.
@@ -35,16 +35,8 @@ func errDivergent(what string) error {
 	return fmt.Errorf("eval: merge: divergent duplicate %s across shard journals — identical inputs must produce identical records; this is corruption or a determinism bug, not a merge conflict to resolve", what)
 }
 
-// canonicalJSON is the duplicate-equality witness: both journal formats
-// parse into the same record structs, so their canonical JSON encodings
-// are comparable across formats.
-func canonicalJSON(rec any) ([]byte, error) {
-	return json.Marshal(rec)
-}
-
 // MergeCheckpoints merges the shard journals at srcs into one journal at
-// dst (format chosen by dst's extension: .db/.bin binary, else JSONL).
-// Every source must parse cleanly and carry the exact header derived
+// dst. Every source must parse cleanly and carry the exact header derived
 // from opt; lease records are dropped (coordination history stays in the
 // supervisor's own journal), and duplicate work records must be
 // identical. The merged file is written atomically (temp file + rename)
@@ -53,8 +45,21 @@ func MergeCheckpoints(dst string, opt SuiteOptions, srcs ...string) error {
 	opt = opt.withDefaults()
 	want := headerFor(opt)
 
-	fmaxRecs := make(map[designs.Name]*ckptFmax)
-	flowRecs := make(map[flowKey]*ckptFlow)
+	// Each work record is kept as its encoded frame, keyed by what it
+	// completes (an f_max search keys with an empty config); a duplicate
+	// must encode to the same bytes.
+	frames := make(map[flowKey][]byte)
+	keep := func(k flowKey, rec any, what string) error {
+		b, err := appendRecordFrame(nil, rec)
+		if err != nil {
+			return fmt.Errorf("eval: merge: %w", err)
+		}
+		if prev, ok := frames[k]; ok && !bytes.Equal(prev, b) {
+			return errDivergent(what)
+		}
+		frames[k] = b
+		return nil
+	}
 	for _, src := range srcs {
 		data, err := os.ReadFile(src)
 		if err != nil {
@@ -70,85 +75,32 @@ func MergeCheckpoints(dst string, opt SuiteOptions, srcs ...string) error {
 		for _, rec := range recs {
 			switch {
 			case rec.fmax != nil:
-				d := designs.Name(rec.fmax.Design)
-				if prev, ok := fmaxRecs[d]; ok {
-					if err := sameRecord(prev, rec.fmax, "fmax record for "+rec.fmax.Design); err != nil {
-						return err
-					}
-					continue
-				}
-				fmaxRecs[d] = rec.fmax
+				err = keep(flowKey{design: designs.Name(rec.fmax.Design)}, rec.fmax,
+					"fmax record for "+rec.fmax.Design)
 			case rec.flow != nil:
-				k := flowKey{designs.Name(rec.flow.Design), core.ConfigName(rec.flow.Config)}
-				if prev, ok := flowRecs[k]; ok {
-					if err := sameRecord(prev, rec.flow, "flow record for "+rec.flow.Design+"/"+rec.flow.Config); err != nil {
-						return err
-					}
-					continue
-				}
-				flowRecs[k] = rec.flow
-			case rec.lease != nil:
-				// Coordination records do not merge into the result set.
+				err = keep(flowKey{designs.Name(rec.flow.Design), core.ConfigName(rec.flow.Config)}, rec.flow,
+					"flow record for "+rec.flow.Design+"/"+rec.flow.Config)
+			}
+			// Lease records do not merge into the result set.
+			if err != nil {
+				return err
 			}
 		}
 	}
 
 	// Canonical order: fmax in design order, then flows design-major in
 	// config order — the matrix order, restricted to what is present.
-	var out []byte
-	var err error
-	if binaryExt(dst) {
-		out = db.Header(db.MagicJournal)
-		if out, err = appendHeaderFrame(out, want); err != nil {
-			return fmt.Errorf("eval: merge: %w", err)
+	out, err := appendHeaderFrame(db.Header(db.MagicJournal), want)
+	if err != nil {
+		return fmt.Errorf("eval: merge: %w", err)
+	}
+	for _, d := range opt.Designs {
+		out = append(out, frames[flowKey{design: d}]...)
+	}
+	for _, d := range opt.Designs {
+		for _, c := range opt.Configs {
+			out = append(out, frames[flowKey{d, c}]...)
 		}
-		for _, d := range opt.Designs {
-			if rec, ok := fmaxRecs[d]; ok {
-				if out, err = appendRecordFrame(out, *rec); err != nil {
-					return fmt.Errorf("eval: merge: %w", err)
-				}
-			}
-		}
-		for _, d := range opt.Designs {
-			for _, c := range opt.Configs {
-				if rec, ok := flowRecs[flowKey{d, c}]; ok {
-					if out, err = appendRecordFrame(out, rec); err != nil {
-						return fmt.Errorf("eval: merge: %w", err)
-					}
-				}
-			}
-		}
-	} else {
-		var buf bytes.Buffer
-		add := func(rec any) error {
-			b, err := json.Marshal(rec)
-			if err != nil {
-				return err
-			}
-			buf.Write(b)
-			buf.WriteByte('\n')
-			return nil
-		}
-		if err := add(want); err != nil {
-			return fmt.Errorf("eval: merge: %w", err)
-		}
-		for _, d := range opt.Designs {
-			if rec, ok := fmaxRecs[d]; ok {
-				if err := add(*rec); err != nil {
-					return fmt.Errorf("eval: merge: %w", err)
-				}
-			}
-		}
-		for _, d := range opt.Designs {
-			for _, c := range opt.Configs {
-				if rec, ok := flowRecs[flowKey{d, c}]; ok {
-					if err := add(rec); err != nil {
-						return fmt.Errorf("eval: merge: %w", err)
-					}
-				}
-			}
-		}
-		out = buf.Bytes()
 	}
 
 	tmp, err := os.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".tmp-*")
@@ -167,23 +119,6 @@ func MergeCheckpoints(dst string, opt SuiteOptions, srcs ...string) error {
 	if err := os.Rename(tmp.Name(), dst); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("eval: merge: %w", err)
-	}
-	return nil
-}
-
-// sameRecord enforces the divergent-duplicate refusal via canonical JSON
-// equality.
-func sameRecord(a, b any, what string) error {
-	ab, err := canonicalJSON(a)
-	if err != nil {
-		return fmt.Errorf("eval: merge: %w", err)
-	}
-	bb, err := canonicalJSON(b)
-	if err != nil {
-		return fmt.Errorf("eval: merge: %w", err)
-	}
-	if !bytes.Equal(ab, bb) {
-		return errDivergent(what)
 	}
 	return nil
 }

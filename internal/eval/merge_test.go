@@ -2,12 +2,14 @@ package eval
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/db"
 	"repro/internal/designs"
 	"repro/internal/flow"
 )
@@ -24,7 +26,8 @@ func testFlowResult(design string, cfg core.ConfigName, freq float64) *core.Resu
 }
 
 // TestLeaseRoundTrip proves the full lease lifecycle survives a journal
-// round trip in both framings, interleaved with work records.
+// round trip, interleaved with work records. The path's extension does
+// not choose the framing: a ".jsonl" name still gets a binary journal.
 func TestLeaseRoundTrip(t *testing.T) {
 	for _, ext := range []string{".jsonl", ".db"} {
 		t.Run(ext, func(t *testing.T) {
@@ -61,6 +64,12 @@ func TestLeaseRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 
+			if data, err := os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			} else if string(data[:4]) != db.MagicJournal {
+				t.Fatalf("%s journal magic %q, want %q", ext, data[:4], db.MagicJournal)
+			}
+
 			ck2, err := OpenCheckpoint(path, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -72,7 +81,6 @@ func TestLeaseRoundTrip(t *testing.T) {
 			}
 			for i := range leases {
 				want := leases[i]
-				want.Kind = "lease"
 				g := got[i]
 				if g.Shard != want.Shard || g.Action != want.Action || g.Owner != want.Owner ||
 					g.Attempt != want.Attempt || g.Reason != want.Reason || len(g.Units) != len(want.Units) {
@@ -91,48 +99,11 @@ func TestLeaseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLeaseConvertBetweenFormats proves leases survive the
-// JSONL<->binary conversion both ways.
-func TestLeaseConvertBetweenFormats(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "src.jsonl")
-	opt := ckptOpts()
-	ck, err := OpenCheckpoint(src, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lease := Lease{Shard: 3, Action: LeaseExpire, Owner: "s3-a1", Attempt: 1, Reason: "stalled"}
-	if err := ck.PutLease(lease); err != nil {
-		t.Fatal(err)
-	}
-	ck.Close()
-
-	bin := filepath.Join(dir, "conv.db")
-	if err := ConvertCheckpoint(src, bin); err != nil {
-		t.Fatal(err)
-	}
-	back := filepath.Join(dir, "back.jsonl")
-	if err := ConvertCheckpoint(bin, back); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []string{bin, back} {
-		ck2, err := OpenCheckpoint(p, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		got := ck2.Leases()
-		ck2.Close()
-		if len(got) != 1 || got[0].Action != LeaseExpire || got[0].Reason != "stalled" ||
-			got[0].Owner != "s3-a1" || got[0].Shard != 3 {
-			t.Errorf("%s: leases = %+v", filepath.Base(p), got)
-		}
-	}
-}
-
 // TestMergeCheckpoints proves the merge invariants: shard journals in
 // any order, with overlapping (identical) records and interleaved
 // leases, merge to byte-identical canonical journals equal to what a
-// single journal holding the same records contains.
+// single journal holding the same records contains. Whatever the
+// extension, the merged journal is binary.
 func TestMergeCheckpoints(t *testing.T) {
 	for _, ext := range []string{".jsonl", ".db"} {
 		t.Run(ext, func(t *testing.T) {
@@ -189,6 +160,9 @@ func TestMergeCheckpoints(t *testing.T) {
 			if !bytes.Equal(d1, d2) {
 				t.Error("merge is source-order dependent")
 			}
+			if string(d1[:4]) != db.MagicJournal {
+				t.Fatalf("%s merged journal magic %q, want %q", ext, d1[:4], db.MagicJournal)
+			}
 
 			// The merged journal resumes cleanly and holds everything.
 			ck, err := OpenCheckpoint(m1, opt)
@@ -216,7 +190,8 @@ func TestMergeCheckpoints(t *testing.T) {
 }
 
 // TestMergeRefusesDivergentDuplicates proves the merge never picks a
-// winner between conflicting duplicates.
+// winner between conflicting duplicates, down to a one-ULP f_max
+// difference.
 func TestMergeRefusesDivergentDuplicates(t *testing.T) {
 	dir := t.TempDir()
 	opt := ckptOpts()
@@ -232,9 +207,9 @@ func TestMergeRefusesDivergentDuplicates(t *testing.T) {
 		ck.Close()
 		return path
 	}
-	a := write("a.jsonl", 0.4375)
-	b := write("b.jsonl", 0.5) // diverged: determinism bug or corruption
-	err := MergeCheckpoints(filepath.Join(dir, "m.jsonl"), opt, a, b)
+	a := write("a.db", 0.4375)
+	b := write("b.db", math.Nextafter(0.4375, 1)) // diverged: determinism bug or corruption
+	err := MergeCheckpoints(filepath.Join(dir, "m.db"), opt, a, b)
 	if err == nil || !strings.Contains(err.Error(), "divergent duplicate") {
 		t.Fatalf("divergent duplicate accepted: %v", err)
 	}
@@ -247,13 +222,13 @@ func TestMergeRefusesForeignHeader(t *testing.T) {
 	opt := ckptOpts()
 	foreign := opt
 	foreign.Seed = 99
-	path := filepath.Join(dir, "foreign.jsonl")
+	path := filepath.Join(dir, "foreign.db")
 	ck, err := OpenCheckpoint(path, foreign)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ck.Close()
-	err = MergeCheckpoints(filepath.Join(dir, "m.jsonl"), opt, path)
+	err = MergeCheckpoints(filepath.Join(dir, "m.db"), opt, path)
 	if err == nil || !strings.Contains(err.Error(), "different suite options") {
 		t.Fatalf("foreign header accepted: %v", err)
 	}
@@ -266,7 +241,7 @@ func TestMergeRefusesForeignHeader(t *testing.T) {
 // option-mismatch refusal reports exactly which header fields differ,
 // with both values, and nothing about fields that agree.
 func TestOptionMismatchNamesFields(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	path := filepath.Join(t.TempDir(), "ckpt.db")
 	opt := ckptOpts()
 	ck, err := OpenCheckpoint(path, opt)
 	if err != nil {
@@ -311,7 +286,7 @@ func TestOptionMismatchNamesFields(t *testing.T) {
 func TestJournalStatus(t *testing.T) {
 	dir := t.TempDir()
 	opt := ckptOpts()
-	path := filepath.Join(dir, "shard.jsonl")
+	path := filepath.Join(dir, "shard.db")
 	units := []Unit{
 		{Design: designs.CPU, Config: core.ConfigHetero},
 		{Design: designs.CPU, Config: core.Config2D12T},

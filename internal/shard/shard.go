@@ -8,7 +8,7 @@
 // journal-backed:
 //
 //   - The supervisor is the single appender of the coordination journal
-//     (farm.ckpt): every shard's grant → renew* → (release | expire |
+//     (farm.db): every shard's grant → renew* → (release | expire |
 //     quarantine) lifecycle is an eval.Lease record, so a killed and
 //     restarted supervisor reconstructs ownership from the journal and
 //     the farm's history is auditable after the fact.

@@ -133,7 +133,7 @@ func TestSplit(t *testing.T) {
 
 func TestWorkerSpecRoundTrip(t *testing.T) {
 	spec := WorkerSpec{
-		Journal: "/tmp/shard-0.ckpt", Shard: 2, Owner: "s2-a3", Attempt: 3,
+		Journal: "/tmp/shard-0.db", Shard: 2, Owner: "s2-a3", Attempt: 3,
 		Scale: 0.05, Seed: 1, FmaxIterations: 3, Check: "full",
 		Designs: []string{"aes"}, Configs: []string{"2D-12T"},
 		Units:   []eval.Unit{{Design: designs.AES, Config: core.Config2D12T}},
@@ -279,7 +279,7 @@ func TestFarmQuarantineAndResume(t *testing.T) {
 	// so the supervisor must quarantine it, not trust it.
 	foreign := opt
 	foreign.Seed = 99
-	ck, err := eval.OpenCheckpoint(filepath.Join(dir, "shard-0.ckpt"), foreign)
+	ck, err := eval.OpenCheckpoint(filepath.Join(dir, "shard-0.db"), foreign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestFarmQuarantineAndResume(t *testing.T) {
 	if farm.Quarantines != 1 {
 		t.Errorf("Quarantines = %d, want 1", farm.Quarantines)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "shard-0.ckpt.quarantined-1")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "shard-0.db.quarantined-1")); err != nil {
 		t.Errorf("quarantined journal not preserved: %v", err)
 	}
 	if !strings.Contains(farm.LeaseHistory(), "quarantine") {

@@ -37,8 +37,8 @@ type Options struct {
 	// func cannot cross a process boundary).
 	Suite eval.SuiteOptions
 	// Dir holds every journal of the farm: the coordination journal
-	// (farm.ckpt), one shard journal per shard (shard-N.ckpt), the
-	// quarantined copies, and the merged result (merged.ckpt).
+	// (farm.db), one shard journal per shard (shard-N.db), the
+	// quarantined copies, and the merged result (merged.db).
 	Dir string
 	// Shards is the number of shards to split the matrix into
 	// (default 4 — one per paper design at the default matrix, which
@@ -47,9 +47,6 @@ type Options struct {
 	// Procs bounds concurrently live worker processes (default: all
 	// shards at once).
 	Procs int
-	// Binary selects the binary journal framing (.db) over JSONL for
-	// every journal the farm writes.
-	Binary bool
 	// StallTimeout is how long a worker's journal may stop growing
 	// before the watchdog presumes it wedged and kills it (default 30s).
 	StallTimeout time.Duration
@@ -135,12 +132,8 @@ func Run(ctx context.Context, o Options) (*Farm, error) {
 	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
-	ext := ".ckpt"
-	if o.Binary {
-		ext = ".db"
-	}
 	shardPath := func(idx int) string {
-		return filepath.Join(o.Dir, fmt.Sprintf("shard-%d%s", idx, ext))
+		return filepath.Join(o.Dir, fmt.Sprintf("shard-%d.db", idx))
 	}
 
 	units := o.Suite.MatrixUnits()
@@ -166,7 +159,7 @@ func Run(ctx context.Context, o Options) (*Farm, error) {
 		maxRestarts = 2
 	}
 
-	coord, err := eval.OpenCheckpoint(filepath.Join(o.Dir, "farm"+ext), o.Suite)
+	coord, err := eval.OpenCheckpoint(filepath.Join(o.Dir, "farm.db"), o.Suite)
 	if err != nil {
 		return nil, fmt.Errorf("shard: coordination journal: %w", err)
 	}
@@ -368,7 +361,9 @@ func Run(ctx context.Context, o Options) (*Farm, error) {
 
 	// watchdog runs once per poll: journal growth renews leases (and
 	// triggers armed chaos kills); a journal silent past the stall
-	// timeout gets its owner killed.
+	// timeout gets its owner killed. A resumed worker first trims the
+	// partial frame a killed append left, so a size change in either
+	// direction counts as progress.
 	watchdog := func() {
 		now := time.Now()
 		for idx, r := range live {
@@ -376,7 +371,7 @@ func Run(ctx context.Context, o Options) (*Farm, error) {
 			if err != nil {
 				continue // worker has not created its journal yet
 			}
-			if fi.Size() > r.lastSize {
+			if fi.Size() != r.lastSize {
 				r.lastSize = fi.Size()
 				r.lastProgress = now
 				_ = coord.PutLease(eval.Lease{
@@ -443,7 +438,7 @@ func Run(ctx context.Context, o Options) (*Farm, error) {
 
 	// Merge the shard journals into the canonical result journal and
 	// rehydrate the suite from it — every result restored, zero re-runs.
-	merged := filepath.Join(o.Dir, "merged"+ext)
+	merged := filepath.Join(o.Dir, "merged.db")
 	paths := make([]string, len(parts))
 	for i := range parts {
 		paths[i] = shardPath(i)
