@@ -89,7 +89,7 @@ var catalog = []Rule{
 	},
 	{
 		ID: "ENG-002", Title: "levelization consistency", Severity: Error, Class: ClassENG,
-		Doc: "The STA engine's topological order must exist, cover the netlist exactly, and respect every combinational arc — the bit-exactness premise of the incremental timer.",
+		Doc: "The STA engine's levelization order must exist exactly when an independent replay of its contract levelizes the netlist, cover every instance exactly once, and match that replay element for element — the bit-exactness premise of the incremental timer.",
 		run: engLevelization,
 	},
 	{

@@ -100,13 +100,11 @@ type Options struct {
 	CheckReportOnly bool
 	// Fault is the fault-injection hook run before every stage body
 	// (internal/fault's Plan.Hook; nil = no injection). Installing it
-	// auto-enables the extraction audit so injected cache corruption is
-	// caught at the next analysis.
+	// also arms the extraction audit, which verifies the RC-extraction
+	// cache against fresh extraction before every timing analysis
+	// (O(nets) each), so injected cache corruption is caught at the next
+	// analysis.
 	Fault func(*flow.Context, string) error
-	// AuditExtraction verifies the RC-extraction cache against fresh
-	// extraction before every timing analysis — O(nets) per analysis, so
-	// it is off by default and forced on while a fault plan is armed.
-	AuditExtraction bool
 	// FlowWorkers bounds the intra-flow parallelism of the place, route,
 	// STA, and CTS kernels (bisection frontier, per-net extraction
 	// fan-out, per-level timing sweeps, clock-tree partitioning). Every

@@ -102,10 +102,9 @@ func savePathFor(path, stage string, multi bool) string {
 
 // optionsFingerprint serializes every Options field that shapes the
 // design trajectory. Scheduling and observation knobs — FlowWorkers,
-// Events, Fault, AuditExtraction, the Save*/Load*/StopAfter paths —
-// are deliberately excluded: a snapshot saved at FLOW_WORKERS=1 must
-// resume under FLOW_WORKERS=8 (every kernel is byte-identical across
-// worker counts).
+// Events, Fault, the Save*/Load*/StopAfter paths — are deliberately
+// excluded: a snapshot saved at FLOW_WORKERS=1 must resume under
+// FLOW_WORKERS=8 (every kernel is byte-identical across worker counts).
 func optionsFingerprint(opt Options) []byte {
 	w := db.NewWriter()
 	w.PutF64(opt.ClockGHz)

@@ -71,7 +71,7 @@ func planHetero(src *netlist.Design, opt Options) (*flowState, []flow.Stage, err
 			}
 			// One-shot pseudo-3-D analysis before any Timer exists; the
 			// slack map seeds the partitioner and is never reused.
-			st0, err := sta.Analyze(s.d, staConfig(1/opt.ClockGHz, s.router, nil, false, opt.FlowWorkers)) //staleanalyze:ignore pre-Timer seed analysis
+			st0, err := sta.Analyze(s.d, STAConfig(1/opt.ClockGHz, s.router, nil, opt.FlowWorkers)) //staleanalyze:ignore pre-Timer seed analysis
 
 			if err != nil {
 				return err

@@ -92,8 +92,8 @@ type flowState struct {
 	// checks is the design-integrity session spanning the flow's
 	// instrumented stage boundaries (nil when Options.Check is off).
 	checks *check.Session
-	// audit verifies the extraction cache before every analysis (forced
-	// on while a fault plan is armed).
+	// audit verifies the extraction cache before every analysis; it is
+	// armed exactly while a fault plan is.
 	audit bool
 }
 
@@ -113,7 +113,7 @@ func (s *flowState) execute(fc *flow.Context, stages []flow.Stage) (*Result, err
 		}
 		fc.Check = s.checkBoundary
 	}
-	s.audit = s.opt.AuditExtraction || fc.Fault != nil
+	s.audit = s.opt.Fault != nil
 	fc.Degrade = s.degrade
 	fc.Corrupt = s.corrupt
 	if err := flow.Run(fc, stages); err != nil {

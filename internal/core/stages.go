@@ -166,16 +166,17 @@ func overflowAtHalfDemand(cm *route.CongestionMap) float64 {
 	return float64(over) / float64(cm.Grid.Bins())
 }
 
-// staConfig is the single constructor for every flow timing analysis:
-// sign-off defaults at the given period, extraction through ex, the
-// clock model, and the boundary-derate switch. Both the optimization
-// environments and the pre-partition criticality analysis build their
-// configuration here so the two can never drift apart.
-func staConfig(period float64, ex route.Extractor, latency func(*netlist.Instance) float64, hetero bool, workers int) sta.Config {
+// STAConfig is the single constructor for every flow timing analysis:
+// sign-off defaults at the given period, extraction through ex (nil =
+// sta's fresh extractor), and the clock model (nil = ideal clock). The
+// optimization environments, the pre-partition criticality analysis and
+// flowd's sessions all build their configuration here so they can never
+// drift apart. The boundary derates (sta.Config.Hetero) stay off in
+// every configuration; see the Hetero-M3D sign-off note in hetero.go.
+func STAConfig(period float64, ex route.Extractor, latency func(*netlist.Instance) float64, workers int) sta.Config {
 	cfg := sta.DefaultConfig(period)
 	cfg.Router = ex
 	cfg.Latency = latency
-	cfg.Hetero = hetero
 	cfg.Workers = workers
 	return cfg
 }
@@ -196,7 +197,6 @@ type timingEnv struct {
 	cache   *route.Cache // ex when extraction is cached, nil otherwise
 	period  float64
 	latency func(*netlist.Instance) float64
-	hetero  bool
 	// forceFull pins the timer to full recomputes (the -timer-stats
 	// kill switch for incremental updates; also set by the degradation
 	// path once a retained view has diverged).
@@ -226,7 +226,7 @@ func (e *timingEnv) analyze() (*sta.Result, error) {
 		}
 	}
 	if e.timer == nil {
-		cfg := staConfig(e.period, e.ex, e.latency, e.hetero, e.workers)
+		cfg := STAConfig(e.period, e.ex, e.latency, e.workers)
 		cfg.ForceFull = e.forceFull
 		t, err := sta.NewTimer(e.d, cfg)
 		if err != nil {

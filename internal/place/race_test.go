@@ -1,0 +1,7 @@
+//go:build race
+
+package place
+
+// raceEnabled gates the allocation budgets: the race detector's
+// instrumentation allocates and sync.Pool drops cached items under it.
+const raceEnabled = true

@@ -7,12 +7,12 @@ import (
 	"repro/internal/tech"
 )
 
-// TestPerNetKernelAllocs pins the steady-state allocation count of the
-// per-net routing kernel — RSMT construction, wirelength, MIV counting,
-// and RC extraction with recycling. Once the scratch and RC pools are
-// warm, the whole chain must stay off the allocator: the flow runs it
-// once per net per sweep, so any per-call allocation here multiplies by
-// millions at scale 1.0.
+// TestPerNetKernelAllocs pins the steady-state allocation count and
+// bytes per op of the per-net routing kernel — RSMT construction,
+// wirelength, MIV counting, and RC extraction with recycling. Once the
+// scratch and RC pools are warm, the whole chain must stay off the
+// allocator: the flow runs it once per net per sweep, so any per-call
+// allocation here multiplies by millions at scale 1.0.
 func TestPerNetKernelAllocs(t *testing.T) {
 	locs := []geom.Point{
 		geom.Pt(0, 0), geom.Pt(10, 2), geom.Pt(4, 8),
@@ -25,11 +25,17 @@ func TestPerNetKernelAllocs(t *testing.T) {
 	_, n := buildNet3D(t, locs, tiers)
 	r := New()
 
-	// Warm the per-P scratch and RC pools.
-	for i := 0; i < 3; i++ {
+	chain := func() {
 		r.NetWirelength(n)
 		r.CountMIVs(n)
 		RecycleRC(r.Extract(n))
+	}
+	for i := 0; i < 3; i++ {
+		chain() // warm the per-P scratch and RC pools
+	}
+
+	if raceEnabled {
+		t.Skip("race detector: instrumentation allocates and sync.Pool drops cached items; the budgets hold in non-race builds")
 	}
 
 	wl := testing.AllocsPerRun(50, func() { r.NetWirelength(n) })
@@ -45,33 +51,19 @@ func TestPerNetKernelAllocs(t *testing.T) {
 	if rc > 0 {
 		t.Errorf("Extract+RecycleRC allocates %v per run, want 0", rc)
 	}
+
+	bytes := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			chain()
+		}
+	}).AllocedBytesPerOp()
+	t.Logf("B/op: whole per-net chain=%d", bytes)
+	if bytes > maxPerNetBytes {
+		t.Errorf("per-net chain allocates %d B/op, want <= %d", bytes, maxPerNetBytes)
+	}
 }
 
-// BenchmarkKernelNetRoute measures the warm per-net routing chain
-// (wirelength + MIV count + RC extraction with recycling); its B/op is
-// guarded against the committed BENCH_alloc.json baseline by
-// tools/benchguard in CI.
-func BenchmarkKernelNetRoute(b *testing.B) {
-	locs := []geom.Point{
-		geom.Pt(0, 0), geom.Pt(10, 2), geom.Pt(4, 8),
-		geom.Pt(7, 5), geom.Pt(1, 6),
-	}
-	tiers := []tech.Tier{
-		tech.TierBottom, tech.TierTop, tech.TierBottom,
-		tech.TierTop, tech.TierBottom,
-	}
-	_, n := buildNet3D(b, locs, tiers)
-	r := New()
-	for i := 0; i < 3; i++ {
-		r.NetWirelength(n)
-		r.CountMIVs(n)
-		RecycleRC(r.Extract(n))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.NetWirelength(n)
-		r.CountMIVs(n)
-		RecycleRC(r.Extract(n))
-	}
-}
+// maxPerNetBytes is the chain's B/op budget, max(2 × measured, 512):
+// it measures 0, and the 512 B floor absorbs pool jitter around zero
+// while a reintroduced per-net slice or map still lands far above it.
+const maxPerNetBytes = 512

@@ -185,6 +185,38 @@ func TestSessionTimingMatchesOffline(t *testing.T) {
 	}
 }
 
+// TestHeteroSessionMatchesFlowSignoff: a Hetero-M3D session opened at
+// the signoff boundary reports the flow's own sign-off timing. The
+// offline twin above shares TimingConfig with the session, so only this
+// comparison against the flow's Result catches the two timing models
+// drifting apart.
+func TestHeteroSessionMatchesFlowSignoff(t *testing.T) {
+	_, addr := startServer(t, Options{})
+	cl := dialT(t, addr)
+	defer cl.Close()
+
+	req := OpenRequest{
+		Design:   "aes",
+		Config:   string(core.ConfigHetero),
+		Scale:    0.05,
+		Seed:     1,
+		ClockGHz: 1.0,
+		Boundary: core.StageSignoff,
+	}
+	if _, err := cl.Open(&req, nil); err != nil {
+		t.Fatal(err)
+	}
+	got, err := cl.Timing()
+	if err != nil {
+		t.Fatal(err)
+	}
+	flow := offlineTwin(t, &req).Timing
+	if got.WNS != flow.WNS || got.TNS != flow.TNS {
+		t.Fatalf("session timing WNS %v TNS %v != flow sign-off WNS %v TNS %v",
+			got.WNS, got.TNS, flow.WNS, flow.TNS)
+	}
+}
+
 // TestSessionSnapshotCache: a second identical OPEN must restore from
 // the server's snapshot instead of re-running the flow, and still
 // produce bit-identical timing.

@@ -23,12 +23,13 @@ import (
 )
 
 // TimingConfig is the canonical timing configuration of a served
-// session: the exact sta.Config the flow's own sign-off analysis uses
-// (core's staConfig recipe) at the session's target frequency. clock is
-// the synthesized tree when the session opened at or past the CTS
-// boundary, nil for the ideal clock of earlier boundaries. The Router
-// is left nil (sta defaults to a fresh extractor); sessions install a
-// revision-keyed route.Cache on top, which is result-identical.
+// session: core.STAConfig, the one constructor behind the flow's own
+// sign-off analysis, at the session's target frequency. clock is the
+// synthesized tree when the session opened at or past the CTS boundary,
+// nil for the ideal clock of earlier boundaries. The Router is left nil
+// (sta defaults to a fresh extractor); sessions install a revision-keyed
+// route.Cache on top, which is result-identical. cfg does not shape the
+// configuration: every flow configuration signs off with the same model.
 //
 // Exporting the recipe is what makes "byte-identical to offline"
 // testable: a client can rebuild the same netlist state offline, run
@@ -37,13 +38,11 @@ func TimingConfig(clockGHz float64, cfg core.ConfigName, clock *cts.Result, work
 	if !(clockGHz > 0) {
 		return sta.Config{}, fmt.Errorf("%w: clock %v GHz is not positive", ErrBadRequest, clockGHz)
 	}
-	c := sta.DefaultConfig(1 / clockGHz)
+	var latency func(*netlist.Instance) float64
 	if clock != nil {
-		c.Latency = clock.LatencyFunc()
+		latency = clock.LatencyFunc()
 	}
-	c.Hetero = cfg == core.ConfigHetero
-	c.Workers = workers
-	return c, nil
+	return core.STAConfig(1/clockGHz, nil, latency, workers), nil
 }
 
 // session is one connection's live design: a journaled netlist restored
