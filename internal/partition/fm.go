@@ -30,11 +30,15 @@ func DefaultFMOptions() FMOptions {
 
 // Engine is a reusable FM context. One Engine can run many partitions in
 // sequence — the placer runs one per bisection node — reusing the
-// gain-bucket buffers between runs, so repeated small runs stay off the
-// allocator. An Engine must not be shared between goroutines; the
-// zero value is ready to use.
+// gain-bucket buffers, the random stream and the seed permutation between
+// runs, so repeated small runs stay off the allocator. Every run re-seeds
+// the stream from its FMOptions.Seed, so a reused engine draws exactly
+// what a fresh one would. An Engine must not be shared between
+// goroutines; the zero value is ready to use.
 type Engine struct {
-	st fmState
+	st   fmState
+	rng  *rand.Rand // created on the first seeded run, re-seeded per run
+	perm []int      // seed permutation buffer
 }
 
 // FM runs Fiduccia–Mattheyses min-cut improvement on h. If initial is
@@ -74,7 +78,13 @@ func (e *Engine) FM(h *Hypergraph, initial []uint8, opt FMOptions) (*Solution, e
 			}
 		}
 	} else {
-		seedAssignment(h, side, opt)
+		if e.rng == nil {
+			e.rng = rand.New(rand.NewSource(opt.Seed))
+		} else {
+			e.rng.Seed(opt.Seed)
+		}
+		e.perm = dense.Grow(e.perm, n)
+		seedAssignment(h, side, opt, e.rng, e.perm)
 	}
 	st.area = sideAreas(h, side)
 
@@ -87,9 +97,12 @@ func (e *Engine) FM(h *Hypergraph, initial []uint8, opt FMOptions) (*Solution, e
 }
 
 // seedAssignment produces a random assignment that respects Fixed pins
-// and approximates the target fraction by greedy area filling.
-func seedAssignment(h *Hypergraph, side []uint8, opt FMOptions) {
-	rng := rand.New(rand.NewSource(opt.Seed))
+// and approximates the target fraction by greedy area filling. The free
+// cells are visited in the order rng.Perm(len(side)) would return, drawn
+// into order (len(side) entries) instead of a fresh slice.
+//
+//hotpath:kernel
+func seedAssignment(h *Hypergraph, side []uint8, opt FMOptions, rng *rand.Rand, order []int) {
 	total := h.TotalArea()
 	want0 := opt.TargetFrac * total
 	var a0 float64
@@ -103,7 +116,14 @@ func seedAssignment(h *Hypergraph, side []uint8, opt FMOptions) {
 		}
 	}
 	// Free cells in random order, filling side 0 up to its target.
-	order := rng.Perm(len(side))
+	// (*rand.Rand).Perm's loop: order[j] with j < i was written earlier
+	// in this loop, and order[i] is overwritten straight after when
+	// j == i, so whatever a previous run left in order cannot survive.
+	for i := range order {
+		j := rng.Intn(i + 1)
+		order[i] = order[j]
+		order[j] = i
+	}
 	for _, i := range order {
 		if h.Fixed[i] >= 0 {
 			continue

@@ -9,6 +9,7 @@ package partition
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/dense"
 )
@@ -106,6 +107,19 @@ func (h *Hypergraph) NetBuf(max int) PinBuf {
 	off := len(h.arena)
 	h.arena = h.arena[:off+max]
 	return PinBuf(h.arena[off : off : off+max])
+}
+
+// Reserve sizes h so that nets more hyperedges, carved by NetBuf calls
+// reserving pins pins in total, fit without reallocating the net list
+// or the pin arena. Sizing a hypergraph once from known bounds replaces
+// the doubling growth that leaves every outgrown block to the
+// collector.
+func (h *Hypergraph) Reserve(nets, pins int) {
+	h.Nets = slices.Grow(h.Nets, nets)
+	if len(h.arena)+pins > cap(h.arena) {
+		// As in NetBuf: slices already handed out keep the old block.
+		h.arena = make([]int, 0, pins)
+	}
 }
 
 // NumCells returns the cell count.

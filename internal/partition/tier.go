@@ -65,18 +65,20 @@ type TierResult struct {
 // external neighbours fixed, enforcing local area balance so the 3-D
 // legalization stays close to the pseudo-3-D placement.
 func TierPartition(d *netlist.Design, outline geom.Rect, preassign map[*netlist.Instance]tech.Tier, opt TierOptions) (*TierResult, error) {
-	// Collect movable cells (everything non-macro).
-	var cells []*netlist.Instance
+	// Collect movable cells (everything non-macro); idx maps instance ID
+	// to cell index, -1 for macros.
+	cells := make([]*netlist.Instance, 0, len(d.Instances))
+	idx := make([]int32, len(d.Instances))
 	for _, inst := range d.Instances {
 		if inst.Master.Function.IsMacro() {
+			idx[inst.ID] = -1
 			continue
 		}
+		idx[inst.ID] = int32(len(cells))
 		cells = append(cells, inst)
 	}
-	idx := make(map[*netlist.Instance]int, len(cells))
 	areas := make([]float64, len(cells))
 	for i, c := range cells {
-		idx[c] = i
 		areas[i] = c.Master.Area()
 	}
 
@@ -90,23 +92,32 @@ func TierPartition(d *netlist.Design, outline geom.Rect, preassign map[*netlist.
 	if maxDeg <= 0 {
 		maxDeg = 1 << 30
 	}
+	keep := func(n *netlist.Net) bool { return !n.IsClock && n.Degree() <= maxDeg }
+	nNets, nPins := 0, 0
 	for _, n := range d.Nets {
-		if n.IsClock || n.Degree() > maxDeg {
+		if keep(n) {
+			nNets++
+			nPins += len(n.Sinks) + 1
+		}
+	}
+	h.Reserve(nNets, nPins)
+	for _, n := range d.Nets {
+		if !keep(n) {
 			continue
 		}
-		pins := make([]int, 0, len(n.Sinks)+1)
+		pins := h.NetBuf(len(n.Sinks) + 1)
 		if n.Driver.Valid() {
-			if i, ok := idx[n.Driver.Inst]; ok {
-				pins = append(pins, i)
+			if i := idx[n.Driver.Inst.ID]; i >= 0 {
+				pins = append(pins, int(i))
 			}
 		}
 		for _, s := range n.Sinks {
-			if i, ok := idx[s.Inst]; ok {
-				pins = append(pins, i)
+			if i := idx[s.Inst.ID]; i >= 0 {
+				pins = append(pins, int(i))
 			}
 		}
 		if len(pins) >= 2 {
-			h.AddNet(pins...)
+			h.AddNet(pins...) // the hyperedge keeps the buffer
 		}
 	}
 

@@ -259,7 +259,7 @@ func bisect(d *netlist.Design, adj *adjacency, region geom.Rect, cells []*netlis
 	ep := sc.begin(len(d.Instances), len(adj.hasPort))
 
 	// Build the sub-hypergraph over cells, with two virtual terminals.
-	sc.areas = sc.areas[:0]
+	sc.areas = slices.Grow(sc.areas[:0], len(d.Instances)+2)
 	totalArea := 0.0
 	for i, c := range cells {
 		sc.localIdx[c.ID] = int32(i)
@@ -275,6 +275,11 @@ func bisect(d *netlist.Design, adj *adjacency, region geom.Rect, cells []*netlis
 	h.ResetCells(sc.areas)
 	h.Fixed[t0] = 0
 	h.Fixed[t1] = 1
+	// Any cut visits each kept net at most once and carves it
+	// len(members)+2 pins, so the whole design's bound sizes the
+	// hypergraph once per scratch instead of doubling it cut by cut.
+	nNets := len(adj.hasPort)
+	h.Reserve(nNets, len(adj.memberDat)+2*nNets)
 
 	// Split line position: proportional area split at the midline.
 	var mid float64
@@ -335,7 +340,7 @@ func bisect(d *netlist.Design, adj *adjacency, region geom.Rect, cells []*netlis
 	// order, side-1 cells spill to scratch and copy back after — the
 	// same left/right orders the old append-based split produced.
 	nl := 0
-	sc.side1 = sc.side1[:0]
+	sc.side1 = slices.Grow(sc.side1[:0], len(d.Instances))
 	var areaLeft float64
 	for i, c := range cells {
 		if sol.Side[i] == 0 {
@@ -383,6 +388,9 @@ func byID(cells []*netlist.Instance) {
 
 // forcedSplit halves the cell list by area when FM degenerates,
 // reordering cells in place (the caller owns the slice exclusively).
+// Both sides keep at least one cell: a zero total area, or a last cell
+// by ID holding more than half of it, would otherwise hand the whole
+// set to one side, which then recurses forever.
 func forcedSplit(cells []*netlist.Instance) (left, right []*netlist.Instance, areaLeft float64) {
 	byID(cells)
 	total := 0.0
@@ -390,11 +398,8 @@ func forcedSplit(cells []*netlist.Instance) (left, right []*netlist.Instance, ar
 		total += c.Master.Area()
 	}
 	k := 0
-	for _, c := range cells {
-		if areaLeft >= total/2 {
-			break
-		}
-		areaLeft += c.Master.Area()
+	for k < len(cells)-1 && (k == 0 || areaLeft < total/2) {
+		areaLeft += cells[k].Master.Area()
 		k++
 	}
 	return cells[:k], cells[k:], areaLeft

@@ -14,8 +14,9 @@ import (
 // location snapshot and all InitLoc updates apply sequentially in
 // region order. Under -race this also proves the frontier fan-out has
 // no conflicting accesses. It doubles as the RNG-audit regression for
-// this kernel — FM seeds its own rand.Source per call from the
-// hypergraph, so a shared-RNG regression would break the equality.
+// this kernel — each worker's FM engine re-seeds its own random stream
+// on every call, so a shared-RNG regression, or a stream that carried
+// state from one cut to the next, would break the equality.
 func TestGlobalWorkersEquivalence(t *testing.T) {
 	locs := func(workers int) []geom.Point {
 		d := genDesign(t, designs.AES, 0.05)

@@ -21,6 +21,10 @@
 //     a buffer whose capacity came from a call (h.NetBuf(n),
 //     AppendPinLocs(buf[:0])), is the sanctioned reuse pattern and is
 //     not flagged.
+//   - math/rand.New, math/rand.NewSource and (*rand.Rand).Perm: a fresh
+//     source is a ~5 KB allocation (plus its seeding), and Perm a fresh
+//     slice per call. A kernel draws from a *rand.Rand its caller keeps,
+//     re-seeded per run, into a buffer its caller keeps.
 package hotalloc
 
 import (
@@ -97,6 +101,10 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 					"hot path allocates a map literal; use a dense index slice or epoch-stamped scratch")
 			}
 		case *ast.CallExpr:
+			if fn := calleeFunc(pass, node); fn != nil && randAllocs[fn.FullName()] {
+				pass.Reportf("hotalloc005", node.Pos(),
+					"hot path calls %s, which allocates per call; keep the *rand.Rand and its buffers in reusable state and re-seed it per run", fn.FullName())
+			}
 			switch builtinName(pass, node) {
 			case "make":
 				if _, ok := pass.TypesInfo.Types[node].Type.Underlying().(*types.Map); ok {
@@ -210,6 +218,29 @@ func innermostLoop(stack []ast.Node) *ast.BlockStmt {
 // index i descends through its body (not its init/cond/post clauses).
 func inBody(body *ast.BlockStmt, stack []ast.Node, i int) bool {
 	return i+1 < len(stack) && stack[i+1] == body
+}
+
+// randAllocs names the math/rand entry points that allocate per call.
+var randAllocs = map[string]bool{
+	"math/rand.New":          true,
+	"math/rand.NewSource":    true,
+	"(*math/rand.Rand).Perm": true,
+}
+
+// calleeFunc returns the function or method a call invokes statically,
+// or nil (builtins, function values, conversions).
+func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch f := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = f
+	case *ast.SelectorExpr:
+		id = f.Sel
+	default:
+		return nil
+	}
+	fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
+	return fn
 }
 
 // builtinName returns the name of the builtin a call invokes, or "".

@@ -1,6 +1,8 @@
 // Fixture for the hotalloc pass.
 package fixture
 
+import "math/rand"
+
 // sum is an unmarked function: nothing in it may flag, whatever it
 // allocates.
 func sum(xs []int) map[int]bool {
@@ -90,6 +92,35 @@ func hotShadowedMake(rows [][]int) int {
 		total += len(make(len(r)))
 	}
 	return total
+}
+
+// hotRand builds a random source and a permutation per call: all three
+// flag.
+//
+//hotpath:kernel
+func hotRand(seed int64, n int) []int {
+	src := rand.NewSource(seed) // want "calls math/rand.NewSource, which allocates per call"
+	rng := rand.New(src)        // want "calls math/rand.New, which allocates per call"
+	return rng.Perm(n)          // want "calls \(\*math/rand.Rand\).Perm, which allocates per call"
+}
+
+// hotRandReuse re-seeds a caller-kept stream and draws the permutation
+// into a caller-kept buffer: the sanctioned idiom, clean.
+//
+//hotpath:kernel
+func hotRandReuse(rng *rand.Rand, seed int64, buf []int) {
+	rng.Seed(seed)
+	for i := range buf {
+		j := rng.Intn(i + 1)
+		buf[i] = buf[j]
+		buf[j] = i
+	}
+}
+
+// newStream is unmarked: the once-per-owner construction belongs here.
+func newStream(seed int64) (*rand.Rand, []int) {
+	rng := rand.New(rand.NewSource(seed))
+	return rng, rng.Perm(4)
 }
 
 // Malformed hotpath markers are findings: each fails to mark the
