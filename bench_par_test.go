@@ -4,8 +4,8 @@
 // per-net RSMT/RC reductions, and one complete implementation flow.
 // Results are byte-identical at any worker count (pinned by the
 // workers-matrix and kernel equivalence tests); only wall-clock may
-// move. BENCH_par.json records a reference run with the measurement
-// caveats. Pass -flowworkers to vary the parallel width:
+// move. bench/'s par.cpu_util and par.tasks measure the pool end to
+// end. Pass -flowworkers to vary the parallel width:
 //
 //	go test -run xxx -bench 'Par|PlaceBisect|RSMTFanout' -benchtime 3x -flowworkers 8 .
 package repro_test

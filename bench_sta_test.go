@@ -4,7 +4,7 @@
 // (fresh analysis per round, raw extraction — the pre-Timer behaviour)
 // with an "incremental" one (persistent Timer over a revision-keyed
 // extraction cache); the wall-clock ratio is the engine's payoff.
-// BENCH_sta.json records a reference run.
+// bench/'s sta.analyze_full_ms and sta.update_incr_ms track both sweeps.
 package repro_test
 
 import (

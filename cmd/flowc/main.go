@@ -9,7 +9,7 @@
 //	              [-scale 0.25] [-seed 1] [-clock 1.0] [-boundary place]
 //	              [-script file]
 //	flowc load    -addr host:port [-sessions 500] [-concurrency 32]
-//	              [-rounds 3] [-out BENCH_serve.json] [-p99-bound ms]
+//	              [-rounds 3] [-out load.json] [-p99-bound ms]
 //
 // session opens an interactive session and executes a mutation/timing
 // script (from -script, or stdin when omitted), one command per line:
@@ -19,7 +19,7 @@
 //	timing                    # incremental WNS/TNS query
 //
 // load drives the loopback load harness and optionally writes its
-// latency distributions as a BENCH_serve.json file; -p99-bound fails
+// latency distributions as a JSON file; -p99-bound fails
 // the run (exit 1) if any operation's p99 exceeds the bound, which is
 // how CI smoke-tests the daemon under concurrency.
 package main
@@ -303,7 +303,7 @@ func runLoad(args []string, stdout io.Writer) error {
 		scale    = fs.Float64("scale", 0.05, "design scale")
 		seed     = fs.Int64("seed", 1, "generation seed")
 		boundary = fs.String("boundary", "place", "session boundary stage")
-		out      = fs.String("out", "", "write latency distributions to this BENCH_serve.json file")
+		out      = fs.String("out", "", "write latency distributions to this JSON file")
 		bound    = fs.Float64("p99-bound", 0, "fail if any op's p99 exceeds this many ms (0 = no bound)")
 		desc     = fs.String("desc", "flowd loopback load test", "description recorded in -out")
 		cpu      = fs.String("cpu", "", "cpu string recorded in -out")

@@ -212,9 +212,7 @@ func run(ctx context.Context, design, config string, scale, clock float64, seed 
 			opt.SaveAfter = dbio.saveAfter
 			opt.LoadDesign = dbio.load
 			opt.StopAfter = dbio.stop
-			if plan != nil {
-				opt.Fault = plan.Hook()
-			}
+			opt.Fault = plan
 			results[i], traces[i], errs[i] = core.RunWithRetry(ctx, src, cfg, opt, policy)
 		}()
 	}

@@ -116,9 +116,7 @@ func main() {
 	if *retries > 1 {
 		opt.Retry = flow.DefaultRetryPolicy(*retries)
 	}
-	if plan != nil {
-		opt.Fault = plan.Hook()
-	}
+	opt.Fault = plan
 	if *designL != "" {
 		opt.Designs = nil
 		for _, n := range strings.Split(*designL, ",") {

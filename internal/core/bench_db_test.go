@@ -19,8 +19,7 @@ import (
 // encoders against the obvious alternative — reflective JSON plus gzip —
 // on a real mid-flow payload. The subject is netcard (the suite's
 // largest netlist) saved at the placement boundary of the Hetero-M3D
-// flow, i.e. exactly the bytes -save-design writes. BENCH_db.json
-// records a reference run. Regenerate with:
+// flow, i.e. exactly the bytes -save-design writes. Run with:
 //
 //	go test -run xxx -bench 'BenchmarkDB|BenchmarkJSONGzip' -benchtime 10x ./internal/core/
 var benchDBScale = flag.Float64("db-scale", 0.25, "netcard scale for the design-database benchmarks")

@@ -61,13 +61,13 @@ func (s *flowState) boundaryClasses(stage string) (check.Class, bool) {
 	return 0, false
 }
 
-// checkBoundary is the flow.Context.Check hook: it runs the boundary's
-// rule classes over the current flow state, reports the counters into the
-// stage's metric, and (unless report-only) escalates Error-severity
-// findings to a stage failure.
-func (s *flowState) checkBoundary(fc *flow.Context, stage string) error {
+// After runs the design-integrity check at a stage boundary (when
+// checking is on): the boundary's rule classes run over the current flow
+// state, the counters land in the stage's metric, and (unless
+// report-only) Error-severity findings escalate to a stage failure.
+func (s *flowState) After(fc *flow.Context, stage string) error {
 	classes, ok := s.boundaryClasses(stage)
-	if !ok || s.d == nil {
+	if !ok || s.checks == nil || s.d == nil {
 		return nil
 	}
 	in := check.Input{

@@ -21,6 +21,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/cost"
 	"repro/internal/cts"
+	"repro/internal/fault"
 	"repro/internal/flow"
 	"repro/internal/geom"
 	"repro/internal/netlist"
@@ -98,13 +99,12 @@ type Options struct {
 	// boundary report lands in Result.Checks (cmd/designlint's mode).
 	Check           CheckMode
 	CheckReportOnly bool
-	// Fault is the fault-injection hook run before every stage body
-	// (internal/fault's Plan.Hook; nil = no injection). Installing it
-	// also arms the extraction audit, which verifies the RC-extraction
-	// cache against fresh extraction before every timing analysis
-	// (O(nets) each), so injected cache corruption is caught at the next
-	// analysis.
-	Fault func(*flow.Context, string) error
+	// Fault is the fault-injection plan fired before every stage body
+	// (nil = no injection). Arming one also arms the extraction audit,
+	// which verifies the RC-extraction cache against fresh extraction
+	// before every timing analysis (O(nets) each), so injected cache
+	// corruption is caught at the next analysis.
+	Fault *fault.Plan
 	// FlowWorkers bounds the intra-flow parallelism of the place, route,
 	// STA, and CTS kernels (bisection frontier, per-net extraction
 	// fan-out, per-level timing sweeps, clock-tree partitioning). Every
@@ -279,17 +279,16 @@ func Run(ctx context.Context, src *netlist.Design, cfg ConfigName, opt Options) 
 	}
 	// The run's context is always cancellable from inside: the fault
 	// harness's cancel class and any future watchdog abort through
-	// fc.CancelRun exactly like an external caller would.
+	// flowState.CancelRun exactly like an external caller would.
 	runCtx, cancel := context.WithCancel(orBackground(ctx))
 	defer cancel()
 	fc := flow.NewContext(runCtx, src.Name, string(cfg), opt.Seed)
 	fc.Sink = opt.Events
-	fc.CancelRun = cancel
-	fc.Fault = opt.Fault
 	s, stages, err := flowPlan(src, cfg, opt)
 	if err != nil {
 		return nil, err
 	}
+	s.cancel = cancel
 	return s.runFlow(fc, stages)
 }
 

@@ -748,24 +748,21 @@ func (s *flowState) buildDB(fc *flow.Context, stage string) *designDB {
 	return dd
 }
 
-// saveHook returns the flow.Context.Snapshot hook that writes the
-// design database at each requested boundary.
-func (s *flowState) saveHook(saveSet map[string]bool, path string) func(*flow.Context, string) error {
-	multi := len(saveSet) > 1
-	return func(fc *flow.Context, stage string) error {
-		if !saveSet[stage] {
-			return nil
-		}
-		data, err := encodeDesignDB(s.buildDB(fc, stage))
-		if err != nil {
-			return fmt.Errorf("core: save design after %s: %w", stage, err)
-		}
-		out := savePathFor(path, stage, multi)
-		if err := os.WriteFile(out, data, 0o644); err != nil {
-			return fmt.Errorf("core: save design after %s: %w", stage, err)
-		}
+// Commit writes the design database when stage is one of the requested
+// save boundaries (-save-design/-save-after).
+func (s *flowState) Commit(fc *flow.Context, stage string) error {
+	if !s.saveSet[stage] {
 		return nil
 	}
+	data, err := encodeDesignDB(s.buildDB(fc, stage))
+	if err != nil {
+		return fmt.Errorf("core: save design after %s: %w", stage, err)
+	}
+	out := savePathFor(s.savePath, stage, len(s.saveSet) > 1)
+	if err := os.WriteFile(out, data, 0o644); err != nil {
+		return fmt.Errorf("core: save design after %s: %w", stage, err)
+	}
+	return nil
 }
 
 // loadDesign restores a saved database onto the flow state and returns
@@ -900,7 +897,7 @@ func (s *flowState) runFlow(fc *flow.Context, stages []flow.Stage) (*Result, err
 				return nil, fmt.Errorf("core: -save-after stage %q is not part of the executed %s flow", st, s.cfg)
 			}
 		}
-		fc.Snapshot = s.saveHook(saveSet, opt.SaveDesign)
+		s.saveSet, s.savePath = saveSet, opt.SaveDesign
 	}
 	if opt.LoadDesign != "" {
 		var err error

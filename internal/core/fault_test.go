@@ -119,7 +119,7 @@ func TestFaultInjectionMatrix(t *testing.T) {
 			}
 			sink := &metricSink{}
 			opt := DefaultOptions(testClock)
-			opt.Fault = plan.Hook()
+			opt.Fault = plan
 			opt.Events = sink
 			opt.Check = tc.check
 			r, err := Run(context.Background(), src, ConfigHetero, opt)
@@ -203,7 +203,7 @@ func TestFaultRetryIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions(testClock)
-	opt.Fault = plan.Hook()
+	opt.Fault = plan
 	r, trace, err := RunWithRetry(context.Background(), src, ConfigHetero, opt, flow.RetryPolicy{Attempts: 2})
 	if err != nil {
 		t.Fatalf("second attempt should succeed: %v", err)
@@ -229,7 +229,7 @@ func TestFaultNonRetryableStopsRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions(testClock)
-	opt.Fault = plan.Hook()
+	opt.Fault = plan
 	_, trace, err := RunWithRetry(context.Background(), src, ConfigHetero, opt, flow.RetryPolicy{Attempts: 3})
 	if err == nil {
 		t.Fatal("permanent injected error must fail the flow")
@@ -250,7 +250,7 @@ func TestCancelInjectionPromptness(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions(testClock)
-	opt.Fault = plan.Hook()
+	opt.Fault = plan
 	_, trace, err := RunWithRetry(context.Background(), src, ConfigM3D12T, opt, flow.RetryPolicy{Attempts: 3})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled through the chain, got %v", err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -63,6 +64,8 @@ const (
 // flowState is the mutable state a flow pipeline threads through its
 // stages. The stage functions below are shared by the 2-D, M3D, and
 // Hetero-Pin-3D pipelines; each flow file composes the list it needs.
+// It is also the pipeline's flow.Boundary (fault injection, integrity
+// checks, degradation, design saves) and the fault plan's Target.
 type flowState struct {
 	cfg ConfigName
 	opt Options
@@ -95,28 +98,23 @@ type flowState struct {
 	// audit verifies the extraction cache before every analysis; it is
 	// armed exactly while a fault plan is.
 	audit bool
+	// cancel aborts the run's context (the fault plan's cancel class).
+	cancel context.CancelFunc
+	// saveSet names the boundaries Commit writes the design database at
+	// (nil = no saves); savePath is the -save-design path.
+	saveSet  map[string]bool
+	savePath string
 }
 
 // execute runs the composed pipeline and assembles the Result.
 func (s *flowState) execute(fc *flow.Context, stages []flow.Stage) (*Result, error) {
-	fc.Cells = func() int {
-		if s.d == nil {
-			return 0
-		}
-		return len(s.d.Instances)
-	}
-	if s.opt.Check != CheckOff && s.opt.Check != "" {
-		if s.checks == nil {
-			// A flow resumed from a design database arrives with the saved
-			// session (ENG-003 monotonicity baseline) already restored.
-			s.checks = &check.Session{}
-		}
-		fc.Check = s.checkBoundary
+	if s.opt.Check != CheckOff && s.opt.Check != "" && s.checks == nil {
+		// A flow resumed from a design database arrives with the saved
+		// session (ENG-003 monotonicity baseline) already restored.
+		s.checks = &check.Session{}
 	}
 	s.audit = s.opt.Fault != nil
-	fc.Degrade = s.degrade
-	fc.Corrupt = s.corrupt
-	if err := flow.Run(fc, stages); err != nil {
+	if err := flow.Run(fc, s, stages); err != nil {
 		return nil, err
 	}
 	res := &Result{
@@ -141,15 +139,30 @@ func (s *flowState) execute(fc *flow.Context, stages []flow.Stage) (*Result, err
 	return res, nil
 }
 
-// degrade is the flow's graceful-degradation policy (the Degrade hook):
-// failures that mean "a retained engine view can no longer be trusted" —
-// the extraction audit's divergence finding or an ENG-class
-// design-integrity failure — are absorbed by rebuilding every retained
-// view from ground truth and pinning the timing engine to full
-// recomputes, after which the runner re-runs the stage. Anything else
-// (DRC/ERC findings, engine errors, panics) is a genuine flow failure
-// and propagates with attribution.
-func (s *flowState) degrade(fc *flow.Context, stage string, err error) bool {
+// Before fires the fault plan's injection due at this stage, if any.
+func (s *flowState) Before(fc *flow.Context, stage string) error {
+	return s.opt.Fault.Fire(fc, stage, s)
+}
+
+// Cells reports the design's current cell count for the stage metric.
+func (s *flowState) Cells() int {
+	if s.d == nil {
+		return 0
+	}
+	return len(s.d.Instances)
+}
+
+// CancelRun aborts the run's context, as an external caller would.
+func (s *flowState) CancelRun() { s.cancel() }
+
+// Absorb is the flow's graceful-degradation policy: failures that mean
+// "a retained engine view can no longer be trusted" — the extraction
+// audit's divergence finding or an ENG-class design-integrity failure —
+// are absorbed by rebuilding every retained view from ground truth and
+// pinning the timing engine to full recomputes, after which the runner
+// re-runs the stage. Anything else (DRC/ERC findings, engine errors,
+// panics) is a genuine flow failure and propagates with attribution.
+func (s *flowState) Absorb(fc *flow.Context, stage string, err error) bool {
 	var rf *check.RuleFailure
 	switch {
 	case errors.Is(err, sta.ErrDiverged):
@@ -176,12 +189,12 @@ func (s *flowState) degrade(fc *flow.Context, stage string, err error) bool {
 	return true
 }
 
-// corrupt applies a named corruption to a flow-owned engine structure —
+// Corrupt applies a named corruption to a flow-owned engine structure —
 // the fault harness's ClassCorrupt targets. Only structures that exist
 // at the injection point can be corrupted; arming a cache corruption
 // before the timing environment is bound reports an error (which the
 // harness surfaces as an attributed stage failure).
-func (s *flowState) corrupt(target string) error {
+func (s *flowState) Corrupt(target string) error {
 	switch target {
 	case fault.TargetCache:
 		if s.cache == nil {

@@ -31,6 +31,7 @@ import (
 	"repro/internal/cell"
 	"repro/internal/core"
 	"repro/internal/designs"
+	"repro/internal/fault"
 	"repro/internal/flow"
 	"repro/internal/netlist"
 	"repro/internal/par"
@@ -94,10 +95,9 @@ type SuiteOptions struct {
 	// rerun with the same options serves completed work from the journal,
 	// producing byte-identical tables.
 	Checkpoint string
-	// Fault installs a fault-injection hook (internal/fault's Plan.Hook)
-	// into every configuration flow; nil = no injection. The f_max
-	// probes are exempt, like Check.
-	Fault func(*flow.Context, string) error
+	// Fault is the fault-injection plan armed in every configuration
+	// flow; nil = no injection. The f_max probes are exempt, like Check.
+	Fault *fault.Plan
 	// ResumeFromPlace, when set to a directory, runs every configuration
 	// flow in two legs through the binary design database: a truncated
 	// leg that saves the design right after placement, then a second

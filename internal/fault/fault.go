@@ -1,12 +1,12 @@
 // Package fault is the flow engine's deterministic fault-injection
 // harness. A Plan arms a set of injections, each registered by (design,
-// config, stage, occurrence); its Hook attaches to flow.Context.Fault
-// and fires each injection exactly when its site is visited for the
-// matching time — so a "3rd visit of cpu/Hetero-M3D/timing-repair"
-// fault reproduces bit-for-bit across runs, worker counts, and retry
-// attempts (occurrence counting continues across attempts, which is
-// what makes an injected fault transient: the retry does not re-hit it
-// unless armed again at a later occurrence).
+// config, stage, occurrence); the pipeline's owner calls Fire before
+// every stage body, and Fire delivers each injection exactly when its
+// site is visited for the matching time — so a "3rd visit of
+// cpu/Hetero-M3D/timing-repair" fault reproduces bit-for-bit across
+// runs, worker counts, and retry attempts (occurrence counting continues
+// across attempts, which is what makes an injected fault transient: the
+// retry does not re-hit it unless armed again at a later occurrence).
 //
 // Six fault classes cover the failure taxonomy (DESIGN.md §6.5):
 //
@@ -18,7 +18,7 @@
 //   - timeout: the stage fails wrapping context.DeadlineExceeded, the
 //     shape of an engine-level deadline.
 //   - corrupt: a flow-owned engine structure is corrupted through the
-//     context's Corrupt hook ("extraction-cache", "journal") —
+//     Target's Corrupt method ("extraction-cache", "journal") —
 //     exercises divergence detection and degraded-mode recovery.
 //   - stall:   the stage hangs forever at its boundary — the silent
 //     wedge only an external watchdog (internal/shard's supervisor)
@@ -220,71 +220,83 @@ func (p *Plan) next(design, config, stage string) *armed {
 	return due
 }
 
-// Hook returns the flow.Context.Fault hook delivering the plan's
-// injections. Install it via core.Options.Fault; a nil *Plan returns a
-// nil hook, so callers can wire it unconditionally.
-func (p *Plan) Hook() func(*flow.Context, string) error {
+// Target is what Fire needs from the flow it injects into: a way to
+// abort the whole run (the cancel class) and named corruptions of
+// flow-owned engine structures (the corrupt class). The core flow state
+// implements it.
+type Target interface {
+	// CancelRun aborts the whole run, as an external caller would.
+	CancelRun()
+	// Corrupt applies the named corruption (TargetCache, TargetJournal);
+	// an unknown or not-yet-available target returns an error.
+	Corrupt(target string) error
+}
+
+// Fire delivers the injection due at this visit of stage, if any: it
+// returns the injected error, panics, cancels or corrupts through t, or
+// stalls, per the injection's class. A nil *Plan fires nothing, so the
+// flow calls it unconditionally before every stage body. A nil t turns
+// the cancel class into a canceled-shaped error and fails the corrupt
+// class.
+func (p *Plan) Fire(c *flow.Context, stage string, t Target) error {
 	if p == nil {
 		return nil
 	}
-	return func(c *flow.Context, stage string) error {
-		a := p.next(c.Design, c.Config, stage)
-		if a == nil {
+	a := p.next(c.Design, c.Config, stage)
+	if a == nil {
+		return nil
+	}
+	c.AddStat(flow.StatFaultsInjected, 1)
+	inj := &Injected{
+		Class:     a.Class,
+		Site:      a.site(),
+		At:        fmt.Sprintf("%s/%s/%s", c.Design, c.Config, stage),
+		retryable: a.Retryable,
+	}
+	switch a.Class {
+	case ClassPanic:
+		panic(inj)
+	case ClassError:
+		return inj
+	case ClassCancel:
+		// Model an external abort arriving mid-stage: cancel the run and
+		// let the stage body's Canceled polling observe it.
+		if t != nil {
+			t.CancelRun()
 			return nil
 		}
-		c.AddStat(flow.StatFaultsInjected, 1)
-		inj := &Injected{
-			Class:     a.Class,
-			Site:      a.site(),
-			At:        fmt.Sprintf("%s/%s/%s", c.Design, c.Config, stage),
-			retryable: a.Retryable,
+		inj.wrapped = context.Canceled
+		return inj
+	case ClassTimeout:
+		inj.wrapped = context.DeadlineExceeded
+		return inj
+	case ClassStall:
+		// A hard hang: no return, no error, no cancellation poll. The
+		// occurrence counter has already advanced and the injection is
+		// recorded in Fired, so a supervisor restarting the process after
+		// the watchdog kill re-arms a fresh Plan (or none) — the stall is
+		// deterministic per armed plan, not sticky. Sleeping (rather than
+		// select{}) keeps the wedge silent even when it blocks every
+		// goroutine in the process: the runtime's deadlock detector would
+		// turn a bare select into a crash, which is a different, noisier
+		// failure than the one this class exists to model.
+		for {
+			time.Sleep(time.Hour)
 		}
-		switch a.Class {
-		case ClassPanic:
-			panic(inj)
-		case ClassError:
-			return inj
-		case ClassCancel:
-			// Model an external abort arriving mid-stage: cancel the run
-			// and let the stage body's Canceled polling observe it.
-			if c.CancelRun != nil {
-				c.CancelRun()
-				return nil
-			}
-			inj.wrapped = context.Canceled
-			return inj
-		case ClassTimeout:
-			inj.wrapped = context.DeadlineExceeded
-			return inj
-		case ClassStall:
-			// A hard hang: no return, no error, no cancellation poll. The
-			// occurrence counter has already advanced and the injection is
-			// recorded in Fired, so a supervisor restarting the process
-			// after the watchdog kill re-arms a fresh Plan (or none) —
-			// the stall is deterministic per armed plan, not sticky.
-			// Sleeping (rather than select{}) keeps the wedge silent even
-			// when it blocks every goroutine in the process: the runtime's
-			// deadlock detector would turn a bare select into a crash,
-			// which is a different, noisier failure than the one this
-			// class exists to model.
-			for {
-				time.Sleep(time.Hour)
-			}
-		case ClassCorrupt:
-			if c.Corrupt == nil {
-				inj.wrapped = fmt.Errorf("no corruption targets registered")
-				return inj
-			}
-			if err := c.Corrupt(a.Target); err != nil {
-				inj.wrapped = err
-				return inj
-			}
-			// The corruption itself is silent — detection is the flow
-			// engine's job (extraction audit, ENG checks).
-			return nil
-		default:
-			inj.wrapped = fmt.Errorf("unknown fault class %q", a.Class)
+	case ClassCorrupt:
+		if t == nil {
+			inj.wrapped = fmt.Errorf("no corruption targets registered")
 			return inj
 		}
+		if err := t.Corrupt(a.Target); err != nil {
+			inj.wrapped = err
+			return inj
+		}
+		// The corruption itself is silent — detection is the flow
+		// engine's job (extraction audit, ENG checks).
+		return nil
+	default:
+		inj.wrapped = fmt.Errorf("unknown fault class %q", a.Class)
+		return inj
 	}
 }

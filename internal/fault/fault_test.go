@@ -76,17 +76,16 @@ func TestParseSpec(t *testing.T) {
 
 func TestOccurrenceCounting(t *testing.T) {
 	p := NewPlan(Injection{Stage: "repair", Occurrence: 3, Class: ClassError})
-	hook := p.Hook()
 	c := flow.NewContext(context.Background(), "cpu", "M3D", 1)
 	for i := 1; i <= 2; i++ {
-		if err := hook(c, "repair"); err != nil {
+		if err := p.Fire(c, "repair", nil); err != nil {
 			t.Fatalf("visit %d: fired early: %v", i, err)
 		}
 	}
-	if err := hook(c, "place"); err != nil {
+	if err := p.Fire(c, "place", nil); err != nil {
 		t.Fatalf("non-matching stage fired: %v", err)
 	}
-	err := hook(c, "repair")
+	err := p.Fire(c, "repair", nil)
 	if err == nil {
 		t.Fatal("visit 3: injection did not fire")
 	}
@@ -97,7 +96,7 @@ func TestOccurrenceCounting(t *testing.T) {
 	if inj.At != "cpu/M3D/repair" {
 		t.Fatalf("At = %q, want cpu/M3D/repair", inj.At)
 	}
-	if err := hook(c, "repair"); err != nil {
+	if err := p.Fire(c, "repair", nil); err != nil {
 		t.Fatalf("visit 4: fired twice: %v", err)
 	}
 	if f := p.Fired(); len(f) != 1 || f[0].At != "repair" {
@@ -110,23 +109,21 @@ func TestOccurrenceCounting(t *testing.T) {
 // not on the 2nd global visit across parallel flows.
 func TestOccurrencePerFlow(t *testing.T) {
 	p := NewPlan(Injection{Stage: "repair", Occurrence: 2, Class: ClassError})
-	hook := p.Hook()
 	a := flow.NewContext(context.Background(), "aes", "2D", 1)
 	b := flow.NewContext(context.Background(), "cpu", "2D", 1)
-	if err := hook(a, "repair"); err != nil {
+	if err := p.Fire(a, "repair", nil); err != nil {
 		t.Fatalf("aes visit 1 fired: %v", err)
 	}
-	if err := hook(b, "repair"); err != nil {
+	if err := p.Fire(b, "repair", nil); err != nil {
 		t.Fatalf("cpu visit 1 fired: %v", err)
 	}
-	if err := hook(a, "repair"); err == nil {
+	if err := p.Fire(a, "repair", nil); err == nil {
 		t.Fatal("aes visit 2 did not fire")
 	}
 }
 
 func TestPanicClass(t *testing.T) {
 	p := NewPlan(Injection{Stage: "place", Class: ClassPanic, Retryable: true})
-	hook := p.Hook()
 	c := flow.NewContext(context.Background(), "aes", "2D", 1)
 	defer func() {
 		r := recover()
@@ -141,36 +138,43 @@ func TestPanicClass(t *testing.T) {
 			t.Fatal("retryable injection lost the marker")
 		}
 	}()
-	_ = hook(c, "place")
+	_ = p.Fire(c, "place", nil)
 }
+
+// testTarget is a flow stand-in recording what Fire asks of it.
+type testTarget struct {
+	cancel    func()
+	corrupted string
+}
+
+func (t *testTarget) CancelRun()                  { t.cancel() }
+func (t *testTarget) Corrupt(target string) error { t.corrupted = target; return nil }
 
 func TestCancelClass(t *testing.T) {
 	p := NewPlan(Injection{Stage: "cts", Class: ClassCancel})
-	hook := p.Hook()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	c := flow.NewContext(ctx, "aes", "2D", 1)
-	c.CancelRun = cancel
-	if err := hook(c, "cts"); err != nil {
-		t.Fatalf("cancel class with CancelRun returned error: %v", err)
+	if err := p.Fire(c, "cts", &testTarget{cancel: cancel}); err != nil {
+		t.Fatalf("cancel class with a target returned error: %v", err)
 	}
 	if c.Canceled() == nil {
 		t.Fatal("cancel class did not cancel the run")
 	}
 
-	// Without CancelRun wired it degrades to a canceled-shaped error.
+	// Without a target it degrades to a canceled-shaped error.
 	p2 := NewPlan(Injection{Stage: "cts", Class: ClassCancel})
 	c2 := flow.NewContext(context.Background(), "aes", "2D", 1)
-	err := p2.Hook()(c2, "cts")
+	err := p2.Fire(c2, "cts", nil)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancel class without CancelRun: got %v, want context.Canceled shape", err)
+		t.Fatalf("cancel class without a target: got %v, want context.Canceled shape", err)
 	}
 }
 
 func TestTimeoutClass(t *testing.T) {
 	p := NewPlan(Injection{Stage: "route", Class: ClassTimeout})
 	c := flow.NewContext(context.Background(), "aes", "2D", 1)
-	err := p.Hook()(c, "route")
+	err := p.Fire(c, "route", nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("timeout class: got %v, want DeadlineExceeded shape", err)
 	}
@@ -182,42 +186,48 @@ func TestTimeoutClass(t *testing.T) {
 func TestCorruptClass(t *testing.T) {
 	p := NewPlan(Injection{Stage: "eco", Class: ClassCorrupt, Target: TargetJournal})
 	c := flow.NewContext(context.Background(), "aes", "2D", 1)
-	var got string
-	c.Corrupt = func(target string) error { got = target; return nil }
-	if err := p.Hook()(c, "eco"); err != nil {
+	tgt := &testTarget{}
+	if err := p.Fire(c, "eco", tgt); err != nil {
 		t.Fatalf("corrupt class errored: %v", err)
 	}
-	if got != TargetJournal {
-		t.Fatalf("Corrupt called with %q, want %q", got, TargetJournal)
+	if tgt.corrupted != TargetJournal {
+		t.Fatalf("Corrupt called with %q, want %q", tgt.corrupted, TargetJournal)
 	}
 
-	// With no Corrupt hook registered the injection surfaces as an error
-	// instead of silently doing nothing.
+	// With no target the injection surfaces as an error instead of
+	// silently doing nothing.
 	p2 := NewPlan(Injection{Stage: "eco", Class: ClassCorrupt})
 	c2 := flow.NewContext(context.Background(), "aes", "2D", 1)
-	if err := p2.Hook()(c2, "eco"); err == nil {
-		t.Fatal("corrupt class without Corrupt hook returned nil")
+	if err := p2.Fire(c2, "eco", nil); err == nil {
+		t.Fatal("corrupt class without a target returned nil")
 	}
 }
 
 func TestRetryableMarker(t *testing.T) {
 	p := NewPlan(Injection{Stage: "place", Class: ClassError, Retryable: true})
 	c := flow.NewContext(context.Background(), "aes", "2D", 1)
-	err := p.Hook()(c, "place")
+	err := p.Fire(c, "place", nil)
 	if !flow.Retryable(err) {
 		t.Fatalf("retryable injection not seen by flow.Retryable: %v", err)
 	}
 	p2 := NewPlan(Injection{Stage: "place", Class: ClassError})
 	c2 := flow.NewContext(context.Background(), "aes", "2D", 1)
-	if flow.Retryable(p2.Hook()(c2, "place")) {
+	if flow.Retryable(p2.Fire(c2, "place", nil)) {
 		t.Fatal("non-retryable injection reported retryable")
 	}
 }
 
+// TestNilPlanHook pins that a nil plan's boundary hook fires nothing,
+// so the flow can call Fire unconditionally.
 func TestNilPlanHook(t *testing.T) {
 	var p *Plan
-	if p.Hook() != nil {
-		t.Fatal("nil plan must produce a nil hook")
+	c := flow.NewContext(context.Background(), "aes", "2D", 1)
+	tgt := &testTarget{cancel: func() { t.Fatal("nil plan cancelled the run") }}
+	if err := p.Fire(c, "place", tgt); err != nil {
+		t.Fatalf("nil plan fired: %v", err)
+	}
+	if tgt.corrupted != "" || c.Canceled() != nil {
+		t.Fatal("nil plan touched the flow")
 	}
 }
 
@@ -228,10 +238,9 @@ func TestNilPlanHook(t *testing.T) {
 // process stays blocked until SIGKILL.
 func TestStallClass(t *testing.T) {
 	p := NewPlan(Injection{Stage: "cts", Class: ClassStall})
-	hook := p.Hook()
 	c := flow.NewContext(context.Background(), "aes", "2D", 1)
 	returned := make(chan error, 1)
-	go func() { returned <- hook(c, "cts") }()
+	go func() { returned <- p.Fire(c, "cts", nil) }()
 	select {
 	case err := <-returned:
 		t.Fatalf("stall hook returned (%v); it must hang forever", err)

@@ -12,10 +12,9 @@
 //
 // The runner is also the flow engine's fault boundary: a panicking stage
 // is recovered into a stage-attributed *Error wrapping a *PanicError
-// (value + stack), optional fault-injection and degradation hooks run at
-// stage boundaries, and a failing stage whose error the Degrade hook can
-// absorb (engine divergence, ENG-class check findings) is re-run instead
-// of aborting the flow.
+// (value + stack), and the pipeline's owner does its stage-boundary
+// work — fault injection, integrity checks, degraded re-runs, design
+// saves — through one Boundary it hands to Run.
 package flow
 
 import (
@@ -69,52 +68,52 @@ type Context struct {
 	Design, Config string
 	// Sink receives stage events (nil = none).
 	Sink Sink
-	// Cells reports the design's current cell count for metrics
-	// (nil = cell counts recorded as 0).
-	Cells func() int
-	// Check, when non-nil, runs after every successful stage, before the
-	// stage's metric is finalized — so any stats it reports through
-	// AddStat (violation counts, objects checked) land in that stage's
-	// StageMetric. A returned error fails the stage exactly as if the
-	// stage itself had failed. The core flows install the design-integrity
-	// checker (internal/check) here; report-only callers keep the error
-	// nil and read the session's reports afterwards.
-	Check func(c *Context, stage string) error
-	// Fault, when non-nil, runs before every stage body — the
-	// fault-injection hook (internal/fault's Plan.Hook). A returned error
-	// fails the stage; a panic is recovered exactly like a stage panic.
-	// Production runs leave it nil: the hook costs nothing when unset.
-	Fault func(c *Context, stage string) error
-	// Degrade, when non-nil, is consulted when a stage fails with a
-	// non-cancellation error: returning true means the hook absorbed the
-	// fault (e.g. by downgrading the timing engine to full recomputes)
-	// and the stage should re-run. The runner bounds re-runs per stage
-	// and counts them under StatStageReruns.
-	Degrade func(c *Context, stage string, err error) bool
-	// CancelRun aborts the whole run when invoked (nil when the run's
-	// context is not cancellable from inside). core.Run wires it; the
-	// fault harness's cancel class uses it to model an external abort
-	// arriving mid-stage.
-	CancelRun func()
-	// Corrupt, when non-nil, applies a named corruption to a flow-owned
-	// engine structure ("extraction-cache", "journal"). Only the fault
-	// harness calls it; the flow registers targets as the structures come
-	// to exist. An unknown or not-yet-available target returns an error.
-	Corrupt func(target string) error
-	// Snapshot, when non-nil, runs after every successful stage — after
-	// the stage's metric is appended, before the sink's StageDone — the
-	// stage-boundary persistence hook next to Check. The core flows
-	// install the design-database writer here (-save-design). A returned
-	// error or panic fails the stage: a snapshot the flow promised but
-	// could not write is a failure, not a warning.
-	Snapshot func(c *Context, stage string) error
 
 	metrics  []StageMetric
 	stats    map[string]int64
 	degraded []string
 }
 
-// maxStageReruns bounds how many times the Degrade hook may re-run one
+// Boundary is the stage-boundary work a pipeline's owner performs. Run
+// calls it around every stage, in this order:
+//
+//   - Before, the stage body and After run behind one panic barrier; an
+//     error or recovered panic from any of them fails the execution.
+//   - Absorb is consulted when an execution fails with a non-cancellation
+//     error; true re-runs Before, body and After (at most maxStageReruns
+//     times per stage).
+//   - Cells is read once the stage's metric is finalized.
+//   - Commit runs after the metric is appended, so Metrics() includes the
+//     current stage; an error or panic fails the stage and is never
+//     absorbed.
+//
+// Stats that Before, After or Commit report through AddStat land in the
+// stage's StageMetric. A nil Boundary means no boundary work.
+type Boundary interface {
+	// Before runs before every stage body (fault injection).
+	Before(c *Context, stage string) error
+	// After runs after every successful stage body (integrity checks).
+	After(c *Context, stage string) error
+	// Absorb reports whether the owner absorbed err (e.g. by degrading
+	// the timing engine to full recomputes) so the stage should re-run.
+	Absorb(c *Context, stage string, err error) bool
+	// Cells reports the design's current cell count for the metric.
+	Cells() int
+	// Commit persists the finished stage (design-database saves).
+	Commit(c *Context, stage string) error
+}
+
+// noBoundary is the Boundary of a pipeline whose owner does no boundary
+// work.
+type noBoundary struct{}
+
+func (noBoundary) Before(*Context, string) error       { return nil }
+func (noBoundary) After(*Context, string) error        { return nil }
+func (noBoundary) Absorb(*Context, string, error) bool { return false }
+func (noBoundary) Cells() int                          { return 0 }
+func (noBoundary) Commit(*Context, string) error       { return nil }
+
+// maxStageReruns bounds how many times Boundary.Absorb may re-run one
 // stage execution before its error escapes — a backstop against a
 // degradation that cannot actually clear the fault.
 const maxStageReruns = 2
@@ -266,48 +265,38 @@ func Retryable(err error) bool {
 	return false
 }
 
-// execStage runs one stage body — fault hook, stage function, check hook
-// — behind the panic barrier: a panic anywhere inside surfaces as a
-// *PanicError instead of unwinding the caller's goroutine, so one
-// crashed flow can never take down a sibling worker.
-func (c *Context) execStage(st Stage) (err error) {
+// guard runs fn behind the panic barrier — the package's one recover():
+// a panic surfaces as a *PanicError instead of unwinding the caller's
+// goroutine, so one crashed flow can never take down a sibling worker.
+// A *PanicError panicking through a nested barrier is passed through so
+// the original stack survives. Every recovered panic is counted under
+// StatPanicsRecovered in c's running stage (a nil c counts nowhere).
+func (c *Context) guard(fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if pe, ok := r.(*PanicError); ok {
-				err = pe // a nested barrier already captured the stack
-				return
+			pe, ok := r.(*PanicError)
+			if !ok {
+				pe = &PanicError{Value: r, Stack: debug.Stack()}
 			}
-			err = &PanicError{Value: r, Stack: debug.Stack()}
+			c.AddStat(StatPanicsRecovered, 1)
+			err = pe
 		}
 	}()
-	if c.Fault != nil {
-		if err := c.Fault(c, st.Name); err != nil {
-			return err
-		}
-	}
-	if err := st.Run(c); err != nil {
-		return err
-	}
-	if c.Check != nil {
-		return c.Check(c, st.Name)
-	}
-	return nil
+	return fn()
 }
 
-// runSnapshot invokes the stage-boundary snapshot hook behind the same
-// panic barrier as stage bodies: a panicking writer surfaces as a
-// stage-attributed *PanicError, never as a crashed flow goroutine.
-func (c *Context) runSnapshot(stage string) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if pe, ok := r.(*PanicError); ok {
-				err = pe
-				return
-			}
-			err = &PanicError{Value: r, Stack: debug.Stack()}
+// execStage runs one stage execution — Before, the stage body, After —
+// behind the panic barrier.
+func (c *Context) execStage(b Boundary, st Stage) error {
+	return c.guard(func() error {
+		if err := b.Before(c, st.Name); err != nil {
+			return err
 		}
-	}()
-	return c.Snapshot(c, stage)
+		if err := st.Run(c); err != nil {
+			return err
+		}
+		return b.After(c, st.Name)
+	})
 }
 
 // SeedMetrics pre-loads stage metrics recorded before this pipeline ran
@@ -318,18 +307,21 @@ func (c *Context) SeedMetrics(ms []StageMetric) {
 	c.metrics = append(c.metrics, ms...)
 }
 
-// Run executes the stages in order over the context. Before each stage it
-// checks for cancellation; a cancelled context or a failing stage aborts
-// the pipeline with a *Error attributing the design, config, and stage.
-// Each executed stage's wall time and cell count are appended to the
+// Run executes the stages in order over the context, doing b's boundary
+// work around each (nil b = none). Before each stage it checks for
+// cancellation; a cancelled context or a failing stage aborts the
+// pipeline with a *Error attributing the design, config, and stage. Each
+// executed stage's wall time and cell count are appended to the
 // context's metrics, and the sink (if any) observes every start/finish.
 //
 // A panicking stage is recovered into a *PanicError and attributed like
-// any other failure. When the Degrade hook is set, a failing stage whose
-// error it absorbs is re-run (at most maxStageReruns times per stage);
+// any other failure. A failing stage whose error b absorbs is re-run;
 // the re-run's stats accumulate into the same StageMetric together with
 // a StatStageReruns count.
-func Run(c *Context, stages []Stage) error {
+func Run(c *Context, b Boundary, stages []Stage) error {
+	if b == nil {
+		b = noBoundary{}
+	}
 	for _, st := range stages {
 		if err := c.Canceled(); err != nil {
 			return &Error{Design: c.Design, Config: c.Config, Stage: st.Name, Err: err}
@@ -339,33 +331,28 @@ func Run(c *Context, stages []Stage) error {
 		}
 		start := time.Now()
 		c.stats = nil
-		err := c.execStage(st)
-		if pe := (*PanicError)(nil); errors.As(err, &pe) {
-			c.AddStat(StatPanicsRecovered, 1)
-		}
-		for rerun := 0; err != nil && c.Degrade != nil && rerun < maxStageReruns; rerun++ {
+		err := c.execStage(b, st)
+		for rerun := 0; err != nil && rerun < maxStageReruns; rerun++ {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				break // degradation never absorbs an abort
 			}
-			if !c.Degrade(c, st.Name, err) {
+			if !b.Absorb(c, st.Name, err) {
 				break
 			}
 			c.AddStat(StatStageReruns, 1)
-			err = c.execStage(st)
+			err = c.execStage(b, st)
 		}
-		m := StageMetric{Name: st.Name, Wall: time.Since(start), Stats: c.stats}
-		c.stats = nil
-		if c.Cells != nil {
-			m.Cells = c.Cells()
-		}
-		c.metrics = append(c.metrics, m)
-		if err == nil && c.Snapshot != nil {
-			// The hook sees the finalized metric list (the design database
+		c.metrics = append(c.metrics, StageMetric{Name: st.Name, Wall: time.Since(start), Cells: b.Cells(), Stats: c.stats})
+		if err == nil {
+			// Commit sees the finalized metric list (the design database
 			// records every executed stage, this one included).
-			err = c.runSnapshot(st.Name)
+			err = c.guard(func() error { return b.Commit(c, st.Name) })
 		}
+		m := &c.metrics[len(c.metrics)-1]
+		m.Stats = c.stats // picks up a panic Commit's barrier recovered
+		c.stats = nil
 		if c.Sink != nil {
-			c.Sink.StageDone(c.Design, c.Config, st.Name, m, err)
+			c.Sink.StageDone(c.Design, c.Config, st.Name, *m, err)
 		}
 		if err != nil {
 			if fe, ok := err.(*Error); ok {

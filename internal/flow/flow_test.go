@@ -25,8 +25,7 @@ func (r *recordSink) StageDone(design, config, stage string, m StageMetric, err 
 
 func TestRunOrderAndMetrics(t *testing.T) {
 	c := NewContext(context.Background(), "cpu", "2D-12T", 1)
-	cells := 0
-	c.Cells = func() int { return cells }
+	b := &boundaryLog{}
 	sink := &recordSink{}
 	c.Sink = sink
 
@@ -34,11 +33,11 @@ func TestRunOrderAndMetrics(t *testing.T) {
 	mk := func(name string, n int) Stage {
 		return Stage{Name: name, Run: func(fc *Context) error {
 			order = append(order, name)
-			cells = n
+			b.cells = n
 			return nil
 		}}
 	}
-	if err := Run(c, []Stage{mk("map", 10), mk("place", 12), mk("cts", 15)}); err != nil {
+	if err := Run(c, b, []Stage{mk("map", 10), mk("place", 12), mk("cts", 15)}); err != nil {
 		t.Fatal(err)
 	}
 	if len(order) != 3 || order[0] != "map" || order[2] != "cts" {
@@ -68,7 +67,7 @@ func TestRunStageError(t *testing.T) {
 	c.Sink = sink
 	boom := errors.New("boom")
 	ran := false
-	err := Run(c, []Stage{
+	err := Run(c, nil, []Stage{
 		{Name: "map", Run: func(*Context) error { return nil }},
 		{Name: "partition", Run: func(*Context) error { return boom }},
 		{Name: "cts", Run: func(*Context) error { ran = true; return nil }},
@@ -98,7 +97,7 @@ func TestRunStageError(t *testing.T) {
 func TestRunNestedErrorKeepsAttribution(t *testing.T) {
 	inner := &Error{Design: "cpu", Config: "2D-9T", Stage: "sta", Err: errors.New("late")}
 	c := NewContext(context.Background(), "cpu", "2D-9T", 1)
-	err := Run(c, []Stage{{Name: "fmax", Run: func(*Context) error { return inner }}})
+	err := Run(c, nil, []Stage{{Name: "fmax", Run: func(*Context) error { return inner }}})
 	var fe *Error
 	if !errors.As(err, &fe) || fe != inner {
 		t.Fatalf("nested error re-wrapped: %v", err)
@@ -110,7 +109,7 @@ func TestRunCancelledBeforeStage(t *testing.T) {
 	cancel()
 	c := NewContext(ctx, "ldpc", "M3D-9T", 1)
 	ran := false
-	err := Run(c, []Stage{{Name: "map", Run: func(*Context) error { ran = true; return nil }}})
+	err := Run(c, nil, []Stage{{Name: "map", Run: func(*Context) error { ran = true; return nil }}})
 	if ran {
 		t.Error("stage ran despite cancelled context")
 	}
@@ -181,7 +180,7 @@ func TestAddStatAggregation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := NewContext(context.Background(), "d", "c", 1)
-			err := Run(c, []Stage{{Name: "s", Run: func(fc *Context) error {
+			err := Run(c, nil, []Stage{{Name: "s", Run: func(fc *Context) error {
 				tc.run(fc)
 				return nil
 			}}})
@@ -207,7 +206,7 @@ func TestAddStatAggregation(t *testing.T) {
 
 func TestAddStatDoesNotLeakAcrossStages(t *testing.T) {
 	c := NewContext(context.Background(), "d", "c", 1)
-	err := Run(c, []Stage{
+	err := Run(c, nil, []Stage{
 		{Name: "a", Run: func(fc *Context) error { fc.AddStat(StatSTAFull, 1); return nil }},
 		{Name: "b", Run: func(fc *Context) error { fc.AddStat(StatSTAIncr, 2); return nil }},
 	})
@@ -226,91 +225,4 @@ func TestAddStatDoesNotLeakAcrossStages(t *testing.T) {
 func TestAddStatNilContextSafe(t *testing.T) {
 	var c *Context
 	c.AddStat(StatSTAFull, 1) // must not panic
-}
-
-// TestCheckHook covers the stage-boundary check hook: it must run after
-// every successful stage, see the stage's name, and have its AddStat
-// calls folded into that same stage's metric (the checker reports
-// violation counts this way).
-func TestCheckHook(t *testing.T) {
-	c := NewContext(context.Background(), "cpu", "2D-12T", 1)
-	var checked []string
-	c.Check = func(fc *Context, stage string) error {
-		checked = append(checked, stage)
-		fc.AddStat(StatCheckViolations, 1)
-		return nil
-	}
-	err := Run(c, []Stage{
-		{Name: "map", Run: func(fc *Context) error { fc.AddStat(StatSTAFull, 1); return nil }},
-		{Name: "place", Run: func(*Context) error { return nil }},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(checked) != 2 || checked[0] != "map" || checked[1] != "place" {
-		t.Fatalf("check hook saw stages %v", checked)
-	}
-	ms := c.Metrics()
-	// The hook's stats land in the stage it checked, alongside the
-	// stage's own stats.
-	if ms[0].Stats[StatSTAFull] != 1 || ms[0].Stats[StatCheckViolations] != 1 {
-		t.Errorf("map stats = %v", ms[0].Stats)
-	}
-	if ms[1].Stats[StatCheckViolations] != 1 {
-		t.Errorf("place stats = %v", ms[1].Stats)
-	}
-}
-
-func TestCheckHookErrorFailsStage(t *testing.T) {
-	c := NewContext(context.Background(), "aes", "Hetero-M3D", 1)
-	sink := &recordSink{}
-	c.Sink = sink
-	boom := errors.New("ERC-002 violated")
-	c.Check = func(fc *Context, stage string) error {
-		if stage == "legalize" {
-			return boom
-		}
-		return nil
-	}
-	ran := false
-	err := Run(c, []Stage{
-		{Name: "map", Run: func(*Context) error { return nil }},
-		{Name: "legalize", Run: func(*Context) error { return nil }},
-		{Name: "cts", Run: func(*Context) error { ran = true; return nil }},
-	})
-	var fe *Error
-	if !errors.As(err, &fe) {
-		t.Fatalf("err %T not a *flow.Error: %v", err, err)
-	}
-	if fe.Design != "aes" || fe.Config != "Hetero-M3D" || fe.Stage != "legalize" {
-		t.Errorf("attribution = %+v", fe)
-	}
-	if !errors.Is(err, boom) {
-		t.Error("error does not unwrap to the check failure")
-	}
-	if ran {
-		t.Error("pipeline continued past a failing check")
-	}
-	// The stage itself succeeded, so its metric and done event exist —
-	// marked failed by the check.
-	if got := len(c.Metrics()); got != 2 {
-		t.Errorf("%d metrics after check failure", got)
-	}
-	if last := sink.events[len(sink.events)-1]; last != "done aes/Hetero-M3D/legalize err cells=0" {
-		t.Errorf("last sink event = %q", last)
-	}
-}
-
-func TestCheckHookSkippedOnStageError(t *testing.T) {
-	c := NewContext(context.Background(), "d", "c", 1)
-	called := false
-	c.Check = func(*Context, string) error { called = true; return nil }
-	boom := errors.New("boom")
-	err := Run(c, []Stage{{Name: "map", Run: func(*Context) error { return boom }}})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	if called {
-		t.Error("check hook ran after a failing stage")
-	}
 }

@@ -10,7 +10,7 @@ import (
 
 func TestRunPanicRecovered(t *testing.T) {
 	c := NewContext(context.Background(), "cpu", "Hetero-M3D", 1)
-	err := Run(c, []Stage{
+	err := Run(c, nil, []Stage{
 		{Name: "map", Run: func(*Context) error { return nil }},
 		{Name: "place", Run: func(*Context) error { panic("index out of range [12]") }},
 		{Name: "cts", Run: func(*Context) error { t.Fatal("stage after panic ran"); return nil }},
@@ -44,85 +44,300 @@ func TestRunPanicRecovered(t *testing.T) {
 func TestRunPanicWithErrorValueUnwraps(t *testing.T) {
 	c := NewContext(context.Background(), "aes", "2D-9T", 1)
 	cause := errors.New("injected")
-	err := Run(c, []Stage{{Name: "route", Run: func(*Context) error { panic(cause) }}})
+	err := Run(c, nil, []Stage{{Name: "route", Run: func(*Context) error { panic(cause) }}})
 	if !errors.Is(err, cause) {
 		t.Errorf("errors.Is should see through the recovered panic, got %v", err)
 	}
 }
 
-func TestRunDegradeRerunSucceeds(t *testing.T) {
-	c := NewContext(context.Background(), "cpu", "Hetero-M3D", 1)
-	degradeCalls := 0
-	c.Degrade = func(fc *Context, stage string, err error) bool {
-		degradeCalls++
+// boundaryLog is a Boundary that records every call, in order, and
+// delegates to the per-case behaviour (a nil func succeeds, a nil absorb
+// declines). Commit logs how many metrics it sees.
+type boundaryLog struct {
+	before, after, commit func(c *Context, stage string) error
+	absorb                func(c *Context, stage string, err error) bool
+	cells                 int
+	calls                 []string
+}
+
+func (b *boundaryLog) hook(fn func(*Context, string) error, c *Context, call, stage string) error {
+	b.calls = append(b.calls, call+" "+stage)
+	if fn == nil {
+		return nil
+	}
+	return fn(c, stage)
+}
+
+func (b *boundaryLog) Before(c *Context, stage string) error {
+	return b.hook(b.before, c, "before", stage)
+}
+
+func (b *boundaryLog) After(c *Context, stage string) error {
+	return b.hook(b.after, c, "after", stage)
+}
+
+func (b *boundaryLog) Commit(c *Context, stage string) error {
+	return b.hook(b.commit, c, fmt.Sprintf("commit(%d)", len(c.Metrics())), stage)
+}
+
+func (b *boundaryLog) Absorb(c *Context, stage string, err error) bool {
+	b.calls = append(b.calls, "absorb "+stage)
+	return b.absorb != nil && b.absorb(c, stage, err)
+}
+
+func (b *boundaryLog) Cells() int { return b.cells }
+
+// TestBoundaryContract pins the order and failure semantics of the
+// stage-boundary calls Run makes: Before → body → After behind one
+// barrier, Absorb on failure, Commit after the metric is appended.
+func TestBoundaryContract(t *testing.T) {
+	boom := errors.New("boom")
+	failing := func(*Context, string) error { return boom }
+	absorb := func(fc *Context, stage string, err error) bool {
 		fc.MarkDegraded(DegradeFullSTA)
 		return true
 	}
-	runs := 0
-	err := Run(c, []Stage{{Name: "repair", Run: func(*Context) error {
-		runs++
-		if runs == 1 {
-			return errors.New("engine diverged")
-		}
-		return nil
-	}}})
-	if err != nil {
-		t.Fatalf("degraded re-run should succeed: %v", err)
-	}
-	if runs != 2 || degradeCalls != 1 {
-		t.Errorf("runs=%d degradeCalls=%d, want 2/1", runs, degradeCalls)
-	}
-	ms := c.Metrics()
-	if len(ms) != 1 || ms[0].Stats[StatStageReruns] != 1 {
-		t.Errorf("metrics = %+v, want one repair metric with %s=1", ms, StatStageReruns)
-	}
-	if got := c.Degradations(); len(got) != 1 || got[0] != DegradeFullSTA {
-		t.Errorf("degradations = %v", got)
-	}
-}
-
-func TestRunDegradeRerunBounded(t *testing.T) {
-	c := NewContext(context.Background(), "cpu", "M3D-12T", 1)
-	absorbed := 0
-	c.Degrade = func(*Context, string, error) bool { absorbed++; return true }
-	boom := errors.New("still broken")
-	runs := 0
-	err := Run(c, []Stage{{Name: "repair", Run: func(*Context) error { runs++; return boom }}})
-	if !errors.Is(err, boom) {
-		t.Fatalf("exhausted re-runs must surface the error, got %v", err)
-	}
-	if runs != 1+maxStageReruns || absorbed != maxStageReruns {
-		t.Errorf("runs=%d absorbed=%d, want %d/%d", runs, absorbed, 1+maxStageReruns, maxStageReruns)
-	}
-	if ms := c.Metrics(); ms[0].Stats[StatStageReruns] != maxStageReruns {
-		t.Errorf("stats = %v", ms[0].Stats)
-	}
-}
-
-func TestRunDegradeNeverAbsorbsCancellation(t *testing.T) {
-	for _, cause := range []error{context.Canceled, context.DeadlineExceeded} {
-		c := NewContext(context.Background(), "cpu", "2D-12T", 1)
-		c.Degrade = func(*Context, string, error) bool {
-			t.Errorf("degrade consulted for %v", cause)
-			return true
-		}
-		err := Run(c, []Stage{{Name: "place", Run: func(*Context) error {
-			return fmt.Errorf("aborted: %w", cause)
-		}}})
-		if !errors.Is(err, cause) {
-			t.Errorf("want %v through, got %v", cause, err)
+	failOnce := func() func(*Context) error {
+		runs := 0
+		return func(*Context) error {
+			if runs++; runs == 1 {
+				return boom
+			}
+			return nil
 		}
 	}
-}
+	type stats = map[string]int64
+	cases := []struct {
+		name   string
+		b      boundaryLog
+		stages []Stage // a nil Run succeeds
+		// wantErr is the cause Run must return (nil = success), attributed
+		// to wantStage; wantPanic asks for a *PanicError in the chain.
+		wantErr   error
+		wantPanic bool
+		wantStage string
+		wantCalls []string
+		wantStats []stats // one per recorded metric
+		wantDegr  int     // recorded degradations
+	}{
+		{
+			name: "after stats land in the metric",
+			b: boundaryLog{after: func(fc *Context, _ string) error {
+				fc.AddStat(StatCheckViolations, 1)
+				return nil
+			}},
+			stages: []Stage{
+				{Name: "map", Run: func(fc *Context) error { fc.AddStat(StatSTAFull, 1); return nil }},
+				{Name: "place"},
+			},
+			wantCalls: []string{"before map", "run map", "after map", "commit(1) map",
+				"before place", "run place", "after place", "commit(2) place"},
+			wantStats: []stats{{StatSTAFull: 1, StatCheckViolations: 1}, {StatCheckViolations: 1}},
+		},
+		{
+			name: "after error fails the stage",
+			b: boundaryLog{after: func(_ *Context, stage string) error {
+				if stage == "legalize" {
+					return boom
+				}
+				return nil
+			}},
+			stages:    []Stage{{Name: "map"}, {Name: "legalize"}, {Name: "cts"}},
+			wantErr:   boom,
+			wantStage: "legalize",
+			wantCalls: []string{"before map", "run map", "after map", "commit(1) map",
+				"before legalize", "run legalize", "after legalize", "absorb legalize"},
+			wantStats: []stats{nil, nil},
+		},
+		{
+			name:      "after skipped on stage error",
+			stages:    []Stage{{Name: "map", Run: func(*Context) error { return boom }}},
+			wantErr:   boom,
+			wantStage: "map",
+			wantCalls: []string{"before map", "run map", "absorb map"},
+			wantStats: []stats{nil},
+		},
+		{
+			name: "after error is absorbable",
+			b: boundaryLog{after: func() func(*Context, string) error {
+				checks := 0
+				return func(*Context, string) error {
+					if checks++; checks == 1 {
+						return boom
+					}
+					return nil
+				}
+			}(), absorb: absorb},
+			stages: []Stage{{Name: "cts"}},
+			wantCalls: []string{"before cts", "run cts", "after cts", "absorb cts",
+				"before cts", "run cts", "after cts", "commit(1) cts"},
+			wantStats: []stats{{StatStageReruns: 1}},
+			wantDegr:  1,
+		},
+		{
+			name:   "absorbed failure reruns the stage",
+			b:      boundaryLog{absorb: absorb},
+			stages: []Stage{{Name: "repair", Run: failOnce()}},
+			wantCalls: []string{"before repair", "run repair", "absorb repair",
+				"before repair", "run repair", "after repair", "commit(1) repair"},
+			wantStats: []stats{{StatStageReruns: 1}},
+			wantDegr:  1,
+		},
+		{
+			name:      "reruns are bounded",
+			b:         boundaryLog{absorb: absorb},
+			stages:    []Stage{{Name: "repair", Run: func(*Context) error { return boom }}},
+			wantErr:   boom,
+			wantStage: "repair",
+			wantCalls: []string{"before repair", "run repair", "absorb repair",
+				"before repair", "run repair", "absorb repair", "before repair", "run repair"},
+			wantStats: []stats{{StatStageReruns: maxStageReruns}},
+			wantDegr:  1,
+		},
+		{
+			name:      "canceled is never absorbed",
+			b:         boundaryLog{absorb: absorb},
+			stages:    []Stage{{Name: "place", Run: func(*Context) error { return fmt.Errorf("aborted: %w", context.Canceled) }}},
+			wantErr:   context.Canceled,
+			wantStage: "place",
+			wantCalls: []string{"before place", "run place"},
+			wantStats: []stats{nil},
+		},
+		{
+			name:      "deadline is never absorbed",
+			b:         boundaryLog{absorb: absorb},
+			stages:    []Stage{{Name: "place", Run: func(*Context) error { return fmt.Errorf("aborted: %w", context.DeadlineExceeded) }}},
+			wantErr:   context.DeadlineExceeded,
+			wantStage: "place",
+			wantCalls: []string{"before place", "run place"},
+			wantStats: []stats{nil},
+		},
+		{
+			name:      "declined absorb does not rerun",
+			b:         boundaryLog{absorb: func(*Context, string, error) bool { return false }},
+			stages:    []Stage{{Name: "route", Run: func(*Context) error { return boom }}},
+			wantErr:   boom,
+			wantStage: "route",
+			wantCalls: []string{"before route", "run route", "absorb route"},
+			wantStats: []stats{nil},
+		},
+		{
+			name:      "before error fails the stage",
+			b:         boundaryLog{before: failing},
+			stages:    []Stage{{Name: "place"}},
+			wantErr:   boom,
+			wantStage: "place",
+			wantCalls: []string{"before place", "absorb place"},
+			wantStats: []stats{nil},
+		},
+		{
+			name:      "before panic fails the stage",
+			b:         boundaryLog{before: func(*Context, string) error { panic(boom) }},
+			stages:    []Stage{{Name: "place"}},
+			wantErr:   boom,
+			wantPanic: true,
+			wantStage: "place",
+			wantCalls: []string{"before place", "absorb place"},
+			wantStats: []stats{{StatPanicsRecovered: 1}},
+		},
+		{
+			name:      "commit error is never absorbed",
+			b:         boundaryLog{commit: failing, absorb: absorb},
+			stages:    []Stage{{Name: "place"}, {Name: "cts"}},
+			wantErr:   boom,
+			wantStage: "place",
+			wantCalls: []string{"before place", "run place", "after place", "commit(1) place"},
+			wantStats: []stats{nil},
+		},
+		{
+			name:      "commit panic fails the stage and is counted",
+			b:         boundaryLog{commit: func(*Context, string) error { panic("disk full") }, absorb: absorb},
+			stages:    []Stage{{Name: "place"}},
+			wantPanic: true,
+			wantStage: "place",
+			wantCalls: []string{"before place", "run place", "after place", "commit(1) place"},
+			wantStats: []stats{{StatPanicsRecovered: 1}},
+		},
+		{
+			// A stage that fails once, is absorbed, then panics on both
+			// re-runs: every recovered panic counts, not only the first
+			// execution's.
+			name: "panics on reruns are counted",
+			b:    boundaryLog{absorb: absorb},
+			stages: []Stage{{Name: "repair", Run: func() func(*Context) error {
+				runs := 0
+				return func(*Context) error {
+					if runs++; runs == 1 {
+						return boom
+					}
+					panic("diverged again")
+				}
+			}()}},
+			wantPanic: true,
+			wantStage: "repair",
+			wantCalls: []string{"before repair", "run repair", "absorb repair",
+				"before repair", "run repair", "absorb repair", "before repair", "run repair"},
+			wantStats: []stats{{StatStageReruns: maxStageReruns, StatPanicsRecovered: maxStageReruns}},
+			wantDegr:  1,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewContext(context.Background(), "cpu", "Hetero-M3D", 1)
+			sink := &recordSink{}
+			c.Sink = sink
+			b := tc.b
+			var stages []Stage
+			for _, st := range tc.stages {
+				st := st
+				stages = append(stages, Stage{Name: st.Name, Run: func(fc *Context) error {
+					b.calls = append(b.calls, "run "+st.Name)
+					if st.Run == nil {
+						return nil
+					}
+					return st.Run(fc)
+				}})
+			}
+			err := Run(c, &b, stages)
 
-func TestRunDegradeDeclines(t *testing.T) {
-	c := NewContext(context.Background(), "ldpc", "2D-9T", 1)
-	c.Degrade = func(*Context, string, error) bool { return false }
-	boom := errors.New("not absorbable")
-	runs := 0
-	err := Run(c, []Stage{{Name: "route", Run: func(*Context) error { runs++; return boom }}})
-	if !errors.Is(err, boom) || runs != 1 {
-		t.Errorf("declined degrade must not re-run: runs=%d err=%v", runs, err)
+			if !tc.wantPanic && tc.wantErr == nil {
+				if err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+			} else {
+				var fe *Error
+				if !errors.As(err, &fe) || fe.Design != "cpu" || fe.Config != "Hetero-M3D" || fe.Stage != tc.wantStage {
+					t.Fatalf("err = %v, want a *flow.Error attributed to cpu/Hetero-M3D/%s", err, tc.wantStage)
+				}
+				if tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
+					t.Errorf("err = %v, want it to wrap %v", err, tc.wantErr)
+				}
+				var pe *PanicError
+				if got := errors.As(err, &pe); got != tc.wantPanic {
+					t.Errorf("*PanicError in chain = %v, want %v (err %v)", got, tc.wantPanic, err)
+				}
+				// The failing stage's done event reports the failure.
+				want := fmt.Sprintf("done cpu/Hetero-M3D/%s err cells=0", tc.wantStage)
+				if last := sink.events[len(sink.events)-1]; last != want {
+					t.Errorf("last sink event = %q, want %q", last, want)
+				}
+			}
+			if fmt.Sprint(b.calls) != fmt.Sprint(tc.wantCalls) {
+				t.Errorf("calls = %q\nwant    %q", b.calls, tc.wantCalls)
+			}
+			ms := c.Metrics()
+			if len(ms) != len(tc.wantStats) {
+				t.Fatalf("got %d metrics, want %d", len(ms), len(tc.wantStats))
+			}
+			for i, want := range tc.wantStats {
+				if got := ms[i].Stats; fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("metric %s stats = %v, want %v", ms[i].Name, got, want)
+				}
+			}
+			if got := len(c.Degradations()); got != tc.wantDegr {
+				t.Errorf("degradations = %v, want %d", c.Degradations(), tc.wantDegr)
+			}
+		})
 	}
 }
 

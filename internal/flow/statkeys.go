@@ -15,8 +15,8 @@ const (
 	StatRCHits   = "rc_hits"   // RC extraction cache hits
 	StatRCMisses = "rc_misses" // RC extraction cache misses
 
-	// Design-integrity checker counters (internal/check via the Check
-	// hook).
+	// Design-integrity checker counters (internal/check via the core
+	// flow's Boundary.After).
 	StatCheckRules      = "check_rules"      // rules executed at the boundary
 	StatCheckObjects    = "check_objects"    // objects examined
 	StatCheckViolations = "check_violations" // findings at any severity

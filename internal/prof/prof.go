@@ -1,7 +1,6 @@
 // Package prof is the shared -cpuprofile/-memprofile wiring of the
-// command-line tools: standard runtime/pprof profiles, so the CPU and
-// allocation numbers behind BENCH_scale.json are reproducible from any
-// flow invocation.
+// command-line tools: standard runtime/pprof profiles, so a whole-flow
+// CPU or allocation hot spot is reproducible from any flow invocation.
 package prof
 
 import (

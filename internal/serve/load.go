@@ -272,10 +272,9 @@ func (r *LoadReport) Summary() string {
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
-// benchMetrics renders one latency distribution as a BENCH_*.json
-// metric map. The _ms suffix marks the metrics lower-is-better for
-// cmd/benchdiff; ops_per_s has no registered direction and rides along
-// as informational.
+// benchMetrics renders one latency distribution as a JSON metric map.
+// The _ms suffix marks the metrics lower-is-better; ops_per_s rides
+// along as informational.
 func benchMetrics(s LatencyStats) map[string]any {
 	return map[string]any{
 		"count":  s.Count,
@@ -285,8 +284,8 @@ func benchMetrics(s LatencyStats) map[string]any {
 	}
 }
 
-// WriteBench writes the report as a BENCH_serve.json-style file, the
-// format cmd/benchdiff gates.
+// WriteBench writes the report as a JSON file: the run's description,
+// date, CPU and workload, plus one metric map per operation.
 func (r *LoadReport) WriteBench(path, description, date, cpu string) error {
 	doc := map[string]any{
 		"description": description,

@@ -84,7 +84,7 @@ func TestLoadHarness(t *testing.T) {
 	waitGoroutines(t, before+2) // the server's accept loop + Serve goroutine are still up
 }
 
-// TestWriteBench pins the BENCH_serve.json shape benchdiff gates.
+// TestWriteBench pins the JSON shape flowc load -out writes.
 func TestWriteBench(t *testing.T) {
 	rep := &LoadReport{
 		Opt:     LoadOptions{}.withDefaults(),

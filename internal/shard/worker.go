@@ -36,7 +36,7 @@ func (s WorkerSpec) SuiteOptions() (eval.SuiteOptions, error) {
 		if err != nil {
 			return opt, fmt.Errorf("shard: worker %s: %w", s.Owner, err)
 		}
-		opt.Fault = plan.Hook()
+		opt.Fault = plan
 	}
 	return opt, nil
 }

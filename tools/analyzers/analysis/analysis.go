@@ -40,8 +40,7 @@ type Pass struct {
 
 // Diagnostic is one finding at one position. ID is the finding's stable
 // machine-readable code (`pardet001` style): it identifies the *kind* of
-// violation independently of message wording, so benchdiff/CI tooling
-// can track finding counts across commits even as messages are reworded.
+// violation independently of message wording, so CI tooling can track finding counts across commits even as messages are reworded.
 type Diagnostic struct {
 	Pos     token.Pos
 	ID      string
