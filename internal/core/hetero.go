@@ -101,13 +101,28 @@ func planHetero(src *netlist.Design, opt Options) (*flowState, []flow.Stage, err
 			// window when the timing-pinned cells cluster spatially. Cap
 			// the drift at the bottom die's physical row capacity so
 			// legalization stays feasible with a fragmentation margin.
-			topt.MaxFrac0 = bottomCapacityFrac(s.d, s.fp, s.libs[0])
-			tres, err := partition.TierPartition(s.d, s.fp.Core, s.preassign, topt)
-			if err != nil {
-				return err
+			capFrac := bottomCapacityFrac(s.d, s.fp, lib12)
+			topt.MaxFrac0 = capFrac
+			// The level-shifter ablation later adds a shifter on the
+			// driver's tier of every crossing net, so the bottom die must
+			// also host the shifters its own drivers need: while they do
+			// not fit, lower the cap by their area and partition again.
+			for try := 0; ; try++ {
+				tres, err := partition.TierPartition(s.d, s.fp.Core, s.preassign, topt)
+				if err != nil {
+					return err
+				}
+				s.tres = tres
+				if !opt.ForceLevelShifters || try == maxShifterRetries {
+					return nil
+				}
+				movable, bottom := movableArea(s.d)
+				shifters := shifterArea(s.d, tech.TierBottom, lib12)
+				if bottom+shifters <= capFrac*movable {
+					return nil
+				}
+				topt.MaxFrac0 = capFrac - shifters/movable
 			}
-			s.tres = tres
-			return nil
 		}},
 
 		// --- Retarget the top die to the low-power 9-track library.

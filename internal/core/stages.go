@@ -141,17 +141,54 @@ func bottomCapacityFrac(d *netlist.Design, fp *place.Floorplan, bottomLib *cell.
 	rowH := bottomLib.Variant.CellHeight
 	rows := float64(int(fp.Core.H() / rowH))
 	capArea := fp.Core.W() * rows * rowH * 0.97
-	var movable float64
-	for _, inst := range d.Instances {
-		if inst.Fixed || inst.Master.Function.IsMacro() {
-			continue
-		}
-		movable += inst.Master.Area()
-	}
+	movable, _ := movableArea(d)
 	if movable <= 0 {
 		return 1
 	}
 	return capArea / movable
+}
+
+// movableArea returns the area of the movable, non-macro cells — the
+// population the tier partitioner balances and the rows must host — and
+// the part of it on the bottom tier.
+func movableArea(d *netlist.Design) (total, bottom float64) {
+	for _, inst := range d.Instances {
+		if inst.Fixed || inst.Master.Function.IsMacro() {
+			continue
+		}
+		total += inst.Master.Area()
+		if inst.Tier == tech.TierBottom {
+			bottom += inst.Master.Area()
+		}
+	}
+	return total, bottom
+}
+
+// maxShifterRetries bounds the re-partitions that make room for the
+// level-shifter ablation's shifters on the bottom die.
+const maxShifterRetries = 4
+
+// shifterArea returns the area the level-shifter ablation adds to tier
+// t: synth.InsertLevelShifters puts one shifter from lib on the driver's
+// tier of every non-clock net with a sink on the other tier.
+func shifterArea(d *netlist.Design, t tech.Tier, lib *cell.Library) float64 {
+	ls := lib.Smallest(cell.FuncLevelSh)
+	if ls == nil {
+		return 0
+	}
+	n := 0
+	for _, net := range d.Nets {
+		if net.IsClock || !net.Driver.Valid() || net.Driver.Inst.Tier != t {
+			continue
+		}
+		for _, s := range net.Sinks {
+			if s.Inst.Tier != t {
+				n++
+				break
+			}
+		}
+	}
+	return float64(n) * ls.Area()
 }
 
 // overflowAtHalfDemand evaluates the overflow fraction with per-bin

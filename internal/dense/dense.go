@@ -15,6 +15,19 @@ func Grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// Reserve returns s with room for n more elements, reallocating to
+// exactly len(s)+n when the capacity falls short. slices.Grow appends
+// n elements past the current capacity instead, which can nearly double
+// a reused buffer that is only slightly too small.
+func Reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	ns := make([]T, len(s), len(s)+n)
+	copy(ns, s)
+	return ns
+}
+
 // Zero returns s with length n and every element set to the zero value,
 // reusing the backing array like Grow.
 func Zero[T any](s []T, n int) []T {

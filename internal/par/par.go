@@ -130,6 +130,21 @@ func (p *WorkerPanic) Error() string {
 // failing item is re-raised on the caller as a *WorkerPanic — on the
 // serial path too, so failure surfaces identically at any worker count.
 func ParallelFor(workers, n int, fn func(int)) {
+	parallelFor(workers, n, fn, nil)
+}
+
+// ParallelForWorker is ParallelFor that also tells each item which
+// worker runs it: worker is in [0, max(1, min(workers, n))), and no two
+// items with the same worker run at once, so fn may use per-worker
+// scratch indexed by it without locking. Which worker claims which item
+// depends on the schedule; results must not.
+func ParallelForWorker(workers, n int, fn func(worker, i int)) {
+	parallelFor(workers, n, nil, fn)
+}
+
+// parallelFor runs fn(i), or fnw(worker, i) when fn is nil, for every
+// i in [0, n).
+func parallelFor(workers, n int, fn func(int), fnw func(int, int)) {
 	if n <= 0 {
 		return
 	}
@@ -148,17 +163,21 @@ func ParallelFor(workers, n int, fn func(int)) {
 		}
 		mu.Unlock()
 	}
-	run := func(i int) {
+	run := func(w, i int) {
 		defer func() {
 			if v := recover(); v != nil {
 				record(i, v)
 			}
 		}()
-		fn(i)
+		if fn != nil {
+			fn(i)
+		} else {
+			fnw(w, i)
+		}
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			run(i)
+			run(0, i)
 		}
 	} else {
 		var next int64
@@ -172,7 +191,7 @@ func ParallelFor(workers, n int, fn func(int)) {
 					if i >= n {
 						return
 					}
-					run(i)
+					run(w, i)
 				}
 			}()
 		}

@@ -19,6 +19,36 @@ func TestParallelForCoversAllItems(t *testing.T) {
 	}
 }
 
+// TestParallelForWorkerExclusiveSlots pins the per-worker contract:
+// every item runs once, its worker index lies in [0, max(1,
+// min(workers, n))), and no two items with the same index overlap — so a
+// worker-indexed scratch needs no lock. Each item marks its slot busy
+// and fails if it finds it already taken.
+func TestParallelForWorkerExclusiveSlots(t *testing.T) {
+	for _, c := range []struct{ workers, n int }{{0, 50}, {1, 50}, {3, 500}, {8, 5}, {4, 1}} {
+		slots := max(1, min(c.workers, c.n))
+		busy := make([]atomic.Int32, slots)
+		ran := make([]int32, c.n)
+		ParallelForWorker(c.workers, c.n, func(w, i int) {
+			if w < 0 || w >= slots {
+				t.Errorf("workers=%d n=%d: item %d got worker %d", c.workers, c.n, i, w)
+				return
+			}
+			if !busy[w].CompareAndSwap(0, 1) {
+				t.Errorf("workers=%d n=%d: worker slot %d used by two items at once", c.workers, c.n, w)
+			}
+			runtime.Gosched()
+			ran[i]++
+			busy[w].Store(0)
+		})
+		for i, r := range ran {
+			if r != 1 {
+				t.Fatalf("workers=%d n=%d: item %d ran %d times", c.workers, c.n, i, r)
+			}
+		}
+	}
+}
+
 func TestParallelForOrderedResults(t *testing.T) {
 	// The canonical use: each item writes its own slot; the collected
 	// slice is identical at any worker count.

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	randv2 "math/rand/v2"
 	"slices"
 	"testing"
 )
@@ -35,8 +36,9 @@ func randomHypergraph(rng *rand.Rand, n int) *Hypergraph {
 // grow and then shrink, with varying seeds, random and supplied initial
 // assignments, and fixed pins. Every result must equal the package-level
 // FM, which runs a fresh engine, on the same input; and every seed
-// permutation the engine draws must equal rand.Perm of a fresh source,
-// so a longer earlier run can never leak into a shorter later one.
+// permutation the engine draws must equal Perm of a fresh PCG stream
+// seeded the same way, so a longer earlier run can never leak into a
+// shorter later one.
 func TestEngineReuseMatchesFreshFM(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var eng Engine
@@ -71,8 +73,9 @@ func TestEngineReuseMatchesFreshFM(t *testing.T) {
 			if init != nil {
 				continue // supplied assignment: no permutation drawn
 			}
-			if wantPerm := rand.New(rand.NewSource(opt.Seed)).Perm(n); !slices.Equal(eng.perm, wantPerm) {
-				t.Fatalf("n=%d seed=%d: engine permutation %v, rand.Perm %v", n, opt.Seed, eng.perm, wantPerm)
+			fresh := randv2.New(randv2.NewPCG(uint64(opt.Seed), pcgStream))
+			if wantPerm := fresh.Perm(n); !slices.Equal(eng.perm, wantPerm) {
+				t.Fatalf("n=%d seed=%d: engine permutation %v, Perm %v", n, opt.Seed, eng.perm, wantPerm)
 			}
 		}
 	}

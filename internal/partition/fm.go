@@ -3,7 +3,8 @@ package partition
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/bits"
+	"math/rand/v2"
 
 	"repro/internal/dense"
 )
@@ -30,15 +31,18 @@ func DefaultFMOptions() FMOptions {
 
 // Engine is a reusable FM context. One Engine can run many partitions in
 // sequence — the placer runs one per bisection node — reusing the
-// gain-bucket buffers, the random stream and the seed permutation between
-// runs, so repeated small runs stay off the allocator. Every run re-seeds
-// the stream from its FMOptions.Seed, so a reused engine draws exactly
-// what a fresh one would. An Engine must not be shared between
-// goroutines; the zero value is ready to use.
+// gain-bucket buffers, the V-cycle's coarse levels, the random stream and
+// the permutation buffer between runs, so repeated runs stay off the
+// allocator once warm. Every run re-seeds the stream in place from its
+// FMOptions.Seed, so a reused engine draws exactly what a fresh one
+// would. An Engine must not be shared between goroutines; the zero value
+// is ready to use.
 type Engine struct {
 	st   fmState
-	rng  *rand.Rand // created on the first seeded run, re-seeded per run
-	perm []int      // seed permutation buffer
+	pcg  *rand.PCG  // created on the first seeded run, re-seeded per run
+	rng  *rand.Rand // draws from pcg
+	perm []int      // permutation buffer (seed assignment, matching order)
+	vc   vcycle
 }
 
 // FM runs Fiduccia–Mattheyses min-cut improvement on h. If initial is
@@ -51,49 +55,94 @@ func FM(h *Hypergraph, initial []uint8, opt FMOptions) (*Solution, error) {
 	return e.FM(h, initial, opt)
 }
 
-// FM runs one partition on the engine, identically to the package-level
-// FM but reusing the engine's buffers.
+// FM runs one flat partition on the engine, identically to the
+// package-level FM but reusing the engine's buffers.
 func (e *Engine) FM(h *Hypergraph, initial []uint8, opt FMOptions) (*Solution, error) {
-	if err := h.Validate(); err != nil {
+	opt, err := checkInput(h, initial, opt)
+	if err != nil {
 		return nil, err
 	}
+	if initial == nil {
+		e.seed(opt.Seed)
+	}
+	e.solve(h, initial, opt, opt.MaxPasses, 0)
+	return Evaluate(h, e.st.side), nil
+}
+
+// checkInput validates a partition request and normalizes its options.
+func checkInput(h *Hypergraph, initial []uint8, opt FMOptions) (FMOptions, error) {
+	if err := h.Validate(); err != nil {
+		return opt, err
+	}
 	if opt.TargetFrac <= 0 || opt.TargetFrac >= 1 {
-		return nil, fmt.Errorf("partition: TargetFrac %v out of (0,1)", opt.TargetFrac)
+		return opt, fmt.Errorf("partition: TargetFrac %v out of (0,1)", opt.TargetFrac)
 	}
 	if opt.MaxPasses <= 0 {
 		opt.MaxPasses = 1
 	}
-	n := h.NumCells()
-	st := &e.st
-	st.reset(h, opt)
-	side := st.side
 	if initial != nil {
-		if len(initial) != n {
-			return nil, fmt.Errorf("partition: initial has %d entries, want %d", len(initial), n)
+		if len(initial) != h.NumCells() {
+			return opt, fmt.Errorf("partition: initial has %d entries, want %d", len(initial), h.NumCells())
 		}
-		copy(side, initial)
 		for i, f := range h.Fixed {
-			if f >= 0 && side[i] != uint8(f) {
-				return nil, fmt.Errorf("partition: initial violates Fixed pin of cell %d", i)
+			if f >= 0 && initial[i] != uint8(f) {
+				return opt, fmt.Errorf("partition: initial violates Fixed pin of cell %d", i)
 			}
 		}
-	} else {
-		if e.rng == nil {
-			e.rng = rand.New(rand.NewSource(opt.Seed))
-		} else {
-			e.rng.Seed(opt.Seed)
-		}
-		e.perm = dense.Grow(e.perm, n)
-		seedAssignment(h, side, opt, e.rng, e.perm)
 	}
-	st.area = sideAreas(h, side)
+	return opt, nil
+}
 
-	for pass := 0; pass < opt.MaxPasses; pass++ {
+// pcgStream is the fixed second PCG seed word; FMOptions.Seed is the
+// first.
+const pcgStream = 0x9e3779b97f4a7c15
+
+// seed re-seeds the engine's stream in place (a PCG is two words, so
+// re-seeding costs nothing), creating it on first use.
+func (e *Engine) seed(s int64) {
+	if e.pcg == nil {
+		e.pcg = rand.NewPCG(uint64(s), pcgStream)
+		e.rng = rand.New(e.pcg)
+		return
+	}
+	e.pcg.Seed(uint64(s), pcgStream)
+}
+
+// solve runs flat FM on h, leaving the assignment in e.st.side: from
+// initial when non-nil, otherwise from a random area-balanced start
+// drawn from the engine's stream. At most passes passes run; stall > 0
+// ends a pass after that many consecutive moves without a new best
+// prefix.
+func (e *Engine) solve(h *Hypergraph, initial []uint8, opt FMOptions, passes, stall int) {
+	st := &e.st
+	st.reset(h, opt)
+	st.stall = stall
+	if initial != nil {
+		copy(st.side, initial)
+	} else {
+		e.perm = dense.Grow(e.perm, h.NumCells())
+		seedAssignment(h, st.side, opt, e.rng, e.perm)
+	}
+	st.area = sideAreas(h, st.side)
+	for pass := 0; pass < passes; pass++ {
 		if st.runPass() == 0 {
 			break
 		}
 	}
-	return Evaluate(h, st.side), nil
+}
+
+// drawPerm fills order with the permutation rng.Perm(len(order)) would
+// return, without allocating it.
+//
+//hotpath:kernel
+func drawPerm(rng *rand.Rand, order []int) {
+	for i := range order {
+		order[i] = i
+	}
+	for i := len(order) - 1; i > 0; i-- {
+		j := rng.IntN(i + 1)
+		order[i], order[j] = order[j], order[i]
+	}
 }
 
 // seedAssignment produces a random assignment that respects Fixed pins
@@ -116,14 +165,7 @@ func seedAssignment(h *Hypergraph, side []uint8, opt FMOptions, rng *rand.Rand, 
 		}
 	}
 	// Free cells in random order, filling side 0 up to its target.
-	// (*rand.Rand).Perm's loop: order[j] with j < i was written earlier
-	// in this loop, and order[i] is overwritten straight after when
-	// j == i, so whatever a previous run left in order cannot survive.
-	for i := range order {
-		j := rng.Intn(i + 1)
-		order[i] = order[j]
-		order[j] = i
-	}
+	drawPerm(rng, order)
 	for _, i := range order {
 		if h.Fixed[i] >= 0 {
 			continue
@@ -150,22 +192,26 @@ type fmState struct {
 	opt  FMOptions
 	side []uint8
 
-	// Per-net side counts.
-	cnt [][2]int32
+	// Per-net side bookkeeping, and per-net weights (h.w, or ones).
+	ns   []netSide
+	w    []int32
+	ones []int32
 	// Gain bucket doubly-linked lists: heads[2*b+s] is the head of gain
 	// bucket b's side-s chain, nilCell if empty.
 	gain    []int32
 	next    []int32
 	prev    []int32
-	stamp   []uint64 // insertion stamp per cell; chains are stamp-descending
-	stampC  uint64
+	stamp   []uint32 // insertion stamp per cell, from 1 each pass; chains are stamp-descending
+	stampC  uint32
 	heads   []int32
+	live    []uint64  // bit b set while gain bucket b holds a cell on either side
 	minA    []float64 // conservative per-chain area bounds: every cell
 	maxA    []float64 // inserted this pass has minA <= Area <= maxA
 	maxDeg  int
 	maxGain int // current highest non-empty bucket index
 	locked  []bool
 	moves   []fmMove // per-pass move log, reused
+	stall   int      // > 0: a pass stops this many moves past its best prefix
 
 	area  [2]float64
 	total float64
@@ -186,42 +232,84 @@ type fmMove struct {
 
 const nilCell = -1
 
-// reset sizes the state's buffers for h, reusing prior capacity.
-func (st *fmState) reset(h *Hypergraph, opt FMOptions) {
-	n := h.NumCells()
-	st.h = h
-	st.opt = opt
+// reserve sizes the per-cell and per-net buffers for n cells and nets
+// nets up front. The V-cycle refines from its smallest level to its
+// largest; reserving for the largest first keeps every level's reset
+// from outgrowing, and leaving to the collector, the buffers of the
+// level before.
+func (st *fmState) reserve(n, nets int) {
 	st.side = dense.Grow(st.side, n)
-	st.cnt = dense.Grow(st.cnt, len(h.Nets))
+	st.ns = dense.Grow(st.ns, nets)
 	st.gain = dense.Grow(st.gain, n)
 	st.next = dense.Grow(st.next, n)
 	st.prev = dense.Grow(st.prev, n)
 	st.stamp = dense.Grow(st.stamp, n)
 	st.locked = dense.Grow(st.locked, n)
+	st.ones = dense.Grow(st.ones, nets)
+	st.moves = dense.Grow(st.moves, n)[:0]
+}
+
+// reset sizes the state's buffers for h, reusing prior capacity.
+func (st *fmState) reset(h *Hypergraph, opt FMOptions) {
+	n := h.NumCells()
+	st.h = h
+	st.opt = opt
+	st.reserve(n, h.NumNets())
+	if h.w != nil {
+		st.w = h.w
+	} else {
+		for i := range st.ones {
+			st.ones[i] = 1
+		}
+		st.w = st.ones
+	}
 	st.total = h.TotalArea()
+	// A free cell's gain is bounded by the weight of its nets; fixed
+	// cells never enter a bucket.
 	st.maxDeg = 0
 	h.cellNets()
 	for i := 0; i < n; i++ {
-		if d := h.cellDeg(i); d > st.maxDeg {
+		if h.Fixed[i] >= 0 {
+			continue
+		}
+		d := int(h.cellOff[i+1] - h.cellOff[i])
+		if h.w != nil {
+			d = 0
+			for _, ni := range h.netsOf(i) {
+				d += int(h.w[ni])
+			}
+		}
+		if d > st.maxDeg {
 			st.maxDeg = d
 		}
 	}
 	st.heads = dense.Grow(st.heads, 2*(2*st.maxDeg+1))
+	st.live = dense.Grow(st.live, (2*st.maxDeg+1+63)/64)
 	st.minA = dense.Grow(st.minA, len(st.heads))
 	st.maxA = dense.Grow(st.maxA, len(st.heads))
 	st.fcacheOK = [2]bool{}
 	st.fcacheNext = 0
 }
 
-// recount refreshes net side counts from the current assignment.
+// netSide is one net's pin count per side and the XOR of the cells
+// behind those pins: when a side holds a single pin, its XOR names that
+// pin's cell, so a move finds the lone cell without scanning the net.
+type netSide struct {
+	cnt, xor [2]int32
+}
+
+// recount refreshes the net side bookkeeping from the current
+// assignment.
 func (st *fmState) recount() {
-	for i := range st.cnt {
-		st.cnt[i] = [2]int32{}
-	}
-	for ni, net := range st.h.Nets {
-		for _, c := range net {
-			st.cnt[ni][st.side[c]]++
+	h := st.h
+	for ni := range st.ns {
+		ns := netSide{}
+		for _, c := range h.pins[h.netOff[ni]:h.netOff[ni+1]] {
+			s := st.side[c]
+			ns.cnt[s]++
+			ns.xor[s] ^= c
 		}
+		st.ns[ni] = ns
 	}
 }
 
@@ -231,14 +319,14 @@ func (st *fmState) computeGain(c int) int32 {
 	from := st.side[c]
 	to := 1 - from
 	for _, ni := range st.h.netsOf(c) {
-		if len(st.h.Nets[ni]) < 2 {
+		if st.h.netOff[ni+1]-st.h.netOff[ni] < 2 {
 			continue
 		}
-		if st.cnt[ni][from] == 1 {
-			g++ // net leaves the cut
+		if st.ns[ni].cnt[from] == 1 {
+			g += st.w[ni] // net leaves the cut
 		}
-		if st.cnt[ni][to] == 0 {
-			g-- // net enters the cut
+		if st.ns[ni].cnt[to] == 0 {
+			g -= st.w[ni] // net enters the cut
 		}
 	}
 	return g
@@ -271,7 +359,9 @@ func (st *fmState) insert(c int32) {
 	if a > st.maxA[ch] {
 		st.maxA[ch] = a
 	}
-	if b := ch >> 1; b > st.maxGain {
+	b := ch >> 1
+	st.live[b>>6] |= 1 << (b & 63)
+	if b > st.maxGain {
 		st.maxGain = b
 	}
 }
@@ -286,6 +376,29 @@ func (st *fmState) remove(c int32) {
 	if st.next[c] != nilCell {
 		st.prev[st.next[c]] = st.prev[c]
 	}
+	if st.heads[ch&^1] == nilCell && st.heads[ch|1] == nilCell {
+		b := ch >> 1
+		st.live[b>>6] &^= 1 << (b & 63)
+	}
+}
+
+// below returns the highest occupied gain bucket under b, or -1. Coarse
+// V-cycle levels carry weighted gains over thousands of buckets, almost
+// all empty; the occupancy bitmap skips them 64 at a time.
+func (st *fmState) below(b int) int {
+	b--
+	if b < 0 {
+		return -1
+	}
+	w := b >> 6
+	word := st.live[w] & (^uint64(0) >> (63 - uint(b&63)))
+	for word == 0 {
+		if w--; w < 0 {
+			return -1
+		}
+		word = st.live[w]
+	}
+	return w<<6 + bits.Len64(word) - 1
 }
 
 // balancedAfter reports whether moving cell c is acceptable: the result
@@ -411,7 +524,9 @@ func (st *fmState) runPass() int {
 		st.minA[i] = math.Inf(1)
 		st.maxA[i] = math.Inf(-1)
 	}
+	clear(st.live)
 	st.maxGain = 0
+	st.stampC = 0 // every free cell is re-inserted below
 	free := 0
 	for c := range st.gain {
 		st.locked[c] = st.h.Fixed[c] >= 0
@@ -423,12 +538,10 @@ func (st *fmState) runPass() int {
 		free++
 	}
 
-	if cap(st.moves) < free {
-		st.moves = make([]fmMove, 0, free)
-	}
-	moves := st.moves[:0]
+	moves := st.moves[:0] // reserve sized it for every cell
 	cum, best, bestIdx := int32(0), int32(0), -1
 	bestFeasible := st.inTolerance()
+	bestDev := st.deviation()
 
 	for len(moves) < free {
 		c := st.pickMove()
@@ -441,13 +554,24 @@ func (st *fmState) runPass() int {
 		st.applyMove(c)
 		moves = append(moves, fmMove{c, g})
 		cum += g
-		// Prefer prefixes that restore balance feasibility; among equal
-		// feasibility, maximize cut gain.
+		// Prefer prefixes that restore balance feasibility; among
+		// feasible prefixes, maximize cut gain. While none is feasible —
+		// a bin whose pinned cells alone overfill one side — prefer the
+		// prefix closest to the window, so the pass still repairs what
+		// it can instead of keeping the most skewed state for its cut.
 		feas := st.inTolerance()
-		if (feas && !bestFeasible) || (feas == bestFeasible && cum > best) {
+		dev := st.deviation()
+		better := feas && (!bestFeasible || cum > best)
+		if !feas && !bestFeasible {
+			better = dev < bestDev || (dev == bestDev && cum > best)
+		}
+		if better {
 			best = cum
 			bestIdx = len(moves) - 1
 			bestFeasible = feas
+			bestDev = dev
+		} else if st.stall > 0 && len(moves)-1-bestIdx >= st.stall {
+			break
 		}
 	}
 
@@ -462,6 +586,15 @@ func (st *fmState) runPass() int {
 		return 1
 	}
 	return int(best)
+}
+
+// deviation returns the distance of side 0's area fraction from the
+// target.
+func (st *fmState) deviation() float64 {
+	if st.total <= 0 {
+		return 0
+	}
+	return abs(st.area[0]/st.total - st.opt.TargetFrac)
 }
 
 // inTolerance reports whether the current side-0 area fraction satisfies
@@ -493,7 +626,7 @@ func (st *fmState) pickMove() int32 {
 	haveFilter := false
 	var flt moveFilter
 	area := st.h.Area
-	for b := st.maxGain; b >= 0; b-- {
+	for b := st.maxGain; b >= 0; b = st.below(b) {
 		c0, c1 := st.heads[2*b], st.heads[2*b+1]
 		if haveFilter {
 			if c0 != nilCell && st.chainDead(2*b, 0, &flt) {
@@ -578,39 +711,37 @@ func (st *fmState) applyMove(c int32) {
 	st.side[c] = to
 
 	for _, ni := range st.h.netsOf(int(c)) {
-		net := st.h.Nets[ni]
+		net := st.h.pins[st.h.netOff[ni]:st.h.netOff[ni+1]]
 		if len(net) < 2 {
 			continue
 		}
+		w := st.w[ni]
+		ns := &st.ns[ni]
 		// Standard FM incremental gain update around the critical net
-		// states (0, 1 pins on a side before/after the move).
-		if st.cnt[ni][to] == 0 {
-			// Net was uncut on 'from'; all its cells gain +1.
+		// states (0, 1 pins on a side before/after the move), each step
+		// worth the net's weight.
+		if ns.cnt[to] == 0 {
+			// Net was uncut on 'from'; all its cells gain +w.
 			for _, x := range net {
-				st.bumpGain(int32(x), +1)
+				st.bumpGain(x, w)
 			}
-		} else if st.cnt[ni][to] == 1 {
-			// One cell was alone on 'to'; it loses its +1.
-			for _, x := range net {
-				if st.side[x] == to && int32(x) != c {
-					st.bumpGain(int32(x), -1)
-				}
-			}
+		} else if ns.cnt[to] == 1 {
+			// One cell was alone on 'to'; it loses its +w.
+			st.bumpGain(ns.xor[to], -w)
 		}
-		st.cnt[ni][from]--
-		st.cnt[ni][to]++
-		if st.cnt[ni][from] == 0 {
-			// Net is now uncut on 'to'; all its cells lose a potential +1.
+		ns.cnt[from]--
+		ns.cnt[to]++
+		ns.xor[from] ^= c
+		ns.xor[to] ^= c
+		if ns.cnt[from] == 0 {
+			// Net is now uncut on 'to'; all its cells lose a potential +w.
 			for _, x := range net {
-				st.bumpGain(int32(x), -1)
+				st.bumpGain(x, -w)
 			}
-		} else if st.cnt[ni][from] == 1 {
-			// One cell is now alone on 'from'; it gains +1.
-			for _, x := range net {
-				if st.side[x] == from {
-					st.bumpGain(int32(x), +1)
-				}
-			}
+		} else if ns.cnt[from] == 1 {
+			// One cell is now alone on 'from'; it gains +w. (A second pin
+			// of the moving cell itself may be that one; it is locked.)
+			st.bumpGain(ns.xor[from], w)
 		}
 	}
 }

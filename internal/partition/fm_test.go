@@ -142,6 +142,34 @@ func TestFMRepairsUnbalancedSeed(t *testing.T) {
 	}
 }
 
+// TestFMRepairsWhatItCanWhenPinsOverfill pins partial balance repair:
+// six of ten cells are pinned to side 0, so no assignment reaches the
+// 0.5 ± 0.05 window. FM must still move every free cell to side 1 — the
+// closest reachable state — even though each move cuts a net to a
+// pinned neighbour; keeping the skewed start for its smaller cut is what
+// the bin refinement must not do.
+func TestFMRepairsWhatItCanWhenPinsOverfill(t *testing.T) {
+	areas := make([]float64, 10)
+	for i := range areas {
+		areas[i] = 1
+	}
+	h := NewHypergraph(areas)
+	for i := 0; i < 6; i++ {
+		h.Fixed[i] = 0
+	}
+	for i := 6; i < 10; i++ {
+		h.AddNet(i, i-6) // each free cell hangs off a pinned one
+	}
+	opt := DefaultFMOptions()
+	sol, err := FM(h, make([]uint8, 10), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.AreaSide[0] != 6 || sol.Cut != 4 {
+		t.Errorf("side 0 holds %v area with cut %d; want the 6 pinned cells alone (cut 4)", sol.AreaSide[0], sol.Cut)
+	}
+}
+
 func TestFMAsymmetricTarget(t *testing.T) {
 	areas := make([]float64, 40)
 	for i := range areas {

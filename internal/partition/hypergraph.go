@@ -1,129 +1,129 @@
 // Package partition implements the partitioning machinery of the
-// heterogeneous 3-D flow: a Fiduccia–Mattheyses (FM) min-cut engine with
-// area balancing, the placement-driven bin-based tier partitioning the
-// pseudo-3-D flows use, the paper's timing-based pre-assignment of
-// critical cells to the fast die, and the repartitioning ECO loop
-// (Algorithm 1).
+// heterogeneous 3-D flow: a multilevel Fiduccia–Mattheyses (FM) min-cut
+// engine with area balancing, the placement-driven bin-based tier
+// partitioning the pseudo-3-D flows use, the paper's timing-based
+// pre-assignment of critical cells to the fast die, and the
+// repartitioning ECO loop (Algorithm 1).
 package partition
 
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/dense"
 )
 
 // Hypergraph is the partitioning view of a netlist: weighted cells
-// connected by hyperedges. Cell and net identities are dense indices so
-// the FM engine can use flat arrays.
+// connected by hyperedges. Cell and net identities are dense indices,
+// and the nets live in one flat CSR pin array, so the FM engine works on
+// contiguous int32 memory and a rebuilt hypergraph reuses its storage.
 type Hypergraph struct {
 	// Area is the weight of each cell (µm² in flow usage).
 	Area []float64
-	// Nets lists, per hyperedge, the cells it connects. Degenerate nets
-	// (0 or 1 pins) are allowed and ignored.
-	Nets [][]int
 	// Fixed[i] is -1 for a free cell, or 0/1 to pin cell i to a side.
 	// Timing-based partitioning pins critical cells to the fast die this
 	// way before FM runs on the remainder.
 	Fixed []int8
 
-	// pinsOff/pinsIdx are the inverse map in CSR form, built lazily:
-	// pinsIdx[pinsOff[c]:pinsOff[c+1]] are the nets incident to cell c.
-	// Two flat arrays instead of a slice per cell keep the FM inner
-	// loops on contiguous memory and the build allocation-free per cell.
-	pinsOff   []int32
-	pinsIdx   []int32
-	pinsFill  []int32
-	pinsBuilt bool
+	// netOff/pins hold the nets in CSR form: net ni's cells are
+	// pins[netOff[ni]:netOff[ni+1]]. Degenerate nets (0 or 1 pins) are
+	// allowed and ignored.
+	netOff []int32
+	pins   []int32
+	// w is the per-net weight of a coarse V-cycle level, where parallel
+	// nets merge into one net carrying their summed weight; nil (every
+	// caller's hypergraph) means weight 1 everywhere.
+	w []int32
 
-	// arena backs the pin slices NetBuf hands out; ResetCells rewinds it
-	// wholesale once the cleared nets are dead.
-	arena []int
+	// cellOff/cellNet are the inverse map in CSR form, built lazily:
+	// cellNet[cellOff[c]:cellOff[c+1]] are the nets incident to cell c,
+	// in net order.
+	cellOff   []int32
+	cellNet   []int32
+	cellBuilt bool
 }
 
 // NewHypergraph creates a hypergraph with n free cells of the given areas.
 func NewHypergraph(areas []float64) *Hypergraph {
-	fixed := make([]int8, len(areas))
-	for i := range fixed {
-		fixed[i] = -1
-	}
-	return &Hypergraph{Area: areas, Fixed: fixed}
+	h := &Hypergraph{}
+	h.ResetCells(areas)
+	return h
 }
-
-// PinBuf is a pin buffer carved from the hypergraph's arena by NetBuf.
-// It is valid until the next ResetCells rewinds the arena: append pins
-// into it and hand it to AddNet (or drop it) before then, and never
-// store it into longer-lived structure — the poolescape pass enforces
-// this statically.
-//
-//pool:scoped
-type PinBuf []int
 
 // AddNet appends a hyperedge over the given cells.
 func (h *Hypergraph) AddNet(cells ...int) {
-	h.Nets = append(h.Nets, cells)
-	h.pinsBuilt = false // connectivity changed; rebuild lazily
+	for _, c := range cells {
+		h.AddPin(c)
+	}
+	h.netOff = append(h.netOff, int32(len(h.pins)))
+	h.cellBuilt = false // connectivity changed; rebuild lazily
+}
+
+// AddPin appends cell c to the net under construction; EndNet closes
+// it. Together they build a net in place, with no pin slice of its own.
+func (h *Hypergraph) AddPin(c int) {
+	h.pins = append(h.pins, int32(c))
+}
+
+// EndNet closes the net whose pins AddPin appended since the last net
+// ended. A net of fewer than two pins can never be cut, so EndNet drops
+// it instead.
+func (h *Hypergraph) EndNet() {
+	start := h.netOff[len(h.netOff)-1]
+	if len(h.pins)-int(start) < 2 {
+		h.pins = h.pins[:start]
+		return
+	}
+	h.netOff = append(h.netOff, int32(len(h.pins)))
+	h.cellBuilt = false
 }
 
 // ResetCells reinitializes h to the given cell areas with every cell
 // free, clearing the net list while retaining backing storage: the pin
-// arena rewinds for NetBuf to re-carve, and the lazy inverse map's
-// arrays are reused by the next build. One hypergraph (plus one Engine)
-// can thereby serve a long sequence of small partitions — the placer's
-// bisection frontier, the tier partitioner's bin refinement — without
-// touching the allocator once warm. The caller must be done with the
-// previous round's pin slices: the reset reclaims their storage.
+// array and the lazy inverse map are reused by the next build. One
+// hypergraph (plus one Engine) can thereby serve a long sequence of
+// partitions — the placer's bisection frontier, the tier partitioner's
+// bin refinement — without touching the allocator once warm.
 func (h *Hypergraph) ResetCells(areas []float64) {
 	h.Area = areas
 	h.Fixed = dense.Grow(h.Fixed, len(areas))
 	for i := range h.Fixed {
 		h.Fixed[i] = -1
 	}
-	h.Nets = h.Nets[:0]
-	h.arena = h.arena[:0]
-	h.pinsBuilt = false
+	h.netOff = append(h.netOff[:0], 0)
+	h.pins = h.pins[:0]
+	h.w = nil
+	h.cellBuilt = false
 }
 
-// NetBuf returns an empty pin buffer with capacity for max pins, carved
-// from the hypergraph's arena, for a subsequent AddNet call. Append up
-// to max pins, then pass the buffer to AddNet — the hyperedge keeps it
-// (discarding it instead is fine; the reservation is reclaimed at the
-// next ResetCells). Sizing the reservation up front means the append
-// loop itself can never trigger slice growth, whatever mix of net
-// degrees the frontier produces.
-//
-//pool:boundary the arena carve site; buffers die at the next ResetCells
-func (h *Hypergraph) NetBuf(max int) PinBuf {
-	if len(h.arena)+max > cap(h.arena) {
-		n := 2 * (len(h.arena) + max)
-		if n < 1024 {
-			n = 1024
-		}
-		// Slices already handed out keep the old block alive; only new
-		// carves move to the fresh one.
-		h.arena = make([]int, 0, n)
-	}
-	off := len(h.arena)
-	h.arena = h.arena[:off+max]
-	return PinBuf(h.arena[off : off : off+max])
-}
-
-// Reserve sizes h so that nets more hyperedges, carved by NetBuf calls
-// reserving pins pins in total, fit without reallocating the net list
-// or the pin arena. Sizing a hypergraph once from known bounds replaces
-// the doubling growth that leaves every outgrown block to the
-// collector.
+// Reserve sizes h so that nets more hyperedges with pins more pins in
+// total fit without reallocating. Sizing a hypergraph once from known
+// bounds replaces the doubling growth that leaves every outgrown block
+// to the collector.
 func (h *Hypergraph) Reserve(nets, pins int) {
-	h.Nets = slices.Grow(h.Nets, nets)
-	if len(h.arena)+pins > cap(h.arena) {
-		// As in NetBuf: slices already handed out keep the old block.
-		h.arena = make([]int, 0, pins)
-	}
+	h.netOff = dense.Reserve(h.netOff, nets)
+	h.pins = dense.Reserve(h.pins, pins)
 }
 
 // NumCells returns the cell count.
 func (h *Hypergraph) NumCells() int { return len(h.Area) }
+
+// NumNets returns the net count.
+func (h *Hypergraph) NumNets() int { return max(len(h.netOff)-1, 0) }
+
+// Net returns net ni's cells. The slice aliases h's storage: read it,
+// never write it or keep it past the next change to h.
+func (h *Hypergraph) Net(ni int) []int32 {
+	return h.pins[h.netOff[ni]:h.netOff[ni+1]]
+}
+
+// netWeight returns net ni's weight (1 outside coarse V-cycle levels).
+func (h *Hypergraph) netWeight(ni int) int32 {
+	if h.w == nil {
+		return 1
+	}
+	return h.w[ni]
+}
 
 // Validate checks index ranges and weights.
 func (h *Hypergraph) Validate() error {
@@ -141,9 +141,9 @@ func (h *Hypergraph) Validate() error {
 			return fmt.Errorf("partition: cell %d has invalid Fixed %d", i, f)
 		}
 	}
-	for ni, net := range h.Nets {
-		for _, c := range net {
-			if c < 0 || c >= n {
+	for ni := 0; ni < h.NumNets(); ni++ {
+		for _, c := range h.Net(ni) {
+			if c < 0 || int(c) >= n {
 				return fmt.Errorf("partition: net %d references cell %d of %d", ni, c, n)
 			}
 		}
@@ -152,44 +152,35 @@ func (h *Hypergraph) Validate() error {
 }
 
 // cellNets builds the cell→nets inverse map on first use, reusing the
-// CSR arrays of any prior build.
+// CSR arrays of any prior build. Row c is filled through cellOff[c+1]
+// as its cursor, which ends on the row's end: no separate cursor array.
 func (h *Hypergraph) cellNets() {
-	if h.pinsBuilt {
+	if h.cellBuilt {
 		return
 	}
 	n := len(h.Area)
-	off := dense.Zero(h.pinsOff, n+1)
-	for _, net := range h.Nets {
-		for _, c := range net {
+	off := dense.Zero(h.cellOff, n+2)
+	for _, c := range h.pins {
+		off[c+2]++
+	}
+	for i := 2; i < n+2; i++ {
+		off[i] += off[i-1]
+	}
+	idx := dense.Grow(h.cellNet, len(h.pins))
+	for ni := 0; ni < h.NumNets(); ni++ {
+		for _, c := range h.Net(ni) {
+			idx[off[c+1]] = int32(ni)
 			off[c+1]++
 		}
 	}
-	for i := 0; i < n; i++ {
-		off[i+1] += off[i]
-	}
-	idx := dense.Grow(h.pinsIdx, int(off[n]))
-	fill := dense.Grow(h.pinsFill, n)
-	copy(fill, off[:n])
-	for ni, net := range h.Nets {
-		for _, c := range net {
-			idx[fill[c]] = int32(ni)
-			fill[c]++
-		}
-	}
-	h.pinsOff, h.pinsIdx, h.pinsFill = off, idx, fill
-	h.pinsBuilt = true
+	h.cellOff, h.cellNet = off[:n+1], idx
+	h.cellBuilt = true
 }
 
-// netsOf returns the nets incident to cell c, in insertion order.
+// netsOf returns the nets incident to cell c, in net order.
 func (h *Hypergraph) netsOf(c int) []int32 {
 	h.cellNets()
-	return h.pinsIdx[h.pinsOff[c]:h.pinsOff[c+1]]
-}
-
-// cellDeg returns the number of net pins on cell c.
-func (h *Hypergraph) cellDeg(c int) int {
-	h.cellNets()
-	return int(h.pinsOff[c+1] - h.pinsOff[c])
+	return h.cellNet[h.cellOff[c]:h.cellOff[c+1]]
 }
 
 // TotalArea returns the sum of cell areas.
@@ -212,17 +203,19 @@ type Solution struct {
 }
 
 // CutSize recounts the cut of sides over h (authoritative; Solution.Cut is
-// a cached copy maintained incrementally by FM).
+// a cached copy maintained incrementally by FM): the number of nets
+// spanning both sides, each counted with its weight on a coarse level.
 func CutSize(h *Hypergraph, side []uint8) int {
 	cut := 0
-	for _, net := range h.Nets {
+	for ni := 0; ni < h.NumNets(); ni++ {
+		net := h.Net(ni)
 		if len(net) < 2 {
 			continue
 		}
 		s0 := side[net[0]]
 		for _, c := range net[1:] {
 			if side[c] != s0 {
-				cut++
+				cut += int(h.netWeight(ni))
 				break
 			}
 		}

@@ -59,11 +59,12 @@ type TierResult struct {
 // die. Macros are balanced across tiers by area (alternating assignment)
 // unless preassigned.
 //
-// The algorithm: global FM over the whole netlist for the initial
-// min-cut, then (when the design is placed and binning is enabled) a
-// bin-based refinement that re-runs FM inside each placement bin with
-// external neighbours fixed, enforcing local area balance so the 3-D
-// legalization stays close to the pseudo-3-D placement.
+// The algorithm: a multilevel V-cycle (Engine.Multilevel) over the whole
+// netlist for the initial min-cut, then (when the design is placed and
+// binning is enabled) a bin-based refinement that re-runs FM inside each
+// placement bin with external neighbours fixed, enforcing local area
+// balance so the 3-D legalization stays close to the pseudo-3-D
+// placement.
 func TierPartition(d *netlist.Design, outline geom.Rect, preassign map[*netlist.Instance]tech.Tier, opt TierOptions) (*TierResult, error) {
 	// Collect movable cells (everything non-macro); idx maps instance ID
 	// to cell index, -1 for macros.
@@ -105,23 +106,21 @@ func TierPartition(d *netlist.Design, outline geom.Rect, preassign map[*netlist.
 		if !keep(n) {
 			continue
 		}
-		pins := h.NetBuf(len(n.Sinks) + 1)
 		if n.Driver.Valid() {
 			if i := idx[n.Driver.Inst.ID]; i >= 0 {
-				pins = append(pins, int(i))
+				h.AddPin(int(i))
 			}
 		}
 		for _, s := range n.Sinks {
 			if i := idx[s.Inst.ID]; i >= 0 {
-				pins = append(pins, int(i))
+				h.AddPin(int(i))
 			}
 		}
-		if len(pins) >= 2 {
-			h.AddNet(pins...) // the hyperedge keeps the buffer
-		}
+		h.EndNet()
 	}
 
-	sol, err := FM(h, nil, opt.FM)
+	var eng Engine
+	sol, err := eng.Multilevel(h, opt.FM)
 	if err != nil {
 		return nil, fmt.Errorf("partition: global FM: %w", err)
 	}
@@ -134,7 +133,7 @@ func TierPartition(d *netlist.Design, outline geom.Rect, preassign map[*netlist.
 			return nil, err
 		}
 		for sweep := 0; sweep < opt.BinSweeps; sweep++ {
-			if err := refineBins(h, sol, cells, grid, opt); err != nil {
+			if err := refineBins(&eng, h, sol, cells, grid, opt); err != nil {
 				return nil, err
 			}
 		}
@@ -216,9 +215,9 @@ func trimSide0(h *Hypergraph, sol *Solution, maxFrac float64) {
 	if sol.AreaSide[0] <= want {
 		return
 	}
-	cnt := make([][2]int, len(h.Nets))
-	for ni, net := range h.Nets {
-		for _, c := range net {
+	cnt := make([][2]int, h.NumNets())
+	for ni := range cnt {
+		for _, c := range h.Net(ni) {
 			cnt[ni][sol.Side[c]]++
 		}
 	}
@@ -232,7 +231,7 @@ func trimSide0(h *Hypergraph, sol *Solution, maxFrac float64) {
 		}
 		g := 0
 		for _, ni := range h.netsOf(i) {
-			if len(h.Nets[ni]) < 2 {
+			if len(h.Net(int(ni))) < 2 {
 				continue
 			}
 			if cnt[ni][0] == 1 {
@@ -264,9 +263,11 @@ func trimSide0(h *Hypergraph, sol *Solution, maxFrac float64) {
 // refineBins runs FM inside each placement bin with out-of-bin neighbours
 // pinned to their current side. One reusable scratch — dense
 // epoch-stamped index maps plus a storage-retaining sub-hypergraph and
-// engine — serves every bin, so the sweep stays off the allocator after
-// the first bin.
-func refineBins(h *Hypergraph, sol *Solution, cells []*netlist.Instance, grid *geom.Grid, opt TierOptions) error {
+// the caller's engine — serves every bin, so the sweep stays off the
+// allocator after the first bin. Its passes run in full: a bin's job is
+// restoring local balance, and the rebalancing moves are the ones an
+// early exit would cut off.
+func refineBins(eng *Engine, h *Hypergraph, sol *Solution, cells []*netlist.Instance, grid *geom.Grid, opt TierOptions) error {
 	// Bucket cell indices by bin, in CSR form (bin-index rows preserve
 	// the old bins-then-cells iteration order exactly).
 	var bins dense.CSR[int32]
@@ -283,10 +284,9 @@ func refineBins(h *Hypergraph, sol *Solution, cells []*netlist.Instance, grid *g
 
 	var (
 		sh       = NewHypergraph(nil)
-		eng      Engine
 		localIdx = make([]int32, len(h.Area))  // global idx → local idx
 		localEp  = make([]uint32, len(h.Area)) // valid when == epoch
-		netEp    = make([]uint32, len(h.Nets))
+		netEp    = make([]uint32, h.NumNets())
 		areas    []float64
 		init     []uint8
 		epoch    uint32
@@ -323,28 +323,25 @@ func refineBins(h *Hypergraph, sol *Solution, cells []*netlist.Instance, grid *g
 					continue
 				}
 				netEp[ni] = ep
-				net := h.Nets[ni]
+				net := h.Net(int(ni))
 				if len(net) < 2 {
 					continue
 				}
-				pins := sh.NetBuf(len(net) + 2)
 				hasExt := [2]bool{}
 				for _, c := range net {
 					if localEp[c] == ep {
-						pins = append(pins, int(localIdx[c]))
+						sh.AddPin(int(localIdx[c]))
 					} else {
 						hasExt[sol.Side[c]] = true
 					}
 				}
 				if hasExt[0] {
-					pins = append(pins, ext0)
+					sh.AddPin(ext0)
 				}
 				if hasExt[1] {
-					pins = append(pins, ext1)
+					sh.AddPin(ext1)
 				}
-				if len(pins) >= 2 {
-					sh.AddNet(pins...) // the hyperedge keeps the buffer
-				}
+				sh.EndNet()
 			}
 		}
 

@@ -3,7 +3,6 @@ package place
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/dense"
 	"repro/internal/geom"
@@ -55,16 +54,22 @@ func Global(d *netlist.Design, region geom.Rect, opt GlobalOptions) error {
 	if opt.LeafCells < 2 {
 		opt.LeafCells = 2
 	}
-	var movable []*netlist.Instance
+	nMovable := 0
+	for _, inst := range d.Instances {
+		if !inst.Fixed && !inst.Master.Function.IsMacro() {
+			nMovable++
+		}
+	}
+	if nMovable == 0 {
+		return nil
+	}
+	movable := make([]*netlist.Instance, 0, nMovable)
 	for _, inst := range d.Instances {
 		if inst.Fixed || inst.Master.Function.IsMacro() {
 			continue
 		}
 		movable = append(movable, inst)
 		inst.InitLoc(region.Center()) // initial estimate for terminal propagation
-	}
-	if len(movable) == 0 {
-		return nil
 	}
 
 	// Net adjacency once, by instance ID.
@@ -81,33 +86,49 @@ func Global(d *netlist.Design, region geom.Rect, opt GlobalOptions) error {
 	// Each region's cell list is an exclusively-owned subslice of
 	// movable: bisect partitions it in place, so the whole recursion
 	// shares one backing array and the frontier never reallocates cell
-	// lists.
+	// lists. Only regions of more than LeafCells cells split, each in
+	// two, so no level after the first holds more than
+	// 2·nMovable/(LeafCells+1) regions: the two frontier buffers and
+	// the split slots are sized once, from that bound.
 	type job struct {
 		region geom.Rect
 		cells  []*netlist.Instance
 	}
 	type split struct {
-		left, right []*netlist.Instance
-		lr, rr      geom.Rect
-		err         error
+		nl     int // the region's first nl cells go left, the rest right
+		lr, rr geom.Rect
+		err    error
+		ok     bool // false: a leaf, spread in the apply phase
 	}
-	level := []job{{region, movable}}
+	// One scratch per worker, built on the worker's first cut and
+	// dropped with this call.
+	scratch := make([]*bisectScratch, max(1, opt.Workers))
+	maxLevel := 2*nMovable/(opt.LeafCells+1) + 1
+	level := make([]job, 1, maxLevel)
+	level[0] = job{region, movable}
+	next := make([]job, 0, maxLevel)
+	splits := make([]split, maxLevel)
 	for len(level) > 0 {
-		splits := make([]*split, len(level))
-		par.ParallelFor(opt.Workers, len(level), func(i int) {
+		splits = dense.Grow(splits, len(level)) // within the bound: no-op
+		par.ParallelForWorker(opt.Workers, len(level), func(w, i int) {
 			j := level[i]
+			s := &splits[i]
 			if len(j.cells) <= opt.LeafCells {
-				return // leaf: spread in the apply phase
+				s.ok = false
+				return
 			}
-			s := &split{}
-			s.left, s.right, s.lr, s.rr, s.err = bisect(d, adj, j.region, j.cells, opt)
-			splits[i] = s
+			if scratch[w] == nil {
+				scratch[w] = newBisectScratch()
+			}
+			var left []*netlist.Instance
+			left, _, s.lr, s.rr, s.err = bisect(scratch[w], d, adj, j.region, j.cells, opt)
+			s.nl, s.ok = len(left), true
 		})
 		opt.Par.Note(len(level))
-		var next []job
+		next = next[:0]
 		for i, j := range level {
-			s := splits[i]
-			if s == nil {
+			s := &splits[i]
+			if !s.ok {
 				spreadLeaf(j.region, j.cells)
 				continue
 			}
@@ -116,15 +137,16 @@ func Global(d *netlist.Design, region geom.Rect, opt GlobalOptions) error {
 			}
 			// Update location estimates to the new subregion centers so
 			// the next level's cuts see propagated terminals.
-			for _, c := range s.left {
+			left, right := j.cells[:s.nl], j.cells[s.nl:]
+			for _, c := range left {
 				c.InitLoc(s.lr.Center())
 			}
-			for _, c := range s.right {
+			for _, c := range right {
 				c.InitLoc(s.rr.Center())
 			}
-			next = append(next, job{s.lr, s.left}, job{s.rr, s.right})
+			next = append(next, job{s.lr, left}, job{s.rr, right})
 		}
-		level = next
+		level, next = next, level
 	}
 	return nil
 }
@@ -210,11 +232,10 @@ func (a *adjacency) members(ni int32) []*netlist.Instance {
 
 // bisectScratch is the per-worker reusable state of one cut: the dense
 // inst→local-index map and the net-seen set are epoch-stamped (bumping
-// the epoch invalidates both in O(1)), and the hypergraph plus FM engine
-// recycle their buffers across the whole bisection frontier. References
-// die at the bisectPool.Put; the poolescape pass enforces this.
-//
-//pool:scoped
+// the epoch invalidates both in O(1)), and the hypergraph plus the
+// partition engine (with its V-cycle levels) recycle their buffers
+// across the whole bisection frontier. One Global call owns its
+// workers' scratches, so their memory goes when the call returns.
 type bisectScratch struct {
 	epoch    uint32
 	localIdx []int32  // by instance ID, valid when localEp[id] == epoch
@@ -226,9 +247,9 @@ type bisectScratch struct {
 	eng      partition.Engine
 }
 
-var bisectPool = sync.Pool{New: func() any {
+func newBisectScratch() *bisectScratch {
 	return &bisectScratch{h: partition.NewHypergraph(nil)}
-}}
+}
 
 // begin sizes the stamp arrays and opens a new epoch. Freshly grown
 // memory is zeroed by the allocator and reused memory holds only past
@@ -246,16 +267,15 @@ func (sc *bisectScratch) begin(nInsts, nNets int) uint32 {
 	return sc.epoch
 }
 
-// bisect splits cells across the longer axis of region using FM with
-// terminal propagation, returning the two cell sets and subregions. The
-// returned slices partition cells' own storage in place.
+// bisect splits cells across the longer axis of region using the
+// multilevel min-cut with terminal propagation, returning the two cell
+// sets and subregions. The returned slices partition cells' own storage
+// in place.
 //
 //hotpath:kernel
-func bisect(d *netlist.Design, adj *adjacency, region geom.Rect, cells []*netlist.Instance, opt GlobalOptions) (left, right []*netlist.Instance, lr, rr geom.Rect, err error) {
+func bisect(sc *bisectScratch, d *netlist.Design, adj *adjacency, region geom.Rect, cells []*netlist.Instance, opt GlobalOptions) (left, right []*netlist.Instance, lr, rr geom.Rect, err error) {
 	vertCut := region.W() >= region.H() // vertical cut line splits x
 
-	sc := bisectPool.Get().(*bisectScratch)
-	defer bisectPool.Put(sc)
 	ep := sc.begin(len(d.Instances), len(adj.hasPort))
 
 	// Build the sub-hypergraph over cells, with two virtual terminals.
@@ -305,12 +325,10 @@ func bisect(d *netlist.Design, adj *adjacency, region geom.Rect, cells []*netlis
 				continue
 			}
 			sc.netEp[ni] = ep
-			members := adj.members(ni)
-			pins := h.NetBuf(len(members) + 2)
 			hasExt := [2]bool{}
-			for _, m := range members {
+			for _, m := range adj.members(ni) {
 				if sc.localEp[m.ID] == ep {
-					pins = append(pins, int(sc.localIdx[m.ID]))
+					h.AddPin(int(sc.localIdx[m.ID]))
 				} else {
 					hasExt[sideOfPoint(m.Loc)] = true
 				}
@@ -319,19 +337,16 @@ func bisect(d *netlist.Design, adj *adjacency, region geom.Rect, cells []*netlis
 				hasExt[sideOfPoint(adj.portLoc[ni])] = true
 			}
 			if hasExt[0] {
-				pins = append(pins, t0)
+				h.AddPin(t0)
 			}
 			if hasExt[1] {
-				pins = append(pins, t1)
+				h.AddPin(t1)
 			}
-			if len(pins) >= 2 {
-				h.AddNet(pins...) // the hyperedge keeps the buffer
-			}
+			h.EndNet()
 		}
 	}
 
-	fmOpt := opt.FM
-	sol, err := sc.eng.FM(h, nil, fmOpt)
+	sol, err := sc.eng.Multilevel(h, opt.FM)
 	if err != nil {
 		return nil, nil, geom.Rect{}, geom.Rect{}, fmt.Errorf("place: bisect FM: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/netlist"
 	"repro/internal/tech"
 )
 
@@ -67,3 +68,28 @@ func TestPerNetKernelAllocs(t *testing.T) {
 // it measures 0, and the 512 B floor absorbs pool jitter around zero
 // while a reintroduced per-net slice or map still lands far above it.
 const maxPerNetBytes = 512
+
+// TestCacheMissAllocs pins the singleflight's price: the flight lives in
+// the net's own cache entry, so a miss through an extractor that
+// allocates nothing allocates nothing either — no flight record, no
+// channel, no map insert.
+func TestCacheMissAllocs(t *testing.T) {
+	d, mid := cacheDesign(t)
+	shared := &NetRC{}
+	c := NewCache(extractFunc(func(*netlist.Net) *NetRC { return shared }), d)
+	miss := func() {
+		c.Invalidate()
+		c.Extract(mid)
+	}
+	miss() // size the entry table
+	if raceEnabled {
+		t.Skip("race detector: instrumentation allocates; the budget holds in non-race builds")
+	}
+	before := c.Stats().Misses
+	if allocs := testing.AllocsPerRun(100, miss); allocs != 0 {
+		t.Errorf("a cache miss allocates %v per run, want 0", allocs)
+	}
+	if got := c.Stats().Misses - before; got < 100 {
+		t.Errorf("%d misses measured, want every run to miss", got)
+	}
+}

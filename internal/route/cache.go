@@ -53,44 +53,48 @@ func (s CacheStats) HitRate() float64 {
 // timing+power analysis) may call Extract from many goroutines. Fills
 // are per-revision singleflight — when several goroutines miss on the
 // same net at the same revision, exactly one runs the underlying
-// extraction and the rest wait for (and share) its result. The design
-// itself must be quiescent while extractions run concurrently; mutating
-// the netlist is only legal with no Extract in flight, which the flow's
-// phase structure guarantees.
+// extraction and the rest wait for (and share) its result. The flight
+// lives in the net's own entry and the rare waiters sleep on one
+// condition variable, so a miss allocates nothing beyond the extraction
+// itself. The design itself must be quiescent while extractions run
+// concurrently; mutating the netlist is only legal with no Extract in
+// flight, which the flow's phase structure guarantees.
 type Cache struct {
 	inner Extractor
 	d     *netlist.Design
 
 	mu sync.Mutex
+	// landed wakes the goroutines waiting on any flight (over mu); each
+	// re-checks its own entry.
+	landed sync.Cond
 	// entries is indexed by net ID and grows lazily as nets are added.
 	entries []cacheEntry
-	// flights holds the in-progress extraction per net ID (singleflight).
-	flights map[int]*flight
 	// gen invalidation generation: a flight started before an Invalidate
 	// must not re-validate its entry afterwards.
 	gen   uint64
 	stats CacheStats
 }
 
+// cacheEntry is one net's slot: the last extraction stored (valid while
+// its revision is current and no Invalidate dropped it) and the
+// extraction in flight, if any.
 type cacheEntry struct {
 	rc    *NetRC
 	rev   uint64
 	valid bool
-}
-
-// flight is one in-progress underlying extraction; waiters block on done
-// and read rc afterwards.
-type flight struct {
-	rev  uint64
-	gen  uint64
-	rc   *NetRC
-	done chan struct{}
+	// flying marks an extraction of revision flightRev in progress,
+	// started at generation flightGen.
+	flying    bool
+	flightRev uint64
+	flightGen uint64
 }
 
 // NewCache wraps an extractor (usually a *Router) with revision-keyed
 // memoization over d's nets.
 func NewCache(inner Extractor, d *netlist.Design) *Cache {
-	return &Cache{inner: inner, d: d, flights: make(map[int]*flight)}
+	c := &Cache{inner: inner, d: d}
+	c.landed.L = &c.mu
+	return c
 }
 
 // Extract implements Extractor: a journal-validated hit returns the
@@ -106,36 +110,41 @@ func (c *Cache) Extract(n *netlist.Net) *NetRC {
 		c.entries = grown
 	}
 	rev := c.d.NetRev(n)
-	if e := &c.entries[n.ID]; e.valid && e.rev == rev {
+	e := &c.entries[n.ID]
+	if e.valid && e.rev == rev {
 		c.stats.Hits++
 		rc := e.rc
 		c.mu.Unlock()
 		return rc
 	}
-	if f := c.flights[n.ID]; f != nil && f.rev == rev {
-		c.stats.Coalesced++
-		c.mu.Unlock()
-		<-f.done
-		return f.rc
+	if e.flying && e.flightRev == rev {
+		for e.flying && e.flightRev == rev {
+			c.landed.Wait()
+			e = &c.entries[n.ID] // the slice may have grown meanwhile
+		}
+		// The flight stored its result, validated or not.
+		if e.rev == rev && e.rc != nil {
+			c.stats.Coalesced++
+			rc := e.rc
+			c.mu.Unlock()
+			return rc
+		}
 	}
-	f := &flight{rev: rev, gen: c.gen, done: make(chan struct{})}
-	c.flights[n.ID] = f
+	e.flying, e.flightRev, e.flightGen = true, rev, c.gen
 	c.stats.Misses++
 	c.mu.Unlock()
 
 	rc := c.inner.Extract(n)
 
 	c.mu.Lock()
-	f.rc = rc
-	if f.gen == c.gen {
-		e := &c.entries[n.ID]
-		e.rc, e.rev, e.valid = rc, rev, true
-	}
-	if c.flights[n.ID] == f {
-		delete(c.flights, n.ID)
-	}
+	e = &c.entries[n.ID]
+	// Store the result even when an Invalidate landed meanwhile: waiters
+	// read it from here, and Recycle must see it as published. It only
+	// serves later lookups if the generation still matches.
+	e.rc, e.rev, e.valid = rc, rev, e.flightGen == c.gen
+	e.flying = false
 	c.mu.Unlock()
-	close(f.done)
+	c.landed.Broadcast()
 	return rc
 }
 
@@ -150,9 +159,11 @@ func (c *Cache) Recycle(n *netlist.Net, rc *NetRC) {
 		return
 	}
 	c.mu.Lock()
-	live := n.ID < len(c.entries) && c.entries[n.ID].rc == rc
-	if f := c.flights[n.ID]; f != nil {
-		live = true // its result may be this pointer; don't race the fill
+	live := false
+	if n.ID < len(c.entries) {
+		e := &c.entries[n.ID]
+		// A flight's result may be this pointer; don't race the fill.
+		live = e.rc == rc || e.flying
 	}
 	c.mu.Unlock()
 	if !live {

@@ -11,8 +11,8 @@ import (
 )
 
 // Router estimates wiring over a given BEOL stack and MIV technology.
-// Extract/NetTree/CountMIVs are pure with respect to the Router and safe
-// to call from many goroutines at once.
+// Extract/NetWirelength/CountMIVs are pure with respect to the Router
+// and safe to call from many goroutines at once.
 type Router struct {
 	Stack tech.Stack
 	MIV   tech.MIV
@@ -42,23 +42,6 @@ func New() *Router {
 		MIV:              tech.DefaultMIV(),
 		MIVClusterRadius: 10,
 	}
-}
-
-// NetTree routes a net's pins (driver first) into a Steiner estimate.
-func (r *Router) NetTree(n *netlist.Net, keepSegments bool) Tree {
-	sc := getScratch()
-	defer putScratch(sc)
-	sc.pinbuf = n.AppendPinLocs(sc.pinbuf[:0])
-	sc.dedup(sc.pinbuf)
-	if len(sc.pts) <= 1 {
-		return Tree{}
-	}
-	length := sc.build(keepSegments)
-	t := Tree{Length: length, SinkPathLen: append([]float64(nil), sc.pathLen[1:len(sc.pts)]...)}
-	if keepSegments {
-		t.Segments = append([]Segment(nil), sc.segs...)
-	}
-	return t
 }
 
 // NetWirelength returns the Steiner wirelength of one net in µm.

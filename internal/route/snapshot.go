@@ -53,7 +53,8 @@ func (c *Cache) Restore(entries []CacheEntry) error {
 		if e.RC == nil {
 			return fmt.Errorf("route: restore: cache entry for net %d has no RC", e.Net)
 		}
-		c.entries[e.Net] = cacheEntry{rc: e.RC, rev: e.Rev, valid: true}
+		ce := &c.entries[e.Net]
+		ce.rc, ce.rev, ce.valid = e.RC, e.Rev, true
 	}
 	return nil
 }

@@ -18,13 +18,14 @@
 //   - append inside a loop to a slice that is (re)declared empty in
 //     that same loop body: the slice regrows from zero every
 //     iteration. Appending to scratch declared outside the loop, or to
-//     a buffer whose capacity came from a call (h.NetBuf(n),
+//     a buffer whose capacity came from a call (dense.Grow(buf, n),
 //     AppendPinLocs(buf[:0])), is the sanctioned reuse pattern and is
 //     not flagged.
-//   - math/rand.New, math/rand.NewSource and (*rand.Rand).Perm: a fresh
-//     source is a ~5 KB allocation (plus its seeding), and Perm a fresh
-//     slice per call. A kernel draws from a *rand.Rand its caller keeps,
-//     re-seeded per run, into a buffer its caller keeps.
+//   - math/rand.New, math/rand.NewSource and (*rand.Rand).Perm, and
+//     math/rand/v2's New, NewPCG and Perm: a fresh source is an
+//     allocation (~5 KB plus its seeding for math/rand), and Perm a
+//     fresh slice per call. A kernel draws from a *rand.Rand its caller
+//     keeps, re-seeded per run, into a buffer its caller keeps.
 package hotalloc
 
 import (
@@ -182,7 +183,7 @@ func declInits(pass *analysis.Pass, fn *ast.FuncDecl) map[types.Object]ast.Expr 
 // growsFromZero reports whether the initializer leaves the slice with no
 // usable capacity, so per-iteration appends must allocate: no
 // initializer (`var x []T`), nil, or an empty literal. Initializers that
-// carry capacity from elsewhere — a call (h.NetBuf(n)), a reslice
+// carry capacity from elsewhere — a call (dense.Grow(buf, n)), a reslice
 // (buf[:0]), another variable — are the reuse idiom and pass.
 func growsFromZero(init ast.Expr) bool {
 	switch e := ast.Unparen(init).(type) {
@@ -220,11 +221,15 @@ func inBody(body *ast.BlockStmt, stack []ast.Node, i int) bool {
 	return i+1 < len(stack) && stack[i+1] == body
 }
 
-// randAllocs names the math/rand entry points that allocate per call.
+// randAllocs names the math/rand and math/rand/v2 entry points that
+// allocate per call.
 var randAllocs = map[string]bool{
-	"math/rand.New":          true,
-	"math/rand.NewSource":    true,
-	"(*math/rand.Rand).Perm": true,
+	"math/rand.New":             true,
+	"math/rand.NewSource":       true,
+	"(*math/rand.Rand).Perm":    true,
+	"math/rand/v2.New":          true,
+	"math/rand/v2.NewPCG":       true,
+	"(*math/rand/v2.Rand).Perm": true,
 }
 
 // calleeFunc returns the function or method a call invokes statically,

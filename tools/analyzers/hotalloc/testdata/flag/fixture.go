@@ -1,7 +1,10 @@
 // Fixture for the hotalloc pass.
 package fixture
 
-import "math/rand"
+import (
+	"math/rand"
+	randv2 "math/rand/v2"
+)
 
 // sum is an unmarked function: nothing in it may flag, whatever it
 // allocates.
@@ -114,6 +117,27 @@ func hotRandReuse(rng *rand.Rand, seed int64, buf []int) {
 		j := rng.Intn(i + 1)
 		buf[i] = buf[j]
 		buf[j] = i
+	}
+}
+
+// hotRandV2 does the same with math/rand/v2's PCG: all three flag.
+//
+//hotpath:kernel
+func hotRandV2(seed uint64, n int) []int {
+	src := randv2.NewPCG(seed, 1) // want "calls math/rand/v2.NewPCG, which allocates per call"
+	rng := randv2.New(src)        // want "calls math/rand/v2.New, which allocates per call"
+	return rng.Perm(n)            // want "calls \(\*math/rand/v2.Rand\).Perm, which allocates per call"
+}
+
+// hotRandV2Reuse re-seeds a caller-kept PCG in place and draws from the
+// caller-kept Rand over it: clean.
+//
+//hotpath:kernel
+func hotRandV2Reuse(pcg *randv2.PCG, rng *randv2.Rand, seed uint64, buf []int) {
+	pcg.Seed(seed, 1)
+	for i := len(buf) - 1; i > 0; i-- {
+		j := rng.IntN(i + 1)
+		buf[i], buf[j] = buf[j], buf[i]
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package pardet statically checks the internal/par determinism
-// contract inside the function literals handed to par.ParallelFor and
-// par.Do. The contract (par's package doc): work items execute in no
+// contract inside the function literals handed to par.ParallelFor,
+// par.ParallelForWorker and par.Do. The contract (par's package doc): work items execute in no
 // particular order, so a kernel is deterministic exactly when each item
 // writes only its own index-addressed slot and reads only state frozen
 // for the duration of the call. The golden tables and the workers
@@ -9,12 +9,15 @@
 // itself.
 //
 // Inside a literal passed to ParallelFor (one int parameter — the work
-// item index), the pass flags:
+// item index) or ParallelForWorker (two: the worker index, then the item
+// index), the pass flags:
 //
 //   - writes to captured variables that are not element stores whose
 //     index derives from the loop-index parameter (out[i] = v, or
 //     n := d.Nets[i]; out[n.ID] = v — derivation is tracked through
-//     local data flow);
+//     local data flow); under ParallelForWorker a store indexed by the
+//     worker parameter is a slot too — the worker's own scratch, which
+//     no two concurrently running items share;
 //   - append to a captured slice and writes into a captured map: both
 //     mutate shared structure in schedule order;
 //   - any use of a captured *rand.Rand, and any call of the global
@@ -76,7 +79,7 @@ func run(pass *analysis.Pass) error {
 					continue
 				}
 				switch lit.Type.Params.NumFields() {
-				case 1:
+				case 1, 2:
 					checkIndexed(pass, lit, ignored)
 				case 0:
 					doClosures = append(doClosures, lit)
@@ -89,16 +92,22 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// isParFanout reports whether the call is par.ParallelFor or par.Do.
+// isParFanout reports whether the call is par.ParallelFor,
+// par.ParallelForWorker or par.Do.
 func isParFanout(pass *analysis.Pass, call *ast.CallExpr) bool {
 	obj := analysis.FuncObject(pass.TypesInfo, call)
 	if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != parPath {
 		return false
 	}
-	return obj.Name() == "ParallelFor" || obj.Name() == "Do"
+	switch obj.Name() {
+	case "ParallelFor", "ParallelForWorker", "Do":
+		return true
+	}
+	return false
 }
 
-// checkIndexed enforces the per-item rules on a func(i int) work item.
+// checkIndexed enforces the per-item rules on a func(i int) or
+// func(worker, i int) work item.
 func checkIndexed(pass *analysis.Pass, lit *ast.FuncLit, ignored map[int]bool) {
 	tainted := taintFromIndex(pass, lit)
 	report := func(id string, pos token.Pos, format string, args ...interface{}) {
@@ -372,18 +381,17 @@ func captured(pass *analysis.Pass, lit *ast.FuncLit, obj types.Object) bool {
 }
 
 // taintFromIndex computes the set of objects whose value derives from
-// the work-item index parameter, by local data flow to a fixpoint:
+// the work item's index parameters (the item index, and the worker
+// index of a ParallelForWorker item), by local data flow to a fixpoint:
 // x := expr taints x when expr mentions anything tainted, and ranging
 // over a tainted collection taints the iteration variables.
 func taintFromIndex(pass *analysis.Pass, lit *ast.FuncLit) map[types.Object]bool {
 	tainted := make(map[types.Object]bool)
-	params := lit.Type.Params.List
-	if len(params) != 1 {
-		return tainted
-	}
-	for _, name := range params[0].Names {
-		if obj := pass.TypesInfo.Defs[name]; obj != nil {
-			tainted[obj] = true
+	for _, field := range lit.Type.Params.List {
+		for _, name := range field.Names {
+			if obj := pass.TypesInfo.Defs[name]; obj != nil {
+				tainted[obj] = true
+			}
 		}
 	}
 	for round := 0; round < 10; round++ {

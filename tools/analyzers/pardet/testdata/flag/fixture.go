@@ -29,6 +29,23 @@ func untaintedIndex(out []int, k int) {
 	})
 }
 
+// workerScratch: ParallelForWorker items may fill their worker's own
+// scratch slot and their own output slot; a plain captured write is
+// still flagged.
+func workerScratch(out []int, workers int) int {
+	scratch := make([][]int, workers)
+	var last int
+	par.ParallelForWorker(workers, len(out), func(w, i int) {
+		if scratch[w] == nil {
+			scratch[w] = make([]int, 8)
+		}
+		scratch[w][0] = i
+		out[i] = scratch[w][0]
+		last = i // want "work item writes captured variable last"
+	})
+	return last
+}
+
 // containerGrowth: appends and map writes into captured containers.
 func containerGrowth(n int) {
 	var got []int

@@ -1,9 +1,8 @@
 // Package poolescape statically checks the pooled/arena memory
 // lifetimes of the dense-data refactor (DESIGN.md §6.8): values of a
 // type marked `//pool:scoped` — route's recycled NetRC shells, the
-// partition arena's NetBuf-carved pin lists, the per-worker epoch
-// scratch of the placer and RSMT builder — are only valid until their
-// recycle/epoch boundary (RecycleRC, ResetCells, a sync.Pool Put). A
+// per-worker scratch of the RSMT builder — are only valid until their
+// recycle boundary (RecycleRC, a sync.Pool Put). A
 // reference that outlives that boundary reads storage a later
 // extraction is already rewriting: silent corruption that the alloc
 // pins and goldens catch only when it happens to change tested output.
@@ -52,8 +51,7 @@ var Analyzer = &analysis.Analyzer{
 // analysis (the in-package `//pool:scoped` marker is authoritative when
 // the declaring package itself is under analysis).
 var registry = map[string]bool{
-	"repro/internal/route.NetRC":      true,
-	"repro/internal/partition.PinBuf": true,
+	"repro/internal/route.NetRC": true,
 }
 
 // directives: the marker family on types and lifecycle functions, plus

@@ -13,8 +13,8 @@ func TestFlagging(t *testing.T) {
 
 // The owning packages themselves must be clean: route's NetRC flows
 // only through //pool:boundary lifecycle functions (newNetRC,
-// RecycleRC, the RC cache) and partition's PinBuf never leaves the
-// carve site.
+// RecycleRC, the RC cache). The partition and place kernels hold no
+// pool-scoped values and must stay clean.
 func TestRouteExempt(t *testing.T) {
 	analyzertest.Run(t, "../../../internal/route", "repro/internal/route", poolescape.Analyzer)
 }
@@ -23,8 +23,6 @@ func TestPartitionExempt(t *testing.T) {
 	analyzertest.Run(t, "../../../internal/partition", "repro/internal/partition", poolescape.Analyzer)
 }
 
-// place's bisectScratch (//pool:scoped) must stay inside its
-// sync.Pool lease.
 func TestPlaceExempt(t *testing.T) {
 	analyzertest.Run(t, "../../../internal/place", "repro/internal/place", poolescape.Analyzer)
 }
