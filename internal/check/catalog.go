@@ -41,7 +41,7 @@ var catalog = []Rule{
 	},
 	{
 		ID: "ERC-008", Title: "combinational loop", Severity: Error, Class: ClassERC,
-		Doc: "The push-based STA engine levelizes the combinational graph; a loop makes static timing undefined (check_timing's generated_clocks/loops).",
+		Doc: "The STA engine levelizes the combinational graph; a loop makes static timing undefined (check_timing's generated_clocks/loops).",
 		run: ercCombLoop,
 	},
 
@@ -89,7 +89,7 @@ var catalog = []Rule{
 	},
 	{
 		ID: "ENG-002", Title: "levelization consistency", Severity: Error, Class: ClassENG,
-		Doc: "The STA engine's levelization order must exist exactly when an independent replay of its contract levelizes the netlist, cover every instance exactly once, and match that replay element for element — the bit-exactness premise of the incremental timer.",
+		Doc: "The STA engine's levelization order must exist, cover every instance exactly once, and be topological — every data arc into a combinational cell points forward — or the timer's sweeps read arrivals and required times before they are final.",
 		run: engLevelization,
 	},
 	{

@@ -25,7 +25,6 @@ package check
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/cell"
@@ -331,16 +330,4 @@ func Run(in Input, classes Class) *Report {
 		r.run(c)
 	}
 	return rep
-}
-
-// sortViolations orders findings by rule ID then object for stable test
-// assertions (Run already emits in catalog order; sessions that merge
-// reports use this).
-func sortViolations(vs []Violation) {
-	sort.SliceStable(vs, func(i, j int) bool {
-		if vs[i].Rule != vs[j].Rule {
-			return vs[i].Rule < vs[j].Rule
-		}
-		return vs[i].Obj < vs[j].Obj
-	})
 }

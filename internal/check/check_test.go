@@ -432,6 +432,26 @@ func TestENG002LevelizationLoop(t *testing.T) {
 	if v.Obj != "design" {
 		t.Fatalf("finding = %+v", v)
 	}
+
+	// A loop through a register-fed cell: the NAND2 reads ff0's Q and the
+	// inverter it drives itself. Both the engine's levelizer (ENG-002)
+	// and the independent loop detector (ERC-008) must reject it.
+	d, _ = chain(t, 2)
+	nand, _ := d.AddInstance("rn", lib12.Smallest(cell.FuncNand2))
+	inv, _ := d.AddInstance("ri", lib12.Smallest(cell.FuncInv))
+	y, _ := d.AddNet("ry")
+	fb, _ := d.AddNet("rfb")
+	for _, c := range []struct {
+		i   *netlist.Instance
+		pin string
+		n   *netlist.Net
+	}{{nand, "A", d.Net("q0")}, {nand, "B", fb}, {nand, "Y", y}, {inv, "A", y}, {inv, "Y", fb}} {
+		if err := d.Connect(c.i, c.pin, c.n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertFires(t, Run(Input{Design: d}, ClassENG), "ENG-002")
+	assertFires(t, Run(Input{Design: d}, ClassERC), "ERC-008")
 }
 
 func TestENG003RevisionMonotonicity(t *testing.T) {

@@ -2,15 +2,14 @@ package check
 
 import (
 	"repro/internal/cell"
-	"repro/internal/netlist"
 	"repro/internal/sta"
 )
 
-// ENG rules: coherence of the engines layered on the netlist. PR 2's
+// ENG rules: coherence of the engines layered on the netlist. The
 // incremental timer is bit-exact only while the change journal covers
-// every object and the retained timing graph levelizes consistently with
-// the netlist; these rules assert both, plus revision monotonicity across
-// stage boundaries (Session).
+// every object and the retained timing graph levelizes the netlist in
+// topological order; these rules assert both, plus revision monotonicity
+// across stage boundaries (Session).
 
 func engJournal(c *checker) {
 	d := c.in.Design
@@ -36,17 +35,11 @@ func engJournal(c *checker) {
 	}
 }
 
-// engLevelization cross-checks the STA engine's levelization against an
-// independent replay of its contract. The engine's order is not a strict
-// topological sort: its levelizer counts only combinational-to-
-// combinational arcs as fanin but releases sinks on every pop, so a cell
-// also fed by a register can surface before one of its combinational
-// drivers — the "late arcs" the incremental timer's sweeps explicitly
-// tolerate. What IS the bit-exactness contract is that the order (1)
-// exists exactly when the replay levelizes completely, (2) covers every
-// instance exactly once with index-aligned IDs, and (3) matches the
-// replay element for element — any divergence means the engine and the
-// netlist disagree about the design's structure.
+// engLevelization checks the STA engine's levelization against the
+// properties the timer's sweeps rely on: the order exists (the netlist
+// has no combinational loop), covers every instance exactly once, and is
+// topological — every data arc into a combinational cell, from a
+// register, macro or combinational driver, points forward.
 func engLevelization(c *checker) {
 	d := c.in.Design
 	c.checked(len(d.Instances))
@@ -61,96 +54,44 @@ func engLevelization(c *checker) {
 			return
 		}
 	}
-	want, complete := replayLevelization(d)
 	order, err := sta.TopoOrder(d)
 	if err != nil {
-		if complete {
-			c.fail("design", "engine reports a combinational cycle the levelization replay does not: %v", err)
-		} else {
-			c.fail("design", "timing graph not levelizable: %v", err)
-		}
-		return
-	}
-	if !complete {
-		c.fail("design", "engine levelized a design the replay finds cyclic (%d of %d instances)",
-			len(want), len(d.Instances))
+		c.fail("design", "timing graph not levelizable: %v", err)
 		return
 	}
 	if len(order) != len(d.Instances) {
 		c.fail("design", "levelization covers %d of %d instances", len(order), len(d.Instances))
 		return
 	}
-	seen := make([]bool, len(d.Instances))
+	pos := make([]int, len(d.Instances))
+	for i := range pos {
+		pos[i] = -1
+	}
 	for i, inst := range order {
-		if inst.ID < 0 || inst.ID >= len(seen) || seen[inst.ID] {
+		if inst.ID < 0 || inst.ID >= len(pos) || pos[inst.ID] >= 0 {
 			c.fail(inst.Name, "instance appears twice (or with a foreign ID) in the topological order")
 			return
 		}
-		seen[inst.ID] = true
-		if inst != want[i] {
-			c.fail(inst.Name, "levelization diverges from the replay at position %d (%s vs %s)",
-				i, inst.Name, want[i].Name)
-			return
-		}
+		pos[inst.ID] = i
 	}
-}
-
-// replayLevelization independently re-runs the timing engine's published
-// levelization contract (sta.TopoOrder): sources are sequential cells and
-// macros, fanin counts combinational DirIn arcs from non-source drivers,
-// and every pop — source or not — releases its non-source, non-clock
-// sinks in FIFO order. complete is false when a combinational cycle
-// leaves instances unlevelized.
-func replayLevelization(d *netlist.Design) (order []*netlist.Instance, complete bool) {
-	n := len(d.Instances)
-	isSource := func(inst *netlist.Instance) bool {
-		f := inst.Master.Function
-		return f.IsSequential() || f.IsMacro()
-	}
-	remaining := make([]int, n)
-	for _, inst := range d.Instances {
-		if inst.ID >= n || isSource(inst) {
+	for _, inst := range order {
+		if f := inst.Master.Function; f.IsSequential() || f.IsMacro() {
 			continue
 		}
 		for i, p := range inst.Master.Pins {
 			if p.Dir != cell.DirIn {
 				continue
 			}
-			nn := d.NetAt(inst, i)
-			if nn == nil || !nn.Driver.Valid() || nn.Driver.Inst.Master == nil {
+			n := d.NetAt(inst, i)
+			if n == nil || !n.Driver.Valid() {
 				continue
 			}
-			if !isSource(nn.Driver.Inst) {
-				remaining[inst.ID]++
+			if drv := n.Driver.Inst; drv.ID < 0 || drv.ID >= len(pos) || pos[drv.ID] >= pos[inst.ID] {
+				c.fail(inst.Name, "levelized at position %d, not after its driver %s", pos[inst.ID], drv.Name)
+				return
 			}
 		}
 	}
-	queue := make([]*netlist.Instance, 0, n)
-	for _, inst := range d.Instances {
-		if inst.ID < n && (isSource(inst) || remaining[inst.ID] == 0) {
-			queue = append(queue, inst)
-		}
-	}
-	order = make([]*netlist.Instance, 0, n)
-	for len(queue) > 0 {
-		inst := queue[0]
-		queue = queue[1:]
-		order = append(order, inst)
-		out := d.OutputNet(inst)
-		if out == nil {
-			continue
-		}
-		for _, s := range out.Sinks {
-			if !s.Valid() || s.Inst.ID >= n || isSource(s.Inst) || s.Spec().Dir == cell.DirClk {
-				continue
-			}
-			remaining[s.Inst.ID]--
-			if remaining[s.Inst.ID] == 0 {
-				queue = append(queue, s.Inst)
-			}
-		}
-	}
-	return order, len(order) == n
 }
 
 // engMonotonic fires only inside a Session (stage-boundary runs): the

@@ -173,10 +173,10 @@ func ercBinding(c *checker) {
 	}
 }
 
-// ercCombLoop re-derives the STA engine's levelization model (sequential
-// cells and macros break paths; every combinational input arc counts) and
-// runs Kahn's algorithm: instances left unlevelized sit on or behind a
-// combinational loop, which the push-based timer cannot analyze.
+// ercCombLoop runs Kahn's algorithm over the combinational graph alone
+// (sequential cells and macros break paths; every combinational input
+// arc counts): instances left unlevelized sit on or behind a
+// combinational loop, which the timer cannot analyze.
 func ercCombLoop(c *checker) {
 	d := c.in.Design
 	c.checked(len(d.Instances))
@@ -221,10 +221,10 @@ func ercCombLoop(c *checker) {
 		done++
 		if isSource(inst) {
 			// Arcs out of path-breaking cells were never counted as
-			// fanin, so a source pop must not release anything — unlike
-			// the timing engine's levelizer, whose early releases this
-			// independent detector deliberately does not reproduce
-			// (ENG-002 owns that contract).
+			// fanin, so a source pop releases nothing. The timing
+			// engine's levelizer counts those arcs and releases them
+			// here instead; both leave the same cells unlevelized
+			// (ENG-002 checks the engine's order).
 			continue
 		}
 		out := d.OutputNet(inst)

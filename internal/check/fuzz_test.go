@@ -13,8 +13,8 @@ import (
 // FuzzJournalCoherence drives a design through random sequences of
 // journaled mutations (SetLoc/SetTier/InsertBuffer/ReplaceMaster) across
 // Session boundaries and asserts the engine-coherence rules stay green:
-// the journal keeps covering every object, the levelization replay keeps
-// matching, and revisions never move backwards. Any red ENG finding means
+// the journal keeps covering every object, the levelization stays
+// topological, and revisions never move backwards. Any red ENG finding means
 // a journaled API broke its own contract.
 func FuzzJournalCoherence(f *testing.F) {
 	f.Add([]byte{})

@@ -6,14 +6,24 @@
 package dense
 
 // Grow returns s with length n, reusing its backing array when the
-// capacity suffices and reallocating otherwise. The contents are
-// unspecified; callers must initialize every element they read.
+// capacity suffices and reallocating otherwise. Reallocating a non-empty
+// slice reserves growSlack headroom past n, so a buffer that tracks a
+// slowly growing design (a buffer inserted between two timing updates)
+// reallocates once per growth spurt instead of on every call; a first
+// allocation is exact. The contents are unspecified; callers must
+// initialize every element they read.
 func Grow[T any](s []T, n int) []T {
-	if cap(s) < n {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	if len(s) == 0 {
 		return make([]T, n)
 	}
-	return s[:n]
+	return make([]T, n, n+n/growSlack)
 }
+
+// growSlack sets Grow's reallocation headroom to n/growSlack (12.5 %).
+const growSlack = 8
 
 // Reserve returns s with room for n more elements, reallocating to
 // exactly len(s)+n when the capacity falls short. slices.Grow appends

@@ -14,6 +14,20 @@ func TestGrowReusesCapacity(t *testing.T) {
 	}
 }
 
+func TestGrowHeadroom(t *testing.T) {
+	if g := Grow([]int(nil), 64); len(g) != 64 || cap(g) != 64 {
+		t.Fatalf("first Grow len=%d cap=%d, want exact 64/64", len(g), cap(g))
+	}
+	g := Grow(make([]int, 64), 80)
+	if len(g) != 80 || cap(g) != 90 {
+		t.Fatalf("regrow len=%d cap=%d, want 80/90", len(g), cap(g))
+	}
+	// The headroom absorbs the next few growth steps in place.
+	if g2 := Grow(g, 90); &g2[0] != &g[0] {
+		t.Fatal("Grow within headroom reallocated")
+	}
+}
+
 func TestZero(t *testing.T) {
 	s := []int{1, 2, 3, 4}
 	z := Zero(s, 3)

@@ -49,9 +49,6 @@ type Params struct {
 	Seed int64
 }
 
-// DefaultParams returns full (paper) scale with the canonical seed.
-func DefaultParams() Params { return Params{Scale: 1.0, Seed: 1} }
-
 // Generate builds the named design mapped onto lib.
 func Generate(name Name, lib *cell.Library, p Params) (*netlist.Design, error) {
 	if p.Scale <= 0 {

@@ -1,12 +1,14 @@
 package power
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/cell"
 	"repro/internal/designs"
 	"repro/internal/geom"
 	"repro/internal/netlist"
+	"repro/internal/route"
 	"repro/internal/tech"
 )
 
@@ -217,5 +219,68 @@ func TestActivityBoundedOnDeepLogic(t *testing.T) {
 	perCell := b.Total / float64(s.Cells)
 	if perCell > 50 {
 		t.Errorf("per-cell power %v µW implausibly high (activity clamp broken?)", perCell)
+	}
+}
+
+// TestFanoutFreeActivityOracle checks activity propagation against the
+// closed form on a fanout-free cone, where the independence assumption of
+// transition-density propagation is exact. The NAND2 reads a register's
+// Q (activity a_q, probability p_q) and INV(AND2(a, b)) (a_c, p_c), so
+// its output toggles at a_q·p_c + a_c·p_q.
+func TestFanoutFreeActivityOracle(t *testing.T) {
+	d := netlist.New("ffree")
+	clk, _ := d.AddNet("clk")
+	clk.IsClock = true
+	nets := map[string]*netlist.Net{"clk": clk}
+	for _, name := range []string{"d", "a", "b"} {
+		n, _ := d.AddNet(name)
+		if _, err := d.AddPort(name, cell.DirIn, n); err != nil {
+			t.Fatal(err)
+		}
+		nets[name] = n
+	}
+	if _, err := d.AddPort("clk", cell.DirClk, clk); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"q", "c", "nc", "y", "q2"} {
+		nets[name], _ = d.AddNet(name)
+	}
+	// Instance order puts the register before the AND2 so that a
+	// levelizer releasing the NAND2 on the register's pop would visit it
+	// before its inverter input is known.
+	for i, c := range []struct {
+		name string
+		fn   cell.Function
+		pins [][2]string
+	}{
+		{"ff", cell.FuncDFF, [][2]string{{"D", "d"}, {"CK", "clk"}, {"Q", "q"}}},
+		{"and", cell.FuncAnd2, [][2]string{{"A", "a"}, {"B", "b"}, {"Y", "c"}}},
+		{"inv", cell.FuncInv, [][2]string{{"A", "c"}, {"Y", "nc"}}},
+		{"nand", cell.FuncNand2, [][2]string{{"A", "q"}, {"B", "nc"}, {"Y", "y"}}},
+		{"ff2", cell.FuncDFF, [][2]string{{"D", "y"}, {"CK", "clk"}, {"Q", "q2"}}},
+	} {
+		inst, _ := d.AddInstance(c.name, lib12.Smallest(c.fn))
+		inst.Loc = geom.Pt(float64(i)*3, 0)
+		for _, p := range c.pins {
+			if err := d.Connect(inst, p[0], nets[p[1]]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cfg := DefaultConfig(1.0)
+	b, err := Analyze(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a0 := cfg.InputActivity
+	aq, pq := a0, 0.5             // the DFF passes its D input through
+	ac, pc := a0*0.5+a0*0.5, 0.75 // AND2 of two p=0.5 ports, then inverted
+	want := aq*pc + ac*pq         // 0.1875 at the default 0.15
+	y := nets["y"]
+	rc := route.New().Extract(y)
+	v := d.Instance("nand").Master.VDD
+	wantP := 0.5 * (rc.WireCap + y.TotalPinCap()) * v * v * want * cfg.FreqGHz
+	if got := b.NetSwitchingPower(y); math.Abs(got-wantP) > 1e-12*wantP {
+		t.Fatalf("NAND2 output switching %v µW, closed form %v µW (activity %v)", got, wantP, want)
 	}
 }

@@ -49,7 +49,7 @@ func (s CacheStats) HitRate() float64 {
 // entries.
 //
 // A Cache belongs to one flow but is safe for concurrent use within it:
-// the parallel extraction fan-outs (sta's extractAll, concurrent
+// the parallel extraction fan-outs (the timer's full pass, concurrent
 // timing+power analysis) may call Extract from many goroutines. Fills
 // are per-revision singleflight — when several goroutines miss on the
 // same net at the same revision, exactly one runs the underlying

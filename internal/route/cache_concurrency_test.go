@@ -114,7 +114,7 @@ func TestCacheConcurrentAcrossRevisions(t *testing.T) {
 }
 
 // TestCacheConcurrentDistinctNets fans out over different nets at once —
-// the common shape of the timing engine's parallel extractAll — and
+// the common shape of the timing engine's parallel extraction — and
 // checks every net extracts exactly once.
 func TestCacheConcurrentDistinctNets(t *testing.T) {
 	d, _ := cacheDesign(t)

@@ -313,6 +313,49 @@ func TestCombinationalCycleDetected(t *testing.T) {
 	if _, err := Analyze(d, DefaultConfig(1.0)); err == nil {
 		t.Error("combinational cycle should fail")
 	}
+
+	// A loop through a cell that a register also feeds: nand2 reads the
+	// DFF's Q and the inverter it drives itself.
+	d = registerFedLoop(t)
+	if _, err := Analyze(d, DefaultConfig(1.0)); err == nil {
+		t.Error("combinational cycle through a register-fed cell should fail Analyze")
+	}
+	if _, err := TopoOrder(d); err == nil {
+		t.Error("combinational cycle through a register-fed cell should fail TopoOrder")
+	}
+}
+
+// registerFedLoop builds in → DFF → NAND2 ⇄ INV: the NAND2's second
+// input is the inverter it drives.
+func registerFedLoop(t *testing.T) *netlist.Design {
+	t.Helper()
+	d := netlist.New("regcyc")
+	clk, _ := d.AddNet("clk")
+	clk.IsClock = true
+	in, _ := d.AddNet("in")
+	if _, err := d.AddPort("clk", cell.DirClk, clk); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.AddPort("in", cell.DirIn, in); err != nil {
+		t.Fatal(err)
+	}
+	ff, _ := d.AddInstance("ff", lib12.Smallest(cell.FuncDFF))
+	nand, _ := d.AddInstance("nand", lib12.Smallest(cell.FuncNand2))
+	inv, _ := d.AddInstance("inv", lib12.Smallest(cell.FuncInv))
+	q, _ := d.AddNet("q")
+	y, _ := d.AddNet("y")
+	fb, _ := d.AddNet("fb")
+	for _, c := range []struct {
+		i   *netlist.Instance
+		pin string
+		n   *netlist.Net
+	}{{ff, "D", in}, {ff, "CK", clk}, {ff, "Q", q}, {nand, "A", q}, {nand, "B", fb},
+		{nand, "Y", y}, {inv, "A", y}, {inv, "Y", fb}} {
+		if err := d.Connect(c.i, c.pin, c.n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return d
 }
 
 func TestAnalyzeBadPeriod(t *testing.T) {

@@ -27,8 +27,8 @@ type TimerStats struct {
 	// all updates (a full update counts every instance).
 	NodesReevaluated int64
 	// ParBatches and ParTasks count the full pass's parallel fan-outs
-	// (extraction, forward levels, pred replay, backward levels) and the
-	// work items they dispatched. Both count scheduled work, so they are
+	// (extraction, forward levels, backward levels) and the work items
+	// they dispatched. Both count scheduled work, so they are
 	// identical at any Config.Workers value.
 	ParBatches, ParTasks int64
 }
@@ -65,16 +65,16 @@ type Timer struct {
 	pos     []int32        // instance ID → topological position
 	minZero []bool         // instance has a port-driven or floating input
 	// fanin holds every instance's timing arcs (rows by instance ID) in
-	// global push order, as one flat CSR payload.
+	// driver position order, as one flat CSR payload.
 	fanin dense.CSR[faninEdge]
 	// endStart/endCount locate each driver's endpoint entries inside
 	// res.endSlack so incremental updates can rewrite them in place.
 	endStart, endCount []int32
 	// flev/blev group topological positions into dependency levels of
-	// the position-gated forward and backward sweeps: nodes within a
-	// level are mutually independent, so the full pass runs each level
-	// as one parallel fan-out over the level's flat row. Rebuilt with
-	// the graph (purely structural), keyed on topoRev like fanin.
+	// the forward and backward sweeps: nodes within a level are mutually
+	// independent, so the full pass runs each level as one parallel
+	// fan-out over the level's flat row. Rebuilt with the graph (purely
+	// structural), keyed on topoRev like fanin.
 	flev, blev dense.CSR[int32]
 	lvl        []int32 // per-instance level, buildLevels scratch
 	// endScratch holds each driver's endpoint entries from the parallel
@@ -82,15 +82,15 @@ type Timer struct {
 	// res.endSlack in the reference order. Indexed by instance ID.
 	endScratch [][]endpoint
 
-	// Forward-pass state the push model accumulates at input pins. Kept
+	// Forward-pass input-pin state replayEffective rebuilds. Kept
 	// outside Result: only combinational instances' entries carry meaning.
 	arrIn, arrMinIn, slewIn, arrMinOut []float64
 
 	// Per-Update work-set buffers, reused across calls.
-	seedMarked          []bool
-	seeds               []int32
-	dirty, inB, predFix []bool
-	incScratch          []endpoint
+	seedMarked []bool
+	seeds      []int32
+	dirty, inB []bool
+	incScratch []endpoint
 
 	fresh      bool // no update has run yet
 	structural bool // a ChangeStructure arrived since the last update
@@ -273,10 +273,9 @@ func (t *Timer) recycle(n *netlist.Net, old *route.NetRC) {
 // With Config.Workers > 1 the expensive phases fan out without changing
 // a single bit of the result: extraction is per-net independent; the
 // forward sweep runs level-by-level over flevels, where a node's
-// replayEffective reads only strictly-earlier-position drivers (all in
-// lower levels, final) and computeNode writes only the node's own
-// slots; the pred replay runs after every arrival is final, per node;
-// the backward sweep runs level-by-level over blevels with each
+// replayEffective reads only its drivers (all in lower levels, final)
+// and it and computeNode write only the node's own slots; the backward
+// sweep runs level-by-level over blevels with each
 // driver's endpoint entries parked in endScratch, then a sequential
 // assembly appends them to res.endSlack in exactly the reference
 // (reverse-position) order.
@@ -368,8 +367,8 @@ func (t *Timer) fullUpdate() error {
 
 	// ---------- Forward pass: arrivals and slews ----------
 	// Levels run in order; nodes within a level are independent (their
-	// landed fanin arcs all come from lower levels) and write only their
-	// own index-addressed state.
+	// fanin arcs all come from lower levels) and write only their own
+	// index-addressed state.
 	for lv := 0; lv < t.flev.Rows(); lv++ {
 		level := t.flev.Row(int32(lv))
 		par.ParallelFor(workers, len(level), func(k int) {
@@ -381,20 +380,12 @@ func (t *Timer) fullUpdate() error {
 		})
 		t.noteFanout(len(level))
 	}
-	// Pred bookkeeping scans every fanin arc against final arrivals —
-	// all reads, one own-slot write, so the whole order fans out at once.
-	par.ParallelFor(workers, len(t.g.order), func(i int) {
-		if inst := t.g.order[i]; !timingSource(inst) {
-			t.replayPred(inst)
-		}
-	})
-	t.noteFanout(len(t.g.order))
 
 	// ---------- Endpoint checks and backward required pass ----------
-	// Backward levels: a driver's required time depends only on
-	// later-position combinational sinks that themselves run the
-	// backward computation — all in lower backward levels, final when
-	// the driver computes. Endpoint entries park in per-driver scratch.
+	// Backward levels: a driver's required time depends only on its
+	// combinational sinks that themselves run the backward computation —
+	// all in lower backward levels, final when the driver computes.
+	// Endpoint entries park in per-driver scratch.
 	if len(t.endScratch) != n {
 		t.endScratch = dense.Grow(t.endScratch, n)
 	}
@@ -440,18 +431,16 @@ func (t *Timer) noteFanout(n int) {
 	t.stats.ParTasks += int64(n)
 }
 
-// buildLevels derives the dependency levels of the position-gated
-// sweeps from the fanin arcs — purely structural, rebuilt with the
-// graph.
+// buildLevels derives the dependency levels of the sweeps from the
+// fanin arcs — purely structural, rebuilt with the graph.
 //
-// Forward: flevel(v) = 1 + max flevel(d) over v's *landed* fanin arcs
-// (drivers at earlier topological positions — exactly the prefix
-// replayEffective consumes); sources and nodes with only late arcs sit
-// at level 0. Backward: blevel(v) = 1 + max blevel(s) over v's
-// later-position combinational sinks that run the backward computation
-// (have a non-clock output net); everything else reads as +Inf/absent
-// exactly like the serial sweep. Levels hold topological positions in
-// ascending (forward) / descending (backward) position order.
+// Forward: flevel(v) = 1 + max flevel(d) over v's fanin drivers;
+// sources and cells without instance-driven inputs sit at level 0.
+// Backward: blevel(v) = 1 + max blevel(s) over v's combinational sinks
+// that run the backward computation (have a non-clock output net); a
+// sink that does not keeps its +Inf required time. Levels hold
+// topological positions in ascending (forward) / descending (backward)
+// position order.
 func (t *Timer) buildLevels() {
 	d := t.d
 	order := t.g.order
@@ -459,14 +448,10 @@ func (t *Timer) buildLevels() {
 	level := t.lvl
 
 	maxF := int32(0)
-	for p, inst := range order {
+	for _, inst := range order {
 		lv := int32(0)
 		if !timingSource(inst) {
-			kpos := int32(p)
 			for _, e := range t.fanin.Row(int32(inst.ID)) {
-				if t.pos[e.drv] > kpos {
-					break
-				}
 				if l := level[e.drv] + 1; l > lv {
 					lv = l
 				}
@@ -509,10 +494,7 @@ func (t *Timer) buildLevels() {
 		lv := int32(0)
 		for _, s := range out.Sinks {
 			sk := s.Inst
-			if s.Spec().Dir == cell.DirClk || timingSource(sk) {
-				continue
-			}
-			if t.pos[sk.ID] <= int32(i) || participates(sk) == nil {
+			if s.Spec().Dir == cell.DirClk || timingSource(sk) || participates(sk) == nil {
 				continue
 			}
 			if l := level[sk.ID] + 1; l > lv {
@@ -547,21 +529,18 @@ func (t *Timer) incremental(seeds []int32) bool {
 	d := t.d
 	n := len(d.Instances)
 	res := t.res
-	t.dirty = dense.Zero(t.dirty, n)     // indexed by topological position
-	t.inB = dense.Zero(t.inB, n)         // backward work set, same indexing
-	t.predFix = dense.Zero(t.predFix, n) // nodes needing a final pred replay
-	dirty, inB, predFix := t.dirty, t.inB, t.predFix
+	t.dirty = dense.Zero(t.dirty, n) // indexed by topological position
+	t.inB = dense.Zero(t.inB, n)     // backward work set, same indexing
+	dirty, inB := t.dirty, t.inB
 	for _, id := range seeds {
 		dirty[t.pos[id]] = true
 	}
 
-	// Forward sweep in topological order: a node's effective inputs come
-	// only from drivers at earlier positions, all final when it replays.
-	// Expansion follows data arcs to combinational sinks — later-position
-	// sinks recompute; earlier-position ones (the levelizer's late arcs)
-	// never consume this node's arrival, only their pred bookkeeping can
-	// move. Sequential sinks hold no live input state; their capture
-	// checks are redone by their drivers below.
+	// Forward sweep in topological order: a node's drivers all sit at
+	// earlier positions, final when it replays. Expansion follows data
+	// arcs to combinational sinks, which sit at later positions.
+	// Sequential sinks hold no live input state; their capture checks
+	// are redone by their drivers below.
 	for p := 0; p < n; p++ {
 		if !dirty[p] {
 			continue
@@ -569,7 +548,6 @@ func (t *Timer) incremental(seeds []int32) bool {
 		inst := t.g.order[p]
 		if !timingSource(inst) {
 			t.replayEffective(inst)
-			predFix[p] = true
 		}
 		changed := t.computeNode(inst)
 		t.stats.NodesReevaluated++
@@ -591,20 +569,8 @@ func (t *Timer) incremental(seeds []int32) bool {
 				continue
 			}
 			if !timingSource(s.Inst) {
-				if sp := t.pos[s.Inst.ID]; sp > int32(p) {
-					dirty[sp] = true
-				} else {
-					predFix[sp] = true
-				}
+				dirty[t.pos[s.Inst.ID]] = true
 			}
-		}
-	}
-
-	// Pred bookkeeping replays against final arrivals, so it runs after
-	// the whole sweep.
-	for p := 0; p < n; p++ {
-		if predFix[p] {
-			t.replayPred(t.g.order[p])
 		}
 	}
 
@@ -647,11 +613,10 @@ func (t *Timer) incremental(seeds []int32) bool {
 }
 
 // buildFanin records every data arc in (driver topological position, sink
-// index) order — exactly the order the full pass pushes arrivals — so a
-// replay reproduces its strict-comparison tie-breaks. The arcs live in
-// one flat CSR payload keyed by sink instance ID; the two-pass build
-// preserves the push order within each row and reallocates nothing once
-// the storage is warm.
+// index) order, so replayEffective's strict-comparison tie-breaks depend
+// only on the structure. The arcs live in one flat CSR payload keyed by
+// sink instance ID; the two-pass build preserves that order within each
+// row and reallocates nothing once the storage is warm.
 func (t *Timer) buildFanin() {
 	conn := t.d.Conn()
 	t.fanin.Reset(len(t.d.Instances))
@@ -684,32 +649,29 @@ func (t *Timer) buildFanin() {
 }
 
 // replayEffective rebuilds the input-pin state a combinational instance
-// consumes when it computes its outputs. The push model delivers arrivals
-// as each driver is processed, so only arcs from drivers at earlier
-// topological positions have landed by the time the instance runs — and
-// the levelizer's order is not always a strict topological sort (an arc
-// whose driver was released late stays in flight past its sink). The
-// fanin list is sorted by driver position, so the landed arcs are a
-// prefix.
+// consumes when it computes its outputs — worst and earliest arrival,
+// worst slew — plus its worst-arrival predecessor and incoming wire
+// delay. Every driver sits at an earlier topological position, so all
+// of them are final when the instance runs. The fanin row is in driver
+// position order, so the strict comparisons break ties toward the
+// earliest driver at any worker count.
 //
 //hotpath:kernel
 func (t *Timer) replayEffective(inst *netlist.Instance) {
 	id := inst.ID
-	kpos := t.pos[id]
 	ai, si := 0.0, t.cfg.InputSlew
 	ami := math.Inf(1)
 	if t.minZero[id] {
 		ami = 0
 	}
+	pred, inw := int32(-1), 0.0
 	for _, e := range t.fanin.Row(int32(id)) {
-		if t.pos[e.drv] > kpos {
-			break
-		}
 		rc := t.rc[e.net.ID]
 		s := e.net.Sinks[e.idx]
 		wd := tech.RCps(rc.SinkR[e.idx], rc.SinkCapShare[e.idx]+s.Spec().Cap)
 		if a := t.res.arrOut[e.drv] + wd; a > ai {
 			ai = a
+			pred, inw = e.drv, wd
 		}
 		if am := t.arrMinOut[e.drv] + wd; am < ami {
 			ami = am
@@ -719,28 +681,6 @@ func (t *Timer) replayEffective(inst *netlist.Instance) {
 		}
 	}
 	t.arrIn[id], t.arrMinIn[id], t.slewIn[id] = ai, ami, si
-}
-
-// replayPred rebuilds a combinational instance's worst-arrival
-// predecessor and incoming wire delay. Unlike the output computation,
-// the push model keeps updating these as later drivers deliver their
-// arcs, so the final values come from a scan over every fanin arc in
-// push order — including arcs that landed after the instance computed
-// its outputs. Call it only once every driver's arrival is final.
-func (t *Timer) replayPred(inst *netlist.Instance) {
-	id := inst.ID
-	ai := 0.0
-	pred, inw := int32(-1), 0.0
-	for _, e := range t.fanin.Row(int32(id)) {
-		rc := t.rc[e.net.ID]
-		s := e.net.Sinks[e.idx]
-		wd := tech.RCps(rc.SinkR[e.idx], rc.SinkCapShare[e.idx]+s.Spec().Cap)
-		if a := t.res.arrOut[e.drv] + wd; a > ai {
-			ai = a
-			pred = e.drv
-			inw = wd
-		}
-	}
 	t.res.pred[id], t.res.inWire[id] = pred, inw
 }
 
@@ -821,15 +761,8 @@ func (t *Timer) computeRequired(inst *netlist.Instance, scratch []endpoint) (flo
 			holdSlack := t.arrMinOut[inst.ID] + wd - t.lat(sk) - sk.Master.Hold
 			scratch = append(scratch, endpoint{inst: sk, from: int32(inst.ID), slack: slack, hold: holdSlack})
 			cand = endReq - wd
-		} else if t.pos[sk.ID] > t.pos[inst.ID] {
-			cand = res.reqOut[sk.ID] - res.delay[sk.ID] - wd
 		} else {
-			// A sink the levelizer released before its driver: the reverse
-			// sweep visits it after the driver, so the driver reads its
-			// required time at the +Inf initial value. Preserve that here —
-			// in an incremental pass the stored value is finite and must
-			// not leak in.
-			cand = math.Inf(1)
+			cand = res.reqOut[sk.ID] - res.delay[sk.ID] - wd
 		}
 		if cand < req {
 			req = cand
