@@ -9,7 +9,7 @@
 //	              [-scale 0.25] [-seed 1] [-clock 1.0] [-boundary place]
 //	              [-script file]
 //	flowc load    -addr host:port [-sessions 500] [-concurrency 32]
-//	              [-rounds 3] [-out load.json] [-p99-bound ms]
+//	              [-rounds 3] [-p99-bound ms]
 //
 // session opens an interactive session and executes a mutation/timing
 // script (from -script, or stdin when omitted), one command per line:
@@ -303,11 +303,7 @@ func runLoad(args []string, stdout io.Writer) error {
 		scale    = fs.Float64("scale", 0.05, "design scale")
 		seed     = fs.Int64("seed", 1, "generation seed")
 		boundary = fs.String("boundary", "place", "session boundary stage")
-		out      = fs.String("out", "", "write latency distributions to this JSON file")
 		bound    = fs.Float64("p99-bound", 0, "fail if any op's p99 exceeds this many ms (0 = no bound)")
-		desc     = fs.String("desc", "flowd loopback load test", "description recorded in -out")
-		cpu      = fs.String("cpu", "", "cpu string recorded in -out")
-		date     = fs.String("date", "", "date recorded in -out (default today)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -329,16 +325,6 @@ func runLoad(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprint(stdout, rep.Summary())
 
-	if *out != "" {
-		d := *date
-		if d == "" {
-			d = time.Now().Format("2006-01-02")
-		}
-		if err := rep.WriteBench(*out, *desc, d, *cpu); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", *out)
-	}
 	if rep.Errors > 0 {
 		return fmt.Errorf("%d protocol errors; first: %s", rep.Errors, strings.Join(rep.FirstErrors, "; "))
 	}

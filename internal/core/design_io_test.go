@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/db"
@@ -180,22 +181,18 @@ func TestNetlistExportImportIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapBytes := func(s interface {
-		Encode(*db.Writer) error
-	}) []byte {
+	snapBytes := func(snap *netlist.Snapshot) []byte {
 		w := db.NewWriter()
-		if err := s.Encode(w); err != nil {
-			t.Fatal(err)
-		}
+		db.PutNetlist(w, snap)
 		return w.Bytes()
 	}
 	snap := res.Design.ExportState()
-	first := snapBytes(&db.NetlistSection{Snap: snap})
+	first := snapBytes(snap)
 	d2, err := netlist.ImportState(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second := snapBytes(&db.NetlistSection{Snap: d2.ExportState()})
+	second := snapBytes(d2.ExportState())
 	if !bytes.Equal(first, second) {
 		t.Fatalf("export→import→export not identical (%d vs %d bytes)", len(first), len(second))
 	}
@@ -296,5 +293,83 @@ func TestStopAfter(t *testing.T) {
 	opt.StopAfter = "nope"
 	if _, err := Run(context.Background(), src, Config2D12T, opt); err == nil {
 		t.Error("unknown stop stage should fail")
+	}
+}
+
+var signoffDB struct {
+	sync.Once
+	data []byte
+	err  error
+}
+
+// signoffDBBytes saves the smallest ldpc netlist, run through the
+// Hetero-M3D flow with checks on, at the signoff boundary, so the file
+// carries every section kind: META, NETL, PLAC, CTSR, STAR, ROUT, CHKS,
+// STGS, PPAC and POWR.
+func signoffDBBytes(tb testing.TB) []byte {
+	tb.Helper()
+	signoffDB.Do(func() {
+		src, err := designs.Generate(designs.LDPC, lib12, designs.Params{Scale: 0.001, Seed: 1})
+		if err != nil {
+			signoffDB.err = err
+			return
+		}
+		path := filepath.Join(tb.TempDir(), "ldpc.db")
+		opt := DefaultOptions(testClock)
+		opt.Check = CheckFast
+		opt.CheckReportOnly = true
+		opt.SaveDesign = path
+		opt.SaveAfter = StageSignoff
+		if _, err := Run(context.Background(), src, ConfigHetero, opt); err != nil {
+			signoffDB.err = err
+			return
+		}
+		signoffDB.data, signoffDB.err = os.ReadFile(path)
+	})
+	if signoffDB.err != nil {
+		tb.Fatal(signoffDB.err)
+	}
+	return signoffDB.data
+}
+
+// TestDesignDBTruncationMatrix decodes every strict prefix of every
+// section payload of a real signoff database, and each payload plus one
+// trailing byte: every one must fail with ErrCorrupt, never panic. It
+// pins the sticky-error reader's contract that a short read is never
+// silently a zero value and a long payload is never silently accepted.
+func TestDesignDBTruncationMatrix(t *testing.T) {
+	data := signoffDBBytes(t)
+	full, err := decodeDesignDB(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, infos, err := db.List(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, info := range infos {
+		seen[info.Tag] = true
+		payload := data[info.Offset : info.Offset+info.Len]
+		for n := 0; n <= len(payload); n++ {
+			in := payload[:n]
+			if n == len(payload) {
+				in = append(append([]byte(nil), payload...), 0)
+			}
+			dd := *full
+			r := db.NewReader(in)
+			if !dd.readSection(info.Tag, r) {
+				t.Fatalf("%s: unknown section", info.Tag)
+			}
+			if err := r.Done(info.Tag); !errors.Is(err, db.ErrCorrupt) {
+				t.Fatalf("%s: %d of %d bytes decoded with %v, want ErrCorrupt", info.Tag, len(in), len(payload), err)
+			}
+		}
+	}
+	for _, tag := range []string{tagMeta, db.TagNetlist, db.TagFloorplan, db.TagCTS, db.TagSTA,
+		db.TagRoute, db.TagChecks, tagStages, tagPPAC, tagPower} {
+		if !seen[tag] {
+			t.Errorf("signoff database has no %s section", tag)
+		}
 	}
 }

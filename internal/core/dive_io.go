@@ -39,61 +39,37 @@ func PutDeepDive(w *db.Writer, d *DeepDive) {
 }
 
 // ReadDeepDive reads a record written by PutDeepDive.
-func ReadDeepDive(r *db.Reader) (*DeepDive, error) {
-	d := &DeepDive{}
-	var err error
-	readF := func(dst *float64) bool {
-		if err != nil {
-			return false
-		}
-		*dst, err = r.F64()
-		return err == nil
+func ReadDeepDive(r *db.Reader) *DeepDive {
+	return &DeepDive{
+		MemInLatencyPS:     r.F64(),
+		MemOutLatencyPS:    r.F64(),
+		MemNetSwitchUW:     r.F64(),
+		HasMacros:          r.Bool(),
+		ClockBuffers:       int(r.I32()),
+		TopBuffers:         int(r.I32()),
+		BottomBuffers:      int(r.I32()),
+		ClockBufferAreaUM2: r.F64(),
+		ClockWLmm:          r.F64(),
+		ClockMaxLatencyNS:  r.F64(),
+		ClockMaxSkewNS:     r.F64(),
+		AvgSkew100NS:       r.F64(),
+		ClockPeriodNS:      r.F64(),
+		SlackNS:            r.F64(),
+		CritSkewNS:         r.F64(),
+		SetupNS:            r.F64(),
+		PathDelayNS:        r.F64(),
+		WireDelayNS:        r.F64(),
+		CellDelayNS:        r.F64(),
+		PathWLum:           r.F64(),
+		TopWLum:            r.F64(),
+		BottomWLum:         r.F64(),
+		PathCells:          int(r.I32()),
+		PathMIVs:           int(r.I32()),
+		TopCells:           int(r.I32()),
+		BottomCells:        int(r.I32()),
+		TopCellDelayNS:     r.F64(),
+		BotCellDelayNS:     r.F64(),
+		AvgTopDelayNS:      r.F64(),
+		AvgBotDelayNS:      r.F64(),
 	}
-	readI := func(dst *int) bool {
-		if err != nil {
-			return false
-		}
-		var v int32
-		if v, err = r.I32(); err != nil {
-			return false
-		}
-		*dst = int(v)
-		return true
-	}
-	readF(&d.MemInLatencyPS)
-	readF(&d.MemOutLatencyPS)
-	readF(&d.MemNetSwitchUW)
-	if err == nil {
-		d.HasMacros, err = r.Bool()
-	}
-	readI(&d.ClockBuffers)
-	readI(&d.TopBuffers)
-	readI(&d.BottomBuffers)
-	readF(&d.ClockBufferAreaUM2)
-	readF(&d.ClockWLmm)
-	readF(&d.ClockMaxLatencyNS)
-	readF(&d.ClockMaxSkewNS)
-	readF(&d.AvgSkew100NS)
-	readF(&d.ClockPeriodNS)
-	readF(&d.SlackNS)
-	readF(&d.CritSkewNS)
-	readF(&d.SetupNS)
-	readF(&d.PathDelayNS)
-	readF(&d.WireDelayNS)
-	readF(&d.CellDelayNS)
-	readF(&d.PathWLum)
-	readF(&d.TopWLum)
-	readF(&d.BottomWLum)
-	readI(&d.PathCells)
-	readI(&d.PathMIVs)
-	readI(&d.TopCells)
-	readI(&d.BottomCells)
-	readF(&d.TopCellDelayNS)
-	readF(&d.BotCellDelayNS)
-	readF(&d.AvgTopDelayNS)
-	readF(&d.AvgBotDelayNS)
-	if err != nil {
-		return nil, err
-	}
-	return d, nil
 }

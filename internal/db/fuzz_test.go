@@ -11,27 +11,30 @@ import (
 	"repro/internal/sta"
 )
 
-// fuzzLookup resolves every section tag the database format defines to
-// a fresh decoder, so arbitrary input exercises the full decode
-// surface (the CTS section is skipped: it needs a live design to
-// resolve buffer IDs against, which List-level fuzzing cannot supply).
-func fuzzLookup(tag string) (Section, error) {
+// fuzzSection decodes every section tag the database format defines,
+// so arbitrary input exercises the full decode surface. CTSR resolves
+// against an empty design, so only its refusal paths are reachable
+// here; FuzzDesignFile in internal/core drives it against a real one.
+func fuzzSection(tag string, r *Reader) bool {
 	switch tag {
 	case TagNetlist:
-		return &NetlistSection{Snap: &netlist.Snapshot{}}, nil
+		ReadNetlist(r)
 	case TagFloorplan:
-		return &FloorplanSection{FP: &place.Floorplan{}}, nil
+		ReadFloorplan(r)
+	case TagCTS:
+		ReadCTS(r, &netlist.Design{})
 	case TagSTA:
-		return &STASection{Snap: &sta.Snapshot{}}, nil
+		ReadSTA(r)
 	case TagRoute:
-		return &RouteSection{}, nil
+		ReadRoutes(r)
 	case TagChecks:
-		return &ChecksSection{}, nil
+		ReadChecks(r)
 	case "PRIM":
-		return &primSection{}, nil
+		readPrim(r)
 	default:
-		return nil, nil
+		return false
 	}
+	return true
 }
 
 // FuzzDBDecode feeds arbitrary bytes through the frame walker and every
@@ -50,26 +53,29 @@ func FuzzDBDecode(f *testing.F) {
 	}
 	routes := []route.CacheEntry{{Net: 3, Rev: 9, RC: &route.NetRC{WireLen: 10, WireCap: 1e-15, MIVs: 2,
 		SinkR: []float64{100}, SinkCapShare: []float64{1e-15}}}}
-	chk := &ChecksSection{
-		State: check.SessionState{Seen: true, PrevStage: "cts", PrevTopo: 7, PrevInsts: 3, PrevNets: 2},
+	prim := &primSection{u8: 1, str: "seed", f64s: []float64{1, 2}, i32s: []int32{-1}}
+	chk := check.SessionState{Seen: true, PrevStage: "cts", PrevTopo: 7, PrevInsts: 3, PrevNets: 2}
+	type sec struct {
+		tag string
+		put func(w *Writer)
 	}
-	secs := []Section{
-		&primSection{u8: 1, str: "seed", f64s: []float64{1, 2}, i32s: []int32{-1}},
-		&FloorplanSection{FP: fp},
-		&STASection{Snap: snap},
-		&RouteSection{Entries: routes},
-		chk,
+	secs := []sec{
+		{"PRIM", func(w *Writer) { putPrim(w, prim) }},
+		{TagFloorplan, func(w *Writer) { PutFloorplan(w, fp) }},
+		{TagSTA, func(w *Writer) { PutSTA(w, snap) }},
+		{TagRoute, func(w *Writer) { PutRoutes(w, routes) }},
+		{TagChecks, func(w *Writer) { PutChecks(w, chk, nil) }},
 	}
-	for _, sec := range secs {
-		data, err := Encode(MagicDesign, sec)
+	all := Header(MagicDesign)
+	for _, s := range secs {
+		w := NewWriter()
+		s.put(w)
+		one, err := AppendFrame(Header(MagicDesign), s.tag, w.Bytes())
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(data)
-	}
-	all, err := Encode(MagicDesign, secs...)
-	if err != nil {
-		f.Fatal(err)
+		f.Add(one)
+		all = append(all, one[8:]...)
 	}
 	f.Add(all)
 	f.Add([]byte(MagicDesign))
@@ -81,7 +87,7 @@ func FuzzDBDecode(f *testing.F) {
 			t.Fatalf("List: untyped error %v", err)
 		}
 		for _, magic := range []string{MagicDesign, MagicJournal} {
-			err := Decode(data, magic, fuzzLookup)
+			err := Decode(data, magic, fuzzSection)
 			if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
 				t.Fatalf("Decode(%s): untyped error %v", magic, err)
 			}

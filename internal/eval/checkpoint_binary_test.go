@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -216,5 +217,117 @@ func TestJournalLines(t *testing.T) {
 	}
 	if n := len(lines); n != 4 || !strings.HasPrefix(lines[3], "truncated final frame") {
 		t.Errorf("truncated journal lines:\n%s", strings.Join(lines, "\n"))
+	}
+}
+
+// testJournal writes a journal holding one record of every kind — a
+// header, an fmax, a lease with units and a flow with every optional
+// field — and returns its bytes.
+func testJournal(t testing.TB) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "ckpt.db")
+	ck, err := OpenCheckpoint(path, ckptOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck.Close()
+	if err := ck.PutFmax(designs.CPU, 1234, 0.4375); err != nil {
+		t.Fatal(err)
+	}
+	units := []Unit{{Design: designs.CPU, Config: core.ConfigHetero}, {Design: designs.AES, Config: core.Config2D12T}}
+	if err := ck.PutLease(Lease{Shard: 3, Action: LeaseGrant, Owner: "s3-a1", Attempt: 1, Reason: "start", Units: units}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.PutFlow(designs.CPU, core.ConfigHetero, binaryFlowResult()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// withFrame returns a journal of data's header frame followed by one
+// frame (tag, payload) with a freshly computed CRC; a header frame
+// replaces the original one instead.
+func withFrame(t *testing.T, data []byte, tag string, payload []byte) []byte {
+	t.Helper()
+	_, infos, err := db.List(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := db.Header(db.MagicJournal)
+	if tag != tagCkptHeader {
+		out = append(out, data[8:infos[0].Offset+infos[0].Len+4]...)
+	}
+	if out, err = db.AppendFrame(out, tag, payload); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestJournalRefusesTrailingBytes: a record frame with one byte past
+// its encoding — CRC recomputed, so the framing is intact — is corrupt
+// for both the verifier and resume, as it is for design-database
+// sections and wire messages.
+func TestJournalRefusesTrailingBytes(t *testing.T) {
+	data := testJournal(t)
+	_, infos, err := db.List(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, info := range infos {
+		if info.Tag != tagCkptFlow {
+			continue
+		}
+		payload := append(append([]byte(nil), data[info.Offset:info.Offset+info.Len]...), 0)
+		bad := withFrame(t, data, tagCkptFlow, payload)
+		if err := VerifyJournal(bad); !errors.Is(err, db.ErrCorrupt) {
+			t.Errorf("VerifyJournal: %v, want ErrCorrupt", err)
+		}
+		path := filepath.Join(t.TempDir(), "ckpt.db")
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenCheckpoint(path, ckptOpts()); !errors.Is(err, db.ErrCorrupt) {
+			t.Errorf("OpenCheckpoint: %v, want ErrCorrupt", err)
+		}
+		return
+	}
+	t.Fatal("journal has no flow record")
+}
+
+// TestJournalTruncationMatrix decodes every strict prefix of every
+// record payload (EHDR, FMAX, LEAS, FLOW), and each payload plus one
+// trailing byte, as a complete CRC-valid frame: each must be refused
+// with ErrCorrupt, never panic and never decode to zero values.
+func TestJournalTruncationMatrix(t *testing.T) {
+	data := testJournal(t)
+	if err := VerifyJournal(data); err != nil {
+		t.Fatal(err)
+	}
+	_, infos, err := db.List(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, info := range infos {
+		seen[info.Tag] = true
+		payload := data[info.Offset : info.Offset+info.Len]
+		for n := 0; n <= len(payload); n++ {
+			in := payload[:n]
+			if n == len(payload) {
+				in = append(append([]byte(nil), payload...), 0)
+			}
+			if err := VerifyJournal(withFrame(t, data, info.Tag, in)); !errors.Is(err, db.ErrCorrupt) {
+				t.Fatalf("%s: %d of %d bytes: %v, want ErrCorrupt", info.Tag, len(in), len(payload), err)
+			}
+		}
+	}
+	for _, tag := range []string{tagCkptHeader, tagCkptFmax, tagCkptLease, tagCkptFlow} {
+		if !seen[tag] {
+			t.Errorf("test journal has no %s record", tag)
+		}
 	}
 }

@@ -2,9 +2,7 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -271,50 +269,3 @@ func (r *LoadReport) Summary() string {
 }
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-
-// benchMetrics renders one latency distribution as a JSON metric map.
-// The _ms suffix marks the metrics lower-is-better; ops_per_s rides
-// along as informational.
-func benchMetrics(s LatencyStats) map[string]any {
-	return map[string]any{
-		"count":  s.Count,
-		"p50_ms": ms(s.P50),
-		"p99_ms": ms(s.P99),
-		"max_ms": ms(s.Max),
-	}
-}
-
-// WriteBench writes the report as a JSON file: the run's description,
-// date, CPU and workload, plus one metric map per operation.
-func (r *LoadReport) WriteBench(path, description, date, cpu string) error {
-	doc := map[string]any{
-		"description": description,
-		"date":        date,
-		"cpu":         cpu,
-		"workload": map[string]any{
-			"design":   r.Opt.Design,
-			"config":   r.Opt.Config,
-			"scale":    r.Opt.Scale,
-			"seed":     r.Opt.Seed,
-			"boundary": r.Opt.Boundary,
-			"sessions": r.Opt.Sessions,
-			"workers":  r.Opt.Concurrency,
-			"rounds":   r.Opt.Rounds,
-		},
-		"protocol_errors": r.Errors,
-		"benchmarks": map[string]any{
-			"serve_open":   benchMetrics(r.Open),
-			"serve_mutate": benchMetrics(r.Mutate),
-			"serve_timing": benchMetrics(r.Timing),
-			"serve_close":  benchMetrics(r.Close),
-			"serve_throughput": map[string]any{
-				"ops_per_s": r.OpsPerS,
-			},
-		},
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}

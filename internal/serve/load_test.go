@@ -2,8 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -82,42 +80,4 @@ func TestLoadHarness(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	waitGoroutines(t, before+2) // the server's accept loop + Serve goroutine are still up
-}
-
-// TestWriteBench pins the JSON shape flowc load -out writes.
-func TestWriteBench(t *testing.T) {
-	rep := &LoadReport{
-		Opt:     LoadOptions{}.withDefaults(),
-		Ops:     4000,
-		OpsPerS: 1234.5,
-		Open:    LatencyStats{Count: 500, P50: 2 * time.Millisecond, P99: 9 * time.Millisecond, Max: 20 * time.Millisecond},
-	}
-	path := t.TempDir() + "/BENCH_serve.json"
-	if err := rep.WriteBench(path, "test", "2026-08-08", "test-cpu"); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Description string `json:"description"`
-		Benchmarks  map[string]map[string]float64
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Description != "test" {
-		t.Errorf("description = %q", doc.Description)
-	}
-	open, ok := doc.Benchmarks["serve_open"]
-	if !ok {
-		t.Fatalf("benchmarks missing serve_open: %v", doc.Benchmarks)
-	}
-	if open["p99_ms"] != 9 || open["p50_ms"] != 2 || open["count"] != 500 {
-		t.Errorf("serve_open metrics = %v", open)
-	}
-	if _, ok := doc.Benchmarks["serve_throughput"]; !ok {
-		t.Error("benchmarks missing serve_throughput")
-	}
 }

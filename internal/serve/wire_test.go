@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/sta"
 )
@@ -92,21 +93,50 @@ func TestMessageRoundTrips(t *testing.T) {
 }
 
 // TestDecodersRejectTrailingBytes: every decoder enforces exact-length
-// payloads.
+// payloads. Each message's every strict prefix and the payload plus one
+// trailing byte must fail with ErrCorrupt, never panic.
 func TestDecodersRejectTrailingBytes(t *testing.T) {
-	pad := func(b []byte) []byte { return append(append([]byte(nil), b...), 0xEE) }
-	open := &OpenRequest{Design: "ldpc"}
-	if _, err := decodeOpenRequest(pad(open.encode())); !errors.Is(err, db.ErrCorrupt) {
-		t.Errorf("open: %v", err)
+	ppac := &core.PPAC{Design: "ldpc", Config: core.ConfigHetero, FreqGHz: 1.5, Refinement: "r"}
+	cases := []struct {
+		name    string
+		payload []byte
+		decode  func([]byte) error
+	}{
+		{"open", (&OpenRequest{Design: "ldpc", Config: "2D-12T", Scale: 0.05, Seed: 1, ClockGHz: 1,
+			Boundary: "place", Events: true, DB: []byte("H3DB")}).encode(),
+			func(b []byte) error { _, err := decodeOpenRequest(b); return err }},
+		{"session", (&SessionInfo{ID: 7, Cells: 10, Nets: 11, Boundary: "cts", ClockGHz: 1}).encode(),
+			func(b []byte) error { _, err := decodeSessionInfo(b); return err }},
+		{"mutations", encodeMutations([]Mutation{{ID: 1, Kind: MutSetLoc, X: 1, Y: 2}, {ID: -1, Name: "u1", Kind: MutSetTier, Tier: 1}}),
+			func(b []byte) error { _, err := decodeMutations(b); return err }},
+		{"mutate result", (&MutateResult{Applied: 2}).encode(),
+			func(b []byte) error { _, err := decodeMutateResult(b); return err }},
+		{"timing", (&TimingResult{WNS: -1, Endpoints: 3, NodesReevaluated: 9}).encode(),
+			func(b []byte) error { _, err := decodeTimingResult(b); return err }},
+		{"ppac request", (&PPACRequest{Design: "ldpc", Config: "2D-12T", Scale: 0.05, FmaxIterations: 2, Events: true}).encode(),
+			func(b []byte) error { _, err := decodePPACRequest(b); return err }},
+		{"ppac result", (&PPACResult{FmaxGHz: 1.5, PPAC: ppac}).encode(),
+			func(b []byte) error { _, err := decodePPACResult(b); return err }},
+		{"event", (&Event{Kind: EvStageDone, Design: "ldpc", Config: "2D-12T", Stage: "place", Wall: 5, Cells: 3, Err: "x"}).encode(),
+			func(b []byte) error { _, err := decodeEvent(b); return err }},
+		{"error", encodeError(CodeBusy, "x"),
+			func(b []byte) error { _, err := decodeError(b); return err }},
+		{"bye", encodeBye("close"),
+			func(b []byte) error { _, err := decodeBye(b); return err }},
 	}
-	if _, err := decodeTimingResult(pad((&TimingResult{}).encode())); !errors.Is(err, db.ErrCorrupt) {
-		t.Errorf("timing: %v", err)
-	}
-	if _, err := decodeMutations(pad(encodeMutations(nil))); !errors.Is(err, db.ErrCorrupt) {
-		t.Errorf("mutations: %v", err)
-	}
-	if _, err := decodeError(pad(encodeError(CodeBusy, "x"))); !errors.Is(err, db.ErrCorrupt) {
-		t.Errorf("error: %v", err)
+	for _, c := range cases {
+		if err := c.decode(c.payload); err != nil {
+			t.Fatalf("%s: intact payload: %v", c.name, err)
+		}
+		for n := 0; n <= len(c.payload); n++ {
+			in := c.payload[:n]
+			if n == len(c.payload) {
+				in = append(append([]byte(nil), c.payload...), 0xEE)
+			}
+			if err := c.decode(in); !errors.Is(err, db.ErrCorrupt) {
+				t.Errorf("%s: %d of %d bytes: %v, want ErrCorrupt", c.name, len(in), len(c.payload), err)
+			}
+		}
 	}
 }
 
