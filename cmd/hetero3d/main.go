@@ -7,7 +7,7 @@
 //
 //	hetero3d -design cpu -config Hetero-M3D -scale 0.1 [-clock 1.2]
 //	         [-deep] [-svg dir] [-verilog out.v] [-stage-report]
-//	         [-timer-stats] [-check off|fast|full] [-fault spec]
+//	         [-check off|fast|full] [-fault spec]
 //	         [-retries n] [-workers 0] [-timeout 0]
 //	         [-save-design out.db] [-save-after place,cts] [-stop-after place]
 //	         [-load-design in.db] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -43,7 +43,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/cell"
 	"repro/internal/core"
@@ -71,8 +70,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "concurrent flow jobs for multi-config runs (0 = GOMAXPROCS)")
 		flowWork = flag.Int("flow-workers", 0, "intra-flow parallelism of the place/route/STA/CTS kernels (0 = budget against -workers, 1 = serial); results are identical at any value")
 		timeout  = flag.Duration("timeout", 0, "abort the run after this long, e.g. 2m (0 = no limit)")
-		stageRep = flag.Bool("stage-report", false, "print the per-stage wall-time table of each flow")
-		timerSt  = flag.Bool("timer-stats", false, "print each flow's timing-engine update and RC-cache statistics table")
+		stageRep = flag.Bool("stage-report", false, "print each flow's per-stage wall-time and engine-counter table")
 		checkM   = flag.String("check", "off", "design-integrity checks at stage boundaries: off, fast (signoff only), or full; error findings fail the run")
 		faultS   = flag.String("fault", "", "fault-injection spec: design/config/stage[@occ]=class[:modifier],... (classes: panic, error, cancel, timeout, corrupt)")
 		retries  = flag.Int("retries", 1, "attempts per flow for transient failures (1 = no retries)")
@@ -117,7 +115,7 @@ func main() {
 	}
 
 	dbio := designIO{save: *saveDB, saveAfter: *saveAt, load: *loadDB, stop: *stopAt}
-	if err := run(ctx, *design, *config, *scale, *clock, *seed, *workers, *flowWork, *deep, *stageRep, *timerSt, checkMode, plan, *retries, *svgDir, *vlog, dbio); err != nil {
+	if err := run(ctx, *design, *config, *scale, *clock, *seed, *workers, *flowWork, *deep, *stageRep, checkMode, plan, *retries, *svgDir, *vlog, dbio); err != nil {
 		sess.Stop()
 		fmt.Fprintln(os.Stderr, "hetero3d:", err)
 		os.Exit(1)
@@ -145,7 +143,7 @@ func parseConfigs(s string) []core.ConfigName {
 	return out
 }
 
-func run(ctx context.Context, design, config string, scale, clock float64, seed int64, workers, flowWorkers int, deep, stageRep, timerSt bool, checkMode core.CheckMode, plan *fault.Plan, retries int, svgDir, vlog string, dbio designIO) error {
+func run(ctx context.Context, design, config string, scale, clock float64, seed int64, workers, flowWorkers int, deep, stageRep bool, checkMode core.CheckMode, plan *fault.Plan, retries int, svgDir, vlog string, dbio designIO) error {
 	cfgs := parseConfigs(config)
 	if dbio.active() && len(cfgs) != 1 {
 		return fmt.Errorf("-save-design/-load-design/-stop-after apply to a single configuration, got %d", len(cfgs))
@@ -193,30 +191,19 @@ func run(ctx context.Context, design, config string, scale, clock float64, seed 
 		policy = flow.DefaultRetryPolicy(retries)
 	}
 	results := make([]*core.Result, len(cfgs))
-	traces := make([]*flow.RetryTrace, len(cfgs))
 	errs := make([]error, len(cfgs))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, cfg := range cfgs {
-		i, cfg := i, cfg
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			opt := core.DefaultOptions(clock)
-			opt.Seed = seed
-			opt.Check = checkMode
-			opt.FlowWorkers = flowWorkers
-			opt.SaveDesign = dbio.save
-			opt.SaveAfter = dbio.saveAfter
-			opt.LoadDesign = dbio.load
-			opt.StopAfter = dbio.stop
-			opt.Fault = plan
-			results[i], traces[i], errs[i] = core.RunWithRetry(ctx, src, cfg, opt, policy)
-		}()
-	}
-	wg.Wait()
+	par.ParallelFor(workers, len(cfgs), func(i int) {
+		opt := core.DefaultOptions(clock)
+		opt.Seed = seed
+		opt.Check = checkMode
+		opt.FlowWorkers = flowWorkers
+		opt.SaveDesign = dbio.save
+		opt.SaveAfter = dbio.saveAfter
+		opt.LoadDesign = dbio.load
+		opt.StopAfter = dbio.stop
+		opt.Fault = plan
+		results[i], _, errs[i] = core.RunWithRetry(ctx, src, cfgs[i], opt, policy)
+	})
 	for i, err := range errs {
 		if err != nil {
 			return fmt.Errorf("%s: %w", cfgs[i], err)
@@ -224,10 +211,16 @@ func run(ctx context.Context, design, config string, scale, clock float64, seed 
 	}
 
 	for i, cfg := range cfgs {
-		if err := printResult(design, string(cfg), clock, results[i], stageRep, timerSt); err != nil {
+		if err := printResult(design, string(cfg), clock, results[i]); err != nil {
 			return err
 		}
-		printHealth(string(cfg), results[i], traces[i])
+		if stageRep {
+			st := report.StageTable(fmt.Sprintf("Pipeline stages — %s in %s", design, cfg), results[i].Stages)
+			if err := st.Render(os.Stdout); err != nil {
+				return err
+			}
+		}
+		printHealth(string(cfg), results[i])
 		if checkMode != core.CheckOff {
 			ct := report.CheckTable(fmt.Sprintf("Design-integrity checks — %s in %s", design, cfg), results[i].Checks)
 			if err := ct.Render(os.Stdout); err != nil {
@@ -242,7 +235,7 @@ func run(ctx context.Context, design, config string, scale, clock float64, seed 
 	return singleConfigExtras(design, string(cfgs[0]), results[0], deep, svgDir, vlog)
 }
 
-func printResult(design, config string, clock float64, r *core.Result, stageRep, timerSt bool) error {
+func printResult(design, config string, clock float64, r *core.Result) error {
 	p := r.PPAC
 	if p == nil {
 		// The flow was truncated by -stop-after before signoff: there is
@@ -250,7 +243,7 @@ func printResult(design, config string, clock float64, r *core.Result, stageRep,
 		// if -save-design was given).
 		fmt.Printf("flow stopped after %q — no PPAC record (%d stage(s) ran)\n",
 			r.Stages[len(r.Stages)-1].Name, len(r.Stages))
-		return printStageTables(design, config, r, stageRep, timerSt)
+		return nil
 	}
 	t := report.NewTable(fmt.Sprintf("PPAC — %s in %s @ %.3f GHz", design, config, clock), "Metric", "Value")
 	t.AddRowf("Si area", fmt.Sprintf("%.4f mm²", p.SiAreaMM2))
@@ -267,73 +260,20 @@ func printResult(design, config string, clock float64, r *core.Result, stageRep,
 	t.AddRowf("Cost per cm²", fmt.Sprintf("%.1f ×10⁻⁶C'", p.CostPerCm2))
 	t.AddRowf("PPC", fmt.Sprintf("%.3f GHz/(W·10⁻⁶C')", p.PPC))
 	t.AddRowf("Flow notes", p.Refinement)
-	if err := t.Render(os.Stdout); err != nil {
-		return err
-	}
-	return printStageTables(design, config, r, stageRep, timerSt)
-}
-
-func printStageTables(design, config string, r *core.Result, stageRep, timerSt bool) error {
-	if stageRep {
-		rows := make([]report.StageRow, 0, len(r.Stages))
-		for _, m := range r.Stages {
-			rows = append(rows, report.StageRow{Stage: m.Name, Runs: 1, Total: m.Wall, Max: m.Wall, Cells: m.Cells})
-		}
-		st := report.StageTimingTable(fmt.Sprintf("Pipeline stages — %s in %s", design, config), rows)
-		if err := st.Render(os.Stdout); err != nil {
-			return err
-		}
-	}
-
-	if timerSt {
-		rows := make([]report.EngineStatsRow, 0, len(r.Stages))
-		for _, m := range r.Stages {
-			if len(m.Stats) == 0 {
-				continue
-			}
-			rows = append(rows, report.EngineStatsRow{
-				Stage:       m.Name,
-				Full:        m.Stats[flow.StatSTAFull],
-				Incremental: m.Stats[flow.StatSTAIncr],
-				Nodes:       m.Stats[flow.StatSTANodes],
-				RCHits:      m.Stats[flow.StatRCHits],
-				RCMisses:    m.Stats[flow.StatRCMisses],
-				ParBatches:  m.Stats[flow.StatParBatches],
-				ParTasks:    m.Stats[flow.StatParTasks],
-				Retries:     m.Stats[flow.StatCongestionRetries],
-				Faults:      m.Stats[flow.StatFaultsInjected],
-				Reruns:      m.Stats[flow.StatStageReruns],
-				Degraded:    m.Stats[flow.StatDegradeFullSTA] + m.Stats[flow.StatDegradeUtil],
-				Panics:      m.Stats[flow.StatPanicsRecovered],
-			})
-		}
-		et := report.EngineStatsTable(fmt.Sprintf("Timing engine — %s in %s", design, config), rows)
-		if err := et.Render(os.Stdout); err != nil {
-			return err
-		}
-	}
-	return nil
+	return t.Render(os.Stdout)
 }
 
 // printHealth reports an eventful flow's robustness outcome: injected
 // faults, degraded-mode completion, and retry attempts. Clean flows print
 // nothing (and the CI fault-injection smoke greps for these lines).
-func printHealth(config string, r *core.Result, trace *flow.RetryTrace) {
-	var faults, reruns, panics int64
-	for _, m := range r.Stages {
-		faults += m.Stats[flow.StatFaultsInjected]
-		reruns += m.Stats[flow.StatStageReruns]
-		panics += m.Stats[flow.StatPanicsRecovered]
-	}
-	attempts := 1
-	if trace != nil {
-		attempts = trace.Attempts
-	}
-	if faults == 0 && reruns == 0 && panics == 0 && attempts <= 1 && len(r.Degraded) == 0 {
+func printHealth(config string, r *core.Result) {
+	tot := flow.Totals(r.Stages)
+	faults, reruns, panics := tot[flow.StatFaultsInjected], tot[flow.StatStageReruns], tot[flow.StatPanicsRecovered]
+	if faults == 0 && reruns == 0 && panics == 0 && r.Attempts <= 1 && len(r.Degraded) == 0 {
 		return
 	}
 	fmt.Printf("resilience [%s]: %d fault(s) injected, %d stage re-run(s), %d panic(s) recovered, %d attempt(s), degradations: %d %v\n",
-		config, faults, reruns, panics, attempts, len(r.Degraded), r.Degraded)
+		config, faults, reruns, panics, r.Attempts, len(r.Degraded), r.Degraded)
 }
 
 func singleConfigExtras(design, config string, r *core.Result, deep bool, svgDir, vlog string) error {

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	ppac [-scale 0.25] [-seed 1] [-designs netcard,aes,ldpc,cpu] [-svg dir]
-//	     [-workers 0] [-flow-workers 0] [-timeout 0] [-stage-report] [-timer-stats]
+//	     [-workers 0] [-flow-workers 0] [-timeout 0] [-stage-report]
 //	     [-check off|fast|full] [-fault spec] [-checkpoint file]
 //	     [-retries n] [-resilience] [-resume-from-place dir]
 //	     [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-v]
@@ -58,8 +58,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "concurrent flow jobs (0 = GOMAXPROCS, 1 = serial)")
 		flowWork = flag.Int("flow-workers", 0, "intra-flow parallelism of the place/route/STA/CTS kernels (0 = budget against -workers, 1 = serial); results are identical at any value")
 		timeout  = flag.Duration("timeout", 0, "abort the whole evaluation after this long, e.g. 5m (0 = no limit)")
-		stageRep = flag.Bool("stage-report", false, "print the per-stage wall-time table after the evaluation")
-		timerSt  = flag.Bool("timer-stats", false, "print the timing-engine update and RC-cache statistics table")
+		stageRep = flag.Bool("stage-report", false, "print the per-stage wall-time and engine-counter table after the evaluation")
 		checkM   = flag.String("check", "off", "design-integrity checks at stage boundaries: off, fast (signoff only), or full; error findings fail the run")
 		faultS   = flag.String("fault", "", "fault-injection spec: design/config/stage[@occ]=class[:modifier],... (classes: panic, error, cancel, timeout, corrupt)")
 		ckptPath = flag.String("checkpoint", "", "journal completed flows to this file and resume from it on rerun")
@@ -166,9 +165,6 @@ func main() {
 
 	if *stageRep {
 		fmt.Println(s.StageReport())
-	}
-	if *timerSt {
-		fmt.Println(s.EngineReport())
 	}
 	if *resil {
 		fmt.Println(s.ResilienceReport())

@@ -9,7 +9,7 @@
 // timing criticality feeding the timing-based partitioner, bin-based FM
 // on the remainder, the 12.5 % footprint shrink from retargeting the top
 // tier to 9-track cells, a 3-D clock tree built with the COVER-cell
-// approach, boundary-cell timing/power derates, and the repartitioning
+// approach, boundary-cell power derates, and the repartitioning
 // ECO loop (Algorithm 1) to timing closure.
 package core
 
@@ -85,11 +85,6 @@ type Options struct {
 	// tier-crossing net of the heterogeneous design — the style the paper
 	// rejects in Sec. III-B; the ablation benchmark measures why.
 	ForceLevelShifters bool
-	// ForceFullSTA disables the incremental timing engine: every analysis
-	// inside the repair and recovery loops recomputes from scratch. The
-	// results are identical either way (the engine guarantees it); this is
-	// the kill switch for comparing engine statistics and wall time.
-	ForceFullSTA bool
 	// Events receives structured stage events from the pipeline (nil =
 	// none). Must be safe for concurrent use when flows run in parallel.
 	Events flow.Sink
@@ -225,6 +220,10 @@ type Result struct {
 	// (flow.Context.MarkDegraded), in first-occurrence order; nil when
 	// the flow ran clean.
 	Degraded []string
+	// Attempts counts the runs RunWithRetry made to produce this result
+	// (1 = clean first try; 0 when the result did not come from
+	// RunWithRetry, e.g. one restored from an evaluation checkpoint).
+	Attempts int
 	// Dive caches the Table VIII deep-dive metrics. DeepAnalyze fills it
 	// on first call; a result restored from an evaluation checkpoint
 	// carries it pre-computed because the live Design/Timing/Power state
@@ -332,5 +331,6 @@ func RunWithRetry(ctx context.Context, src *netlist.Design, cfg ConfigName, opt 
 	if err != nil {
 		return nil, trace, err
 	}
+	res.Attempts = trace.Attempts
 	return res, trace, nil
 }

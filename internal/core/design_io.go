@@ -137,7 +137,6 @@ func optionsFingerprint(opt Options) []byte {
 		w.PutF64(v.WireCostScale)
 	}
 	w.PutBool(opt.ForceLevelShifters)
-	w.PutBool(opt.ForceFullSTA)
 	w.PutString(string(opt.Check))
 	w.PutBool(opt.CheckReportOnly)
 	return w.Bytes()
@@ -609,6 +608,9 @@ func (s *flowState) loadDesign(fc *flow.Context, path string, stages []flow.Stag
 	fc.SeedMetrics(dd.metrics)
 	for _, reason := range dd.degraded {
 		fc.MarkDegraded(reason)
+		if reason == flow.DegradeFullSTA {
+			s.forceFullSTA = true
+		}
 	}
 	return stages[idx+1:], nil
 }

@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/db"
 	"repro/internal/designs"
+	"repro/internal/fault"
 	"repro/internal/flow"
 	"repro/internal/netlist"
 )
@@ -131,6 +133,68 @@ func TestSaveLoadBoundaryMatrix(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestResumeDegradedSave resumes a database saved after the flow
+// degraded to full-STA recomputes. The save must load under the
+// options the flow ran with, and the resumed run must finish on the
+// uninterrupted run's PPAC, degradations and per-stage timing-engine
+// work.
+func TestResumeDegradedSave(t *testing.T) {
+	if testing.Short() {
+		t.Skip("degraded save/resume")
+	}
+	src := genSrc(t, designs.AES, 0.05)
+	for _, tc := range []struct{ spec, boundary string }{
+		{"aes/Hetero-M3D/place@1=corrupt:journal", StageCTS},
+		{"aes/Hetero-M3D/eco@1=corrupt:extraction-cache", StageSignoff},
+	} {
+		t.Run(tc.boundary, func(t *testing.T) {
+			run := func(path string, save bool) *Result {
+				t.Helper()
+				plan, err := fault.ParseSpec(tc.spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt := DefaultOptions(testClock)
+				opt.Check = CheckFull
+				opt.Fault = plan
+				if save {
+					opt.SaveDesign, opt.SaveAfter = path, tc.boundary
+				} else {
+					opt.LoadDesign = path
+				}
+				r, err := Run(context.Background(), src, ConfigHetero, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			path := filepath.Join(t.TempDir(), "design.db")
+			base := run(path, true)
+			if !slices.Contains(base.Degraded, flow.DegradeFullSTA) {
+				t.Fatalf("fault did not degrade the flow: %v", base.Degraded)
+			}
+			res := run(path, false)
+			if got, want := ppacBytes(t, res.PPAC), ppacBytes(t, base.PPAC); !bytes.Equal(got, want) {
+				t.Errorf("resumed PPAC differs:\n got %+v\nwant %+v", res.PPAC, base.PPAC)
+			}
+			if !slices.Equal(res.Degraded, base.Degraded) {
+				t.Errorf("degradations %v, want %v", res.Degraded, base.Degraded)
+			}
+			if len(res.Stages) != len(base.Stages) {
+				t.Fatalf("%d stages, want %d", len(res.Stages), len(base.Stages))
+			}
+			for i, m := range res.Stages {
+				want := base.Stages[i]
+				for _, k := range []string{flow.StatSTAFull, flow.StatSTAIncr} {
+					if m.Name != want.Name || m.Stats[k] != want.Stats[k] {
+						t.Errorf("stage %d %s %s = %d, want %s %d", i, m.Name, k, m.Stats[k], want.Name, want.Stats[k])
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -159,13 +159,11 @@ func planHetero(src *netlist.Design, opt Options) (*flowState, []flow.Stage, err
 
 		// Sign-off timing uses the per-tier libraries and the extracted
 		// (tier-true) pin loads directly, so the boundary-cell behaviour
-		// of Tables II/III is modeled natively. The derate path
-		// (sta.Config.Hetero) exists to emulate a single-technology
-		// tool's boundary inaccuracy — which the paper argues cancels
-		// along paths and leaves unmodeled in its flow — so it stays off
-		// here. Power analysis keeps the heterogeneous derates: the
-		// sub-VDD-gate leakage blow-up is a physical effect, not a
-		// modeling artifact (Sec. II-B).
+		// of Tables II/III is modeled natively; a single-technology
+		// tool's boundary inaccuracy cancels along paths, the paper
+		// argues, and stays unmodeled in its flow. Power analysis keeps
+		// the heterogeneous derates: the sub-VDD-gate leakage blow-up is
+		// a physical effect, not a modeling artifact (Sec. II-B).
 		//
 		// A light first repair pass only, on a tight area budget:
 		// filling the fast die with upsized cells before the ECO would

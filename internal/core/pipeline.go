@@ -98,6 +98,11 @@ type flowState struct {
 	// audit verifies the extraction cache before every analysis; it is
 	// armed exactly while a fault plan is.
 	audit bool
+	// forceFullSTA pins the timing engine to full recomputes. Absorb sets
+	// it when the flow degrades (flow.DegradeFullSTA), and a flow resumed
+	// from a degraded save restores it, so the resumed run's engine work
+	// matches the uninterrupted run's.
+	forceFullSTA bool
 	// cancel aborts the run's context (the fault plan's cancel class).
 	cancel context.CancelFunc
 	// saveSet names the boundaries Commit writes the design database at
@@ -183,7 +188,7 @@ func (s *flowState) Absorb(fc *flow.Context, stage string, err error) bool {
 		s.env.close() // next analyze rebuilds the timer from scratch
 		s.env.forceFull = true
 	}
-	s.opt.ForceFullSTA = true
+	s.forceFullSTA = true
 	fc.AddStat(flow.StatDegradeFullSTA, 1)
 	fc.MarkDegraded(flow.DegradeFullSTA)
 	return true
@@ -228,7 +233,7 @@ func (s *flowState) stageMap(fc *flow.Context) error {
 
 // stageSynth runs the pre-placement sizing pass at the target clock.
 func (s *flowState) stageSynth(fc *flow.Context) error {
-	return preSizeForClock(fc, s.d, s.libs, 1/s.opt.ClockGHz, 3, s.opt.ForceFullSTA, s.opt.FlowWorkers)
+	return preSizeForClock(fc, s.d, s.libs, 1/s.opt.ClockGHz, 3, s.forceFullSTA, s.opt.FlowWorkers)
 }
 
 // stageMacros balances hard macros across the dies.
@@ -303,7 +308,7 @@ func (s *flowState) bindTimingEnv(fc *flow.Context) {
 		cache:     s.cache,
 		period:    1 / s.opt.ClockGHz,
 		latency:   s.ct.LatencyFunc(),
-		forceFull: s.opt.ForceFullSTA,
+		forceFull: s.forceFullSTA,
 		audit:     s.audit,
 		workers:   s.opt.FlowWorkers,
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/cell"
+	"repro/internal/cost"
 	"repro/internal/cts"
 	"repro/internal/flow"
 	"repro/internal/netlist"
@@ -208,8 +209,8 @@ func overflowAtHalfDemand(cm *route.CongestionMap) float64 {
 // sta's fresh extractor), and the clock model (nil = ideal clock). The
 // optimization environments, the pre-partition criticality analysis and
 // flowd's sessions all build their configuration here so they can never
-// drift apart. The boundary derates (sta.Config.Hetero) stay off in
-// every configuration; see the Hetero-M3D sign-off note in hetero.go.
+// drift apart. Timing applies no boundary derates; see the Hetero-M3D
+// sign-off note in hetero.go.
 func STAConfig(period float64, ex route.Extractor, latency func(*netlist.Instance) float64, workers int) sta.Config {
 	cfg := sta.DefaultConfig(period)
 	cfg.Router = ex
@@ -234,9 +235,8 @@ type timingEnv struct {
 	cache   *route.Cache // ex when extraction is cached, nil otherwise
 	period  float64
 	latency func(*netlist.Instance) float64
-	// forceFull pins the timer to full recomputes (the -timer-stats
-	// kill switch for incremental updates; also set by the degradation
-	// path once a retained view has diverged).
+	// forceFull pins the timer to full recomputes (set by the
+	// degradation path once a retained view has diverged).
 	forceFull bool
 	// audit verifies the extraction cache against fresh extraction before
 	// every analysis — the detection side of cache-corruption faults.
@@ -607,8 +607,8 @@ func collect(d *netlist.Design, cfg ConfigName, opt Options, fp *place.Floorplan
 		return nil, nil, err
 	}
 	p.DieCostMicroC = dieCost * 1e6
-	p.CostPerCm2 = dieCost * 1e6 / (p.SiAreaMM2 / 100)
-	p.PDPpJ = p.PowerMW * p.EffDelayNS
+	p.CostPerCm2 = cost.CostPerCm2(p.DieCostMicroC, p.SiAreaMM2)
+	p.PDPpJ = cost.PDP(p.PowerMW, p.EffDelayNS)
 	// PPC uses the *achieved* frequency: the target when timing is met,
 	// 1/effective-delay when it fails (a design missing its clock only
 	// delivers the performance its worst path allows).
@@ -616,6 +616,6 @@ func collect(d *netlist.Design, cfg ConfigName, opt Options, fp *place.Floorplan
 	if p.WNS < 0 {
 		achieved = 1 / p.EffDelayNS
 	}
-	p.PPC = achieved / (p.PowerMW / 1000 * p.DieCostMicroC)
+	p.PPC = cost.PPC(achieved, p.PowerMW, p.DieCostMicroC)
 	return p, pw, nil
 }

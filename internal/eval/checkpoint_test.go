@@ -346,9 +346,9 @@ func TestKillAndResume(t *testing.T) {
 	}
 
 	restored := 0
-	for _, cfgs := range s.Health {
-		for _, h := range cfgs {
-			if h != nil && h.Restored {
+	for _, cfgs := range s.Results {
+		for _, r := range cfgs {
+			if r != nil && r.Restored {
 				restored++
 			}
 		}
@@ -402,9 +402,9 @@ func TestKillAndResume(t *testing.T) {
 	if got := s3.TableVII().String(); got != ref.TableVII().String() {
 		t.Error("fully-restored suite diverged")
 	}
-	for _, cfgs := range s3.Health {
-		for _, h := range cfgs {
-			if h == nil || !h.Restored {
+	for _, cfgs := range s3.Results {
+		for _, r := range cfgs {
+			if r == nil || !r.Restored {
 				t.Fatal("fully-checkpointed suite should restore every flow")
 			}
 		}

@@ -2,51 +2,11 @@ package eval
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/flow"
 	"repro/internal/report"
 )
-
-// FlowHealth is one flow's robustness outcome: how many attempts it took,
-// what was injected into it, how it degraded, and whether it was served
-// from a checkpoint instead of run.
-type FlowHealth struct {
-	// Attempts counts flow runs under the retry policy (1 = clean first
-	// try; 0 only for checkpoint-restored flows, which did not run).
-	Attempts int
-	// Restored marks a flow served from the evaluation checkpoint.
-	Restored bool
-	// Degraded lists the degraded-mode reasons the flow recorded.
-	Degraded []string
-	// Stage-stat sums across the flow's pipeline: injected faults,
-	// degraded-mode stage re-runs, recovered stage panics, and
-	// congestion-driven placement retries.
-	Faults, Reruns, Panics, Retries int64
-}
-
-// newFlowHealth derives a FlowHealth from a finished (or restored) flow
-// result and its retry trace.
-func newFlowHealth(r *core.Result, trace *flow.RetryTrace, restored bool) *FlowHealth {
-	h := &FlowHealth{Attempts: 1, Restored: restored}
-	if restored {
-		h.Attempts = 0
-	}
-	if trace != nil {
-		h.Attempts = trace.Attempts
-	}
-	if r != nil {
-		h.Degraded = r.Degraded
-		for _, m := range r.Stages {
-			h.Faults += m.Stats[flow.StatFaultsInjected]
-			h.Reruns += m.Stats[flow.StatStageReruns]
-			h.Panics += m.Stats[flow.StatPanicsRecovered]
-			h.Retries += m.Stats[flow.StatCongestionRetries]
-		}
-	}
-	return h
-}
 
 // ResilienceReport renders the suite's per-flow robustness outcomes: one
 // row per eventful flow (faults injected, retries taken, degraded mode
@@ -61,27 +21,24 @@ func (s *Suite) ResilienceReport() *report.Table {
 			if !ok || r == nil {
 				continue
 			}
-			h := s.Health[dn][cfg]
-			if h == nil {
-				h = newFlowHealth(r, nil, r.Restored)
-			}
+			tot := flow.Totals(r.Stages)
 			outcome := "ok"
 			switch {
-			case h.Restored:
+			case r.Restored:
 				outcome = "ok (restored)"
-			case len(h.Degraded) > 0:
+			case len(r.Degraded) > 0:
 				outcome = "ok (degraded)"
-			case h.Attempts > 1:
-				outcome = fmt.Sprintf("ok (attempt %d)", h.Attempts)
+			case r.Attempts > 1:
+				outcome = fmt.Sprintf("ok (attempt %d)", r.Attempts)
 			}
 			rows = append(rows, report.ResilienceRow{
 				Design:   string(dn),
 				Config:   string(cfg),
-				Attempts: h.Attempts,
-				Faults:   h.Faults,
-				Reruns:   h.Reruns,
-				Panics:   h.Panics,
-				Degraded: h.Degraded,
+				Attempts: r.Attempts,
+				Faults:   tot[flow.StatFaultsInjected],
+				Reruns:   tot[flow.StatStageReruns],
+				Panics:   tot[flow.StatPanicsRecovered],
+				Degraded: r.Degraded,
 				Outcome:  outcome,
 			})
 		}
@@ -102,35 +59,4 @@ func (s *Suite) Degradations() int {
 		}
 	}
 	return n
-}
-
-// resilienceSummary is a one-line digest for log output.
-func (s *Suite) resilienceSummary() string {
-	var faults, reruns, panics int64
-	attempts, restored := 0, 0
-	for _, cfgs := range s.Health {
-		for _, h := range cfgs {
-			if h == nil {
-				continue
-			}
-			faults += h.Faults
-			reruns += h.Reruns
-			panics += h.Panics
-			if h.Attempts > 1 {
-				attempts++
-			}
-			if h.Restored {
-				restored++
-			}
-		}
-	}
-	parts := []string{
-		fmt.Sprintf("%d fault(s)", faults),
-		fmt.Sprintf("%d rerun(s)", reruns),
-		fmt.Sprintf("%d panic(s)", panics),
-		fmt.Sprintf("%d retried flow(s)", attempts),
-		fmt.Sprintf("%d restored flow(s)", restored),
-		fmt.Sprintf("%d degradation(s)", s.Degradations()),
-	}
-	return strings.Join(parts, ", ")
 }

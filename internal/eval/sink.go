@@ -3,7 +3,6 @@ package eval
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/check"
 	"repro/internal/core"
@@ -70,106 +69,29 @@ func (l *LogSink) ConfigDone(design string, config core.ConfigName, p *core.PPAC
 		design, config, p.WNS, p.PowerMW, p.SiAreaMM2, p.PPC)
 }
 
-// StageReport aggregates the per-stage wall-time metrics of every flow in
-// the suite into the -stage-report table: one row per pipeline stage with
-// run count, total/mean/max wall time, ordered by total time spent — the
-// "which stage burns the time" view.
+// StageReport renders the -stage-report table over every flow in the
+// suite: one row per pipeline stage with its run count, wall time and
+// share, and the engine counters the stages reported, summed across
+// flows.
 func (s *Suite) StageReport() *report.Table {
-	cfgs := s.Opt.Configs
-	if len(cfgs) == 0 {
-		cfgs = core.AllConfigs
-	}
-	var order []string
-	rows := make(map[string]*report.StageRow)
+	var runs [][]flow.StageMetric
 	for _, dn := range s.DesignsInOrder() {
-		for _, cfg := range cfgs {
-			r, ok := s.Results[dn][cfg]
-			if !ok {
-				continue
-			}
-			for _, m := range r.Stages {
-				row, ok := rows[m.Name]
-				if !ok {
-					row = &report.StageRow{Stage: m.Name}
-					rows[m.Name] = row
-					order = append(order, m.Name)
-				}
-				row.Runs++
-				row.Total += m.Wall
-				if m.Wall > row.Max {
-					row.Max = m.Wall
-				}
+		for _, cfg := range s.Opt.withDefaults().Configs {
+			if r, ok := s.Results[dn][cfg]; ok {
+				runs = append(runs, r.Stages)
 			}
 		}
 	}
-	out := make([]report.StageRow, 0, len(order))
-	for _, name := range order {
-		out = append(out, *rows[name])
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Total > out[j].Total })
-	return report.StageTimingTable("Per-stage wall time across the suite's flows", out)
-}
-
-// EngineReport aggregates the timing-engine and extraction-cache
-// counters every flow's stages reported into the -timer-stats table:
-// one row per pipeline stage that ran at least one analysis, in
-// execution order.
-func (s *Suite) EngineReport() *report.Table {
-	cfgs := s.Opt.Configs
-	if len(cfgs) == 0 {
-		cfgs = core.AllConfigs
-	}
-	var order []string
-	rows := make(map[string]*report.EngineStatsRow)
-	for _, dn := range s.DesignsInOrder() {
-		for _, cfg := range cfgs {
-			r, ok := s.Results[dn][cfg]
-			if !ok {
-				continue
-			}
-			for _, m := range r.Stages {
-				if len(m.Stats) == 0 {
-					continue
-				}
-				row, ok := rows[m.Name]
-				if !ok {
-					row = &report.EngineStatsRow{Stage: m.Name}
-					rows[m.Name] = row
-					order = append(order, m.Name)
-				}
-				row.Full += m.Stats[flow.StatSTAFull]
-				row.Incremental += m.Stats[flow.StatSTAIncr]
-				row.Nodes += m.Stats[flow.StatSTANodes]
-				row.RCHits += m.Stats[flow.StatRCHits]
-				row.RCMisses += m.Stats[flow.StatRCMisses]
-				row.ParBatches += m.Stats[flow.StatParBatches]
-				row.ParTasks += m.Stats[flow.StatParTasks]
-				row.Retries += m.Stats[flow.StatCongestionRetries]
-				row.Faults += m.Stats[flow.StatFaultsInjected]
-				row.Reruns += m.Stats[flow.StatStageReruns]
-				row.Degraded += m.Stats[flow.StatDegradeFullSTA] + m.Stats[flow.StatDegradeUtil]
-				row.Panics += m.Stats[flow.StatPanicsRecovered]
-			}
-		}
-	}
-	out := make([]report.EngineStatsRow, 0, len(order))
-	for _, name := range order {
-		out = append(out, *rows[name])
-	}
-	return report.EngineStatsTable("Timing-engine updates and RC-cache traffic by stage", out)
+	return report.StageTable("Per-stage wall time and engine counters across the suite's flows", runs...)
 }
 
 // CheckReport collects every flow's stage-boundary check reports into the
 // -check table, with each boundary labeled design/config/stage. Empty
 // (only a totals line) when the suite ran with checks off.
 func (s *Suite) CheckReport() *report.Table {
-	cfgs := s.Opt.Configs
-	if len(cfgs) == 0 {
-		cfgs = core.AllConfigs
-	}
 	var reps []*check.Report
 	for _, dn := range s.DesignsInOrder() {
-		for _, cfg := range cfgs {
+		for _, cfg := range s.Opt.withDefaults().Configs {
 			r, ok := s.Results[dn][cfg]
 			if !ok {
 				continue

@@ -75,15 +75,24 @@ func TestCleanSuiteResilience(t *testing.T) {
 	if !strings.Contains(out, "0 degraded") {
 		t.Errorf("resilience report should show zero degraded flows:\n%s", out)
 	}
-	// The engine report gained the robustness columns; all zero here.
-	eng := s.EngineReport().String()
-	for _, col := range []string{"Faults", "Reruns", "Panics"} {
-		if !strings.Contains(eng, col) {
-			t.Errorf("engine report missing %q column:\n%s", col, eng)
+	// The stage report has one column per key the flows wrote: engine
+	// counters, and no robustness counter on a clean suite.
+	st := s.StageReport().String()
+	for _, col := range []string{flow.StatSTAFull, flow.StatSTAIncr, flow.StatRCHits, flow.StatParTasks} {
+		if !strings.Contains(st, col) {
+			t.Errorf("stage report missing %q column:\n%s", col, st)
 		}
 	}
-	summary := s.resilienceSummary()
-	if !strings.Contains(summary, "0 fault(s)") || !strings.Contains(summary, "0 degradation(s)") {
-		t.Errorf("summary = %q", summary)
+	for _, col := range []string{flow.StatFaultsInjected, flow.StatStageReruns, flow.StatPanicsRecovered} {
+		if strings.Contains(st, col) {
+			t.Errorf("clean stage report has a %q column:\n%s", col, st)
+		}
+	}
+	for dn, cfgs := range s.Results {
+		for cfg, r := range cfgs {
+			if r.Attempts != 1 {
+				t.Errorf("%s/%s: Attempts = %d, want 1", dn, cfg, r.Attempts)
+			}
+		}
 	}
 }

@@ -202,10 +202,6 @@ type Suite struct {
 	Fmax map[designs.Name]float64
 	// Results[design][config] is the full flow result.
 	Results map[designs.Name]map[core.ConfigName]*core.Result
-	// Health[design][config] is the flow's robustness outcome (attempts,
-	// injected faults, degradations, checkpoint restore) — the
-	// ResilienceReport's input.
-	Health map[designs.Name]map[core.ConfigName]*FlowHealth
 }
 
 // shield runs fn behind a panic barrier: a panicking job surfaces as a
@@ -261,11 +257,9 @@ func RunSuite(ctx context.Context, opt SuiteOptions) (*Suite, error) {
 		Opt:     opt,
 		Fmax:    make(map[designs.Name]float64),
 		Results: make(map[designs.Name]map[core.ConfigName]*core.Result),
-		Health:  make(map[designs.Name]map[core.ConfigName]*FlowHealth),
 	}
 	for _, name := range opt.Designs {
 		s.Results[name] = make(map[core.ConfigName]*core.Result, len(opt.Configs))
-		s.Health[name] = make(map[core.ConfigName]*FlowHealth, len(opt.Configs))
 	}
 
 	// The pool: a semaphore bounds concurrently executing jobs; the
@@ -386,7 +380,6 @@ func RunSuite(ctx context.Context, opt SuiteOptions) (*Suite, error) {
 						if r, ok := ck.Flow(name, cfg); ok {
 							mu.Lock()
 							s.Results[name][cfg] = r
-							s.Health[name][cfg] = newFlowHealth(r, nil, true)
 							mu.Unlock()
 							if opt.Events != nil {
 								opt.Events.ConfigDone(string(name), cfg, r.PPAC)
@@ -398,10 +391,7 @@ func RunSuite(ctx context.Context, opt SuiteOptions) (*Suite, error) {
 						return
 					}
 					defer func() { <-sem }()
-					var (
-						r     *core.Result
-						trace *flow.RetryTrace
-					)
+					var r *core.Result
 					err := shield(string(name), string(cfg), func() error {
 						o := core.DefaultOptions(fmax)
 						o.Seed = opt.Seed
@@ -424,7 +414,7 @@ func RunSuite(ctx context.Context, opt SuiteOptions) (*Suite, error) {
 							o.LoadDesign = dbPath
 						}
 						var rerr error
-						r, trace, rerr = core.RunWithRetry(jctx, src, cfg, o, opt.Retry)
+						r, _, rerr = core.RunWithRetry(jctx, src, cfg, o, opt.Retry)
 						return rerr
 					})
 					if err != nil {
@@ -439,7 +429,6 @@ func RunSuite(ctx context.Context, opt SuiteOptions) (*Suite, error) {
 					}
 					mu.Lock()
 					s.Results[name][cfg] = r
-					s.Health[name][cfg] = newFlowHealth(r, trace, false)
 					mu.Unlock()
 					if opt.Events != nil {
 						opt.Events.ConfigDone(string(name), cfg, r.PPAC)

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime/debug"
+	"sort"
 	"time"
 )
 
@@ -42,6 +43,31 @@ type StageMetric struct {
 	Wall  time.Duration
 	Cells int
 	Stats map[string]int64
+}
+
+// Totals sums every stat key across the given runs' stage metrics: one
+// flow's engine counters, or a suite's when several runs are passed. A
+// key any metric wrote is present in the result.
+func Totals(runs ...[]StageMetric) map[string]int64 {
+	tot := make(map[string]int64)
+	for _, ms := range runs {
+		for _, m := range ms {
+			for k, v := range m.Stats {
+				tot[k] += v
+			}
+		}
+	}
+	return tot
+}
+
+// SortedKeys returns the keys of a stat map in ascending order.
+func SortedKeys(stats map[string]int64) []string {
+	keys := make([]string, 0, len(stats))
+	for k := range stats {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // Sink receives structured pipeline events. Implementations must be safe

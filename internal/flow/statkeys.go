@@ -1,10 +1,11 @@
 package flow
 
 // The stat-key registry: every key passed to Context.AddStat must be one
-// of these constants. Keys travel from the engines through StageMetric
-// maps into three independent readers (cmd/hetero3d's engine report,
-// eval's aggregated engine table, the check report) — a typo'd string
-// would silently read as zero, so the statkeys analyzer
+// of these constants, and every constant here is one some AddStat call
+// writes. Keys travel from the engines through StageMetric maps into
+// Totals and the -stage-report table (one column per key written), and
+// the resilience reports read the robustness keys back by name — a
+// typo'd string would silently read as zero, so the statkeys analyzer
 // (tools/analyzers) rejects AddStat calls whose key is not a constant
 // declared here.
 const (
@@ -31,15 +32,6 @@ const (
 	StatDegradeFullSTA    = "degrade_full_sta"   // downgrades to full-STA recomputes
 	StatDegradeUtil       = "degrade_util"       // extra utilization relaxations past the retry budget
 	StatPanicsRecovered   = "panics_recovered"   // stage panics recovered into errors
-
-	// Distributed-evaluation counters (internal/shard's supervisor). These
-	// are farm-level events, not per-stage engine work: the supervisor
-	// records them on its own synthetic metrics so the resilience report
-	// can fold coordination history into the same table as the in-process
-	// robustness counters.
-	StatWorkerRestarts   = "worker_restarts"   // worker processes restarted after crash or watchdog kill
-	StatLeaseExpiries    = "lease_expiries"    // shard leases expired back to the pool
-	StatShardQuarantines = "shard_quarantines" // shard journals quarantined (CRC/header validation failure)
 
 	// Intra-flow parallelism counters (internal/par fan-outs inside the
 	// place/route/sta/cts kernels). Both count *scheduled* work — fan-out

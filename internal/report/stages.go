@@ -3,47 +3,84 @@ package report
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/flow"
 )
 
-// StageRow is one aggregated pipeline-stage timing line of the
-// -stage-report table. For a single flow run, Runs is 1 and Total is the
-// stage's wall time; suite-level reports aggregate across every flow.
-type StageRow struct {
-	Stage string
-	Runs  int
-	Total time.Duration
-	Max   time.Duration
-	// Cells is the design's cell count when the stage finished
-	// (rendered only when nonzero — aggregated rows omit it).
-	Cells int
-}
-
-// StageTimingTable renders per-stage wall-time rows as an aligned table
-// with a share-of-total column.
-func StageTimingTable(title string, rows []StageRow) *Table {
-	t := NewTable(title, "Stage", "Runs", "Total", "Mean", "Max", "Share", "Cells")
-	var total time.Duration
-	for _, r := range rows {
-		total += r.Total
+// StageTable renders the -stage-report table over one or more flow
+// runs' stage metrics: one row per stage in first-seen order with its
+// run count, total/mean/max wall time and share of the total, then one
+// column per engine-counter key any metric reported, sorted by key. A
+// single run also shows each stage's finishing cell count. A totals row
+// closes the table.
+func StageTable(title string, runs ...[]flow.StageMetric) *Table {
+	type row struct {
+		runs       int
+		total, max time.Duration
+		cells      int
+		stats      map[string]int64
 	}
+	var order []string
+	rows := make(map[string]*row)
+	var total time.Duration
+	for _, ms := range runs {
+		for _, m := range ms {
+			r, ok := rows[m.Name]
+			if !ok {
+				r = &row{stats: make(map[string]int64)}
+				rows[m.Name] = r
+				order = append(order, m.Name)
+			}
+			r.runs++
+			r.total += m.Wall
+			r.max = max(r.max, m.Wall)
+			r.cells = m.Cells
+			for k, v := range m.Stats {
+				r.stats[k] += v
+			}
+			total += m.Wall
+		}
+	}
+	totals := flow.Totals(runs...)
+	keys := flow.SortedKeys(totals)
+
+	single := len(runs) == 1
+	headers := []string{"Stage", "Runs", "Total", "Mean", "Max", "Share"}
+	if single {
+		headers = append(headers, "Cells")
+	}
+	t := NewTable(title, append(headers, keys...)...)
 	ms := func(d time.Duration) string {
 		return fmt.Sprintf("%.1fms", float64(d.Microseconds())/1000)
 	}
-	for _, r := range rows {
-		mean := time.Duration(0)
-		if r.Runs > 0 {
-			mean = r.Total / time.Duration(r.Runs)
+	count := func(v int64) string {
+		if v == 0 {
+			return "-"
 		}
+		return fmt.Sprint(v)
+	}
+	for _, name := range order {
+		r := rows[name]
 		share := "-"
 		if total > 0 {
-			share = fmt.Sprintf("%.1f%%", 100*float64(r.Total)/float64(total))
+			share = fmt.Sprintf("%.1f%%", 100*float64(r.total)/float64(total))
 		}
-		cells := "-"
-		if r.Cells > 0 {
-			cells = fmt.Sprint(r.Cells)
+		cells := []string{name, fmt.Sprint(r.runs), ms(r.total), ms(r.total / time.Duration(r.runs)), ms(r.max), share}
+		if single {
+			cells = append(cells, count(int64(r.cells)))
 		}
-		t.AddRowf(r.Stage, fmt.Sprint(r.Runs), ms(r.Total), ms(mean), ms(r.Max), share, cells)
+		for _, k := range keys {
+			cells = append(cells, count(r.stats[k]))
+		}
+		t.AddRowf(cells...)
 	}
-	t.AddRowf("total", "", ms(total), "", "", "", "")
+	cells := []string{"total", "", ms(total), "", "", ""}
+	if single {
+		cells = append(cells, "")
+	}
+	for _, k := range keys {
+		cells = append(cells, count(totals[k]))
+	}
+	t.AddRowf(cells...)
 	return t
 }

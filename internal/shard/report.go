@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/eval"
-	"repro/internal/flow"
 	"repro/internal/report"
 )
 
@@ -39,18 +38,6 @@ type ShardState struct {
 	// StderrTail is the last worker's captured stderr tail (attribution
 	// for the post-mortem; empty for shards that never misbehaved).
 	StderrTail string
-}
-
-// Metrics exposes the farm's coordination counters under the registered
-// stat keys (internal/flow/statkeys.go), the same vocabulary the
-// in-process robustness counters use — so the CI chaos job and the
-// resilience report read one namespace for both.
-func (f *Farm) Metrics() map[string]int64 {
-	return map[string]int64{
-		flow.StatWorkerRestarts:   int64(f.Restarts),
-		flow.StatLeaseExpiries:    int64(f.Expiries),
-		flow.StatShardQuarantines: int64(f.Quarantines),
-	}
 }
 
 // Report renders the farm ledger: one row per shard plus a totals row

@@ -232,10 +232,6 @@ func TestFarmChaosKillAndResume(t *testing.T) {
 	if !strings.Contains(history, "stalled") {
 		t.Errorf("no stall attribution in lease history:\n%s", history)
 	}
-	m := farm.Metrics()
-	if m["worker_restarts"] != int64(farm.Restarts) || m["lease_expiries"] != int64(farm.Expiries) {
-		t.Errorf("Metrics() disagrees with counters: %v", m)
-	}
 
 	// Every result must be checkpoint-restored — the farm reruns
 	// nothing while rehydrating the merged journal.

@@ -4,9 +4,9 @@
 // WNS/TNS, per-cell worst slack (the criticality metric feeding the
 // timing-based partitioner), and K-worst critical path extraction.
 //
-// Heterogeneous 3-D designs get the paper's boundary-cell derates
-// (Tables II/III) applied to any cell whose input or output nets cross
-// tiers.
+// Heterogeneous 3-D designs are timed on their per-tier libraries and
+// tier-true extracted loads, with no boundary-cell derates: sign-off
+// timing in the paper's flow does not derate (power analysis does).
 package sta
 
 import (

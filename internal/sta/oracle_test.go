@@ -20,7 +20,6 @@ import (
 type oracle struct {
 	d   *netlist.Design
 	cfg Config
-	res *Result // carries cfg for applyDerates only
 	rc  []*route.NetRC
 
 	arrIn, arr, arrMin, slew, delay, req []float64
@@ -31,7 +30,7 @@ type oracle struct {
 func newOracle(t *testing.T, d *netlist.Design, cfg Config) *oracle {
 	n := len(d.Instances)
 	o := &oracle{
-		d: d, cfg: cfg, res: &Result{cfg: cfg, d: d}, rc: make([]*route.NetRC, len(d.Nets)),
+		d: d, cfg: cfg, rc: make([]*route.NetRC, len(d.Nets)),
 		arrIn: make([]float64, n), arr: make([]float64, n), arrMin: make([]float64, n), slew: make([]float64, n),
 		delay: make([]float64, n), req: make([]float64, n),
 		fwd: make([]int8, n), bwd: make([]int8, n), t: t,
@@ -72,7 +71,6 @@ func (o *oracle) forward(inst *netlist.Instance) {
 	if f.IsSequential() || f.IsMacro() {
 		d0 := inst.Master.Delay.Lookup(o.cfg.InputSlew, load)
 		s0 := inst.Master.OutSlew.Lookup(o.cfg.InputSlew, load)
-		d0, s0 = o.res.applyDerates(inst, out, o.d, d0, s0)
 		o.delay[id], o.arr[id], o.arrMin[id], o.slew[id] = d0, d0, d0, s0
 		o.fwd[id] = 2
 		return
@@ -107,7 +105,6 @@ func (o *oracle) forward(inst *netlist.Instance) {
 	}
 	d0 := inst.Master.Delay.Lookup(si, load)
 	s0 := inst.Master.OutSlew.Lookup(si, load)
-	d0, s0 = o.res.applyDerates(inst, out, o.d, d0, s0)
 	o.arrIn[id] = ai
 	o.delay[id], o.arr[id], o.arrMin[id], o.slew[id] = d0, ai+d0, ami+d0, s0
 	o.fwd[id] = 2
@@ -180,9 +177,9 @@ func (o *oracle) worst() (setup, hold float64) {
 
 // TestAnalyzeMatchesOracle checks the levelized engine against the
 // order-free oracle on random register-bounded DAGs whose cells mix
-// register and combinational fanin, with and without hetero derates.
-// Beyond the per-cell values it checks that the reported predecessor is
-// a worst-arrival driver and that WNS is the worst capture slack.
+// register and combinational fanin and span both tiers. Beyond the
+// per-cell values it checks that the reported predecessor is a
+// worst-arrival driver and that WNS is the worst capture slack.
 func TestAnalyzeMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		d := randomDAG(t, seed)
@@ -191,41 +188,37 @@ func TestAnalyzeMatchesOracle(t *testing.T) {
 				inst.Tier = tech.TierTop
 			}
 		}
-		for _, hetero := range []bool{false, true} {
-			cfg := DefaultConfig(0.7)
-			cfg.Hetero = hetero
-			cfg.Derates = tech.DefaultDerates()
-			tm, err := NewTimer(d, cfg)
-			if err != nil {
-				t.Fatal(err)
+		cfg := DefaultConfig(0.7)
+		tm, err := NewTimer(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tm.Update()
+		tm.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := newOracle(t, d, cfg)
+		for _, inst := range d.Instances {
+			id := inst.ID
+			o.forward(inst)
+			req := o.required(inst)
+			if got.arrOut[id] != o.arr[id] || tm.arrMinOut[id] != o.arrMin[id] ||
+				got.slewOut[id] != o.slew[id] || got.delay[id] != o.delay[id] || got.reqOut[id] != req {
+				t.Fatalf("seed %d: %s arr/min/slew/delay/req = %v/%v/%v/%v/%v, oracle %v/%v/%v/%v/%v",
+					seed, inst.Name, got.arrOut[id], tm.arrMinOut[id], got.slewOut[id], got.delay[id], got.reqOut[id],
+					o.arr[id], o.arrMin[id], o.slew[id], o.delay[id], req)
 			}
-			got, err := tm.Update()
-			tm.Close()
-			if err != nil {
-				t.Fatal(err)
+			if f := inst.Master.Function; f.IsSequential() || f.IsMacro() {
+				continue
 			}
-			o := newOracle(t, d, cfg)
-			for _, inst := range d.Instances {
-				id := inst.ID
-				o.forward(inst)
-				req := o.required(inst)
-				if got.arrOut[id] != o.arr[id] || tm.arrMinOut[id] != o.arrMin[id] ||
-					got.slewOut[id] != o.slew[id] || got.delay[id] != o.delay[id] || got.reqOut[id] != req {
-					t.Fatalf("seed %d hetero %v: %s arr/min/slew/delay/req = %v/%v/%v/%v/%v, oracle %v/%v/%v/%v/%v",
-						seed, hetero, inst.Name, got.arrOut[id], tm.arrMinOut[id], got.slewOut[id], got.delay[id], got.reqOut[id],
-						o.arr[id], o.arrMin[id], o.slew[id], o.delay[id], req)
-				}
-				if f := inst.Master.Function; f.IsSequential() || f.IsMacro() {
-					continue
-				}
-				if p := got.pred[id]; p >= 0 && got.arrOut[p]+got.inWire[id] != o.arrIn[id] {
-					t.Fatalf("seed %d hetero %v: %s pred %d arrives at %v, worst input at %v",
-						seed, hetero, inst.Name, p, got.arrOut[p]+got.inWire[id], o.arrIn[id])
-				}
+			if p := got.pred[id]; p >= 0 && got.arrOut[p]+got.inWire[id] != o.arrIn[id] {
+				t.Fatalf("seed %d: %s pred %d arrives at %v, worst input at %v",
+					seed, inst.Name, p, got.arrOut[p]+got.inWire[id], o.arrIn[id])
 			}
-			if wns, hold := o.worst(); got.WNS != wns || got.HoldWNS != hold {
-				t.Fatalf("seed %d hetero %v: WNS/hold WNS %v/%v, oracle %v/%v", seed, hetero, got.WNS, got.HoldWNS, wns, hold)
-			}
+		}
+		if wns, hold := o.worst(); got.WNS != wns || got.HoldWNS != hold {
+			t.Fatalf("seed %d: WNS/hold WNS %v/%v, oracle %v/%v", seed, got.WNS, got.HoldWNS, wns, hold)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/netlist"
 	"repro/internal/route"
-	"repro/internal/tech"
 )
 
 // Config parameterizes one timing analysis.
@@ -22,13 +21,6 @@ type Config struct {
 	// Latency returns the clock-tree arrival time at a sequential cell's
 	// clock pin; nil means an ideal (zero-latency, zero-skew) clock.
 	Latency func(*netlist.Instance) float64
-	// Hetero enables the boundary-cell derates for cross-tier nets.
-	Hetero bool
-	// Derates is the boundary derate model (DefaultDerates if zero and
-	// Hetero is set).
-	Derates tech.DerateModel
-	// FastTrack identifies the fast (higher-VDD) library of the pair.
-	FastTrack tech.Track
 	// ForceFull disables incremental updates on a Timer: every Update
 	// recomputes from scratch. One-shot Analyze is always full.
 	ForceFull bool
@@ -46,7 +38,6 @@ func DefaultConfig(period float64) Config {
 	return Config{
 		Period:    period,
 		InputSlew: 0.02,
-		FastTrack: tech.Track12,
 	}
 }
 
@@ -98,34 +89,6 @@ func Analyze(d *netlist.Design, cfg Config) (*Result, error) {
 	}
 	defer t.Close()
 	return t.Update()
-}
-
-// applyDerates multiplies the boundary-cell derates into a stage's delay
-// and slew when hetero analysis is on (Sec. II-B): an output boundary when
-// the cell's output net crosses tiers, an input boundary when any input
-// net's driver sits on the other tier.
-func (res *Result) applyDerates(inst *netlist.Instance, out *netlist.Net, d *netlist.Design, delay, slew float64) (float64, float64) {
-	cfg := &res.cfg
-	if !cfg.Hetero {
-		return delay, slew
-	}
-	fast := inst.Master.Track == cfg.FastTrack
-	der := tech.Unity()
-	if out != nil && out.CrossesTiers() {
-		der = der.Compose(cfg.Derates.ForOutputBoundary(fast))
-	}
-	// Conn's rows are shared slices — no per-node allocation here, and
-	// this runs once per instance per analysis.
-	for _, in := range d.Conn().InputNets(inst) {
-		if in.IsClock {
-			continue
-		}
-		if in.Driver.Valid() && in.Driver.Inst.Tier != inst.Tier {
-			der = der.Compose(cfg.Derates.ForInputBoundary(fast))
-			break
-		}
-	}
-	return delay * der.Delay, slew * der.Slew
 }
 
 // CellSlack returns the worst slack among all paths through the instance

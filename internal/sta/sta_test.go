@@ -269,29 +269,6 @@ func TestClockLatencySkewAffectsSlack(t *testing.T) {
 	}
 }
 
-func TestHeteroDeratesShiftTiming(t *testing.T) {
-	d := chainDesign(t, 16, lib12)
-	// Alternate tiers down the chain: every cell is a boundary cell.
-	for i, inst := range d.Instances {
-		inst.Tier = tech.Tier(i % 2)
-	}
-	plain, err := Analyze(d, DefaultConfig(1.0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(1.0)
-	cfg.Hetero = true
-	het, err := Analyze(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All cells are fast-library; fast-cell derates at output boundaries
-	// are < 1, so the hetero analysis must differ from the plain one.
-	if plain.WNS == het.WNS {
-		t.Error("hetero derates had no effect")
-	}
-}
-
 func TestCombinationalCycleDetected(t *testing.T) {
 	d := netlist.New("cyc")
 	a, _ := d.AddInstance("a", lib12.Smallest(cell.FuncInv))

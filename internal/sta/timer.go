@@ -112,12 +112,6 @@ func NewTimer(d *netlist.Design, cfg Config) (*Timer, error) {
 	if cfg.InputSlew <= 0 {
 		cfg.InputSlew = 0.02
 	}
-	if cfg.Hetero && cfg.Derates == (tech.DerateModel{}) {
-		cfg.Derates = tech.DefaultDerates()
-	}
-	if cfg.FastTrack == 0 {
-		cfg.FastTrack = tech.Track12
-	}
 	lat := cfg.Latency
 	if lat == nil {
 		lat = func(*netlist.Instance) float64 { return 0 }
@@ -710,14 +704,12 @@ func (t *Timer) computeNode(inst *netlist.Instance) bool {
 		// Launch: clock latency + CLK→Q (or access) delay.
 		d0 = inst.Master.Delay.Lookup(cfg.InputSlew, load)
 		s0 := inst.Master.OutSlew.Lookup(cfg.InputSlew, load)
-		d0, s0 = res.applyDerates(inst, out, d, d0, s0)
 		arr = t.lat(inst) + d0
 		arrMin = arr
 		slw = s0
 	} else {
 		d0 = inst.Master.Delay.Lookup(t.slewIn[id], load)
 		s0 := inst.Master.OutSlew.Lookup(t.slewIn[id], load)
-		d0, s0 = res.applyDerates(inst, out, d, d0, s0)
 		arr = t.arrIn[id] + d0
 		am := t.arrMinIn[id]
 		if math.IsInf(am, 1) {

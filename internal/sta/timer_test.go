@@ -171,24 +171,20 @@ func runEquivalence(t *testing.T, tag string, d *netlist.Design, cfg Config, mk 
 }
 
 // TestTimerEquivalenceRandomDAGs fuzzes the incremental engine across many
-// random topologies, with geometric extraction, ideal and non-ideal use of
-// tiers, and the hetero derate path.
+// random topologies, with geometric extraction and ideal and non-ideal
+// use of tiers.
 func TestTimerEquivalenceRandomDAGs(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		d := randomDAG(t, seed)
 		rng := rand.New(rand.NewSource(seed * 7))
-		// Scatter tiers before the session starts so cross-tier derates and
-		// MIV resistances are live from the first update.
+		// Scatter tiers before the session starts so MIV resistances are
+		// live from the first update.
 		for _, inst := range d.Instances {
 			if rng.Intn(3) == 0 {
 				inst.Tier = tech.TierTop
 			}
 		}
-		cfg := DefaultConfig(0.7)
-		if seed%2 == 1 {
-			cfg.Hetero = true
-		}
-		runEquivalence(t, "dag"+itoa(int(seed)), d, cfg, func() route.Extractor { return route.New() }, rng, 10)
+		runEquivalence(t, "dag"+itoa(int(seed)), d, DefaultConfig(0.7), func() route.Extractor { return route.New() }, rng, 10)
 	}
 }
 

@@ -25,9 +25,6 @@ func TestAnalyzeWorkersEquivalence(t *testing.T) {
 			}
 		}
 		cfg := DefaultConfig(0.7)
-		if seed%2 == 1 {
-			cfg.Hetero = true
-		}
 		serial, err := Analyze(d, cfg)
 		if err != nil {
 			t.Fatalf("seed %d serial: %v", seed, err)

@@ -1,9 +1,10 @@
 // Package statkeys flags flow.Context.AddStat calls whose key is not a
 // constant declared in internal/flow's stat-key registry
 // (internal/flow/statkeys.go). Ad-hoc string keys fragment the metric
-// namespace: the aggregation tables (-timer-stats, -check) join stage
-// metrics across flows by key, so a typo silently drops a counter from
-// every report instead of failing anywhere.
+// namespace: the -stage-report table and the resilience reports join
+// stage metrics across flows by key, so a typo silently splits a counter
+// into a column of its own, or drops it from the reports that read it
+// by name, instead of failing anywhere.
 package statkeys
 
 import (
