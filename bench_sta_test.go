@@ -108,7 +108,6 @@ func BenchmarkStaIncremental(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer tm.Close()
 		if _, err := tm.Update(); err != nil {
 			b.Fatal(err)
 		}
@@ -176,7 +175,6 @@ func BenchmarkRepairTiming(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer tm.Close()
 		if _, err := tm.Update(); err != nil {
 			b.Fatal(err)
 		}

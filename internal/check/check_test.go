@@ -37,21 +37,21 @@ func chain(t *testing.T, depth int) (*netlist.Design, Input) {
 	}
 	h := lib12.Variant.CellHeight
 	ff0, _ := d.AddInstance("ff0", lib12.Smallest(cell.FuncDFF))
-	ff0.InitLoc(geom.Pt(2, h/2))
+	ff0.SetLoc(geom.Pt(2, h/2))
 	connect(ff0, "D", in)
 	connect(ff0, "CK", clk)
 	cur, _ := d.AddNet("q0")
 	connect(ff0, "Q", cur)
 	for i := 0; i < depth; i++ {
 		inv, _ := d.AddInstance("inv"+string(rune('a'+i)), lib12.Smallest(cell.FuncInv))
-		inv.InitLoc(geom.Pt(float64(i+2)*3, h/2))
+		inv.SetLoc(geom.Pt(float64(i+2)*3, h/2))
 		connect(inv, "A", cur)
 		nxt, _ := d.AddNet("n" + string(rune('a'+i)))
 		connect(inv, "Y", nxt)
 		cur = nxt
 	}
 	ff1, _ := d.AddInstance("ff1", lib12.Smallest(cell.FuncDFF))
-	ff1.InitLoc(geom.Pt(float64(depth+2)*3, h/2))
+	ff1.SetLoc(geom.Pt(float64(depth+2)*3, h/2))
 	connect(ff1, "D", cur)
 	connect(ff1, "CK", clk)
 	q1, _ := d.AddNet("q1")
@@ -144,7 +144,7 @@ func TestERC002UndrivenNet(t *testing.T) {
 	d, in := chain(t, 2)
 	n, _ := d.AddNet("undriven")
 	sink, _ := d.AddInstance("load", lib12.Smallest(cell.FuncInv))
-	sink.InitLoc(geom.Pt(3, lib12.Variant.CellHeight/2*3)) // second row
+	sink.SetLoc(geom.Pt(3, lib12.Variant.CellHeight/2*3)) // second row
 	if err := d.Connect(sink, "A", n); err != nil {
 		t.Fatal(err)
 	}
@@ -172,13 +172,13 @@ func TestERC003MultiDrivenNet(t *testing.T) {
 func TestERC004FloatingInput(t *testing.T) {
 	d, in := chain(t, 2)
 	idle, _ := d.AddInstance("idle", lib12.Smallest(cell.FuncInv))
-	idle.InitLoc(geom.Pt(6, lib12.Variant.CellHeight/2*3))
+	idle.SetLoc(geom.Pt(6, lib12.Variant.CellHeight/2*3))
 	out, _ := d.AddNet("idle_out")
 	if err := d.Connect(idle, "Y", out); err != nil {
 		t.Fatal(err)
 	}
 	sink, _ := d.AddInstance("idle_sink", lib12.Smallest(cell.FuncInv))
-	sink.InitLoc(geom.Pt(9, lib12.Variant.CellHeight/2*3))
+	sink.SetLoc(geom.Pt(9, lib12.Variant.CellHeight/2*3))
 	if err := d.Connect(sink, "A", out); err != nil {
 		t.Fatal(err)
 	}
@@ -269,8 +269,8 @@ func TestERC008CombinationalLoop(t *testing.T) {
 	a, _ := d.AddInstance("loop_a", lib12.Smallest(cell.FuncInv))
 	b, _ := d.AddInstance("loop_b", lib12.Smallest(cell.FuncInv))
 	h := lib12.Variant.CellHeight
-	a.InitLoc(geom.Pt(3, h/2*3))
-	b.InitLoc(geom.Pt(6, h/2*3))
+	a.SetLoc(geom.Pt(3, h/2*3))
+	b.SetLoc(geom.Pt(6, h/2*3))
 	n1, _ := d.AddNet("loop_n1")
 	n2, _ := d.AddNet("loop_n2")
 	for _, c := range []struct {

@@ -185,7 +185,7 @@ func (s *flowState) Absorb(fc *flow.Context, stage string, err error) bool {
 		s.cache.Invalidate()
 	}
 	if s.env != nil {
-		s.env.close() // next analyze rebuilds the timer from scratch
+		s.env.timer = nil // next analyze rebuilds the timer from scratch
 		s.env.forceFull = true
 	}
 	s.forceFullSTA = true
@@ -359,7 +359,7 @@ func (s *flowState) stageSignoff(fc *flow.Context) error {
 	}
 	if s.env != nil {
 		s.env.reportStats()
-		s.env.close()
+		s.env.timer = nil
 	}
 	return nil
 }

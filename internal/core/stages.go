@@ -300,15 +300,6 @@ func (e *timingEnv) reportStats() {
 	}
 }
 
-// close detaches the persistent timer from the design's journal. The
-// retained results stay readable.
-func (e *timingEnv) close() {
-	if e.timer != nil {
-		e.timer.Close()
-		e.timer = nil
-	}
-}
-
 // libOf returns the library an instance sizes within (by its tier for
 // hetero designs, the bottom library otherwise).
 func (e *timingEnv) libOf(inst *netlist.Instance) *cell.Library {
@@ -333,7 +324,6 @@ func preSizeForClock(fc *flow.Context, d *netlist.Design, libs [2]*cell.Library,
 	wlmRouter.WLMPerSinkFF = 2.5
 	cache := route.NewCache(wlmRouter, d)
 	e := &timingEnv{fc: fc, d: d, libs: libs, ex: cache, cache: cache, period: period, forceFull: forceFull, workers: workers}
-	defer e.close()
 	// Synthesis aims for margin, not bare closure: cells within 3 % of
 	// the period get upsized too, which is what makes a slow library
 	// chasing a fast target balloon in area.

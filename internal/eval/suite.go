@@ -262,19 +262,11 @@ func RunSuite(ctx context.Context, opt SuiteOptions) (*Suite, error) {
 		s.Results[name] = make(map[core.ConfigName]*core.Result, len(opt.Configs))
 	}
 
-	// The pool: a semaphore bounds concurrently executing jobs; the
-	// first failure cancels every other job via jctx.
+	// The pool: a limiter bounds concurrently executing jobs; the first
+	// failure cancels every other job via jctx.
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	sem := make(chan struct{}, workers)
-	acquire := func() bool {
-		select {
-		case sem <- struct{}{}:
-			return true
-		case <-jctx.Done():
-			return false
-		}
-	}
+	slots := par.NewLimiter(workers)
 	var (
 		mu       sync.Mutex
 		firstErr error
@@ -324,7 +316,7 @@ func RunSuite(ctx context.Context, opt SuiteOptions) (*Suite, error) {
 				// Generation and the f_max search occupy one worker
 				// slot; the search itself is sequential (each probe's
 				// effective delay steers the next).
-				if !acquire() {
+				if slots.Acquire(jctx) != nil {
 					return
 				}
 				err := shield(string(name), "", func() error {
@@ -354,7 +346,7 @@ func RunSuite(ctx context.Context, opt SuiteOptions) (*Suite, error) {
 					}
 					return nil
 				})
-				<-sem
+				slots.Release()
 				if err != nil {
 					fail(err)
 					return
@@ -387,10 +379,10 @@ func RunSuite(ctx context.Context, opt SuiteOptions) (*Suite, error) {
 							return
 						}
 					}
-					if !acquire() {
+					if slots.Acquire(jctx) != nil {
 						return
 					}
-					defer func() { <-sem }()
+					defer slots.Release()
 					var r *core.Result
 					err := shield(string(name), string(cfg), func() error {
 						o := core.DefaultOptions(fmax)

@@ -24,10 +24,6 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the exponential backoff (0 = 30s).
 	MaxDelay time.Duration
-	// SameSeed pins every attempt to the original seed instead of
-	// deriving fresh ones — for reproducing a failure rather than
-	// recovering from it.
-	SameSeed bool
 }
 
 // NoRetry is the zero policy: one attempt, no backoff.
@@ -54,7 +50,7 @@ func (p RetryPolicy) normalized() RetryPolicy {
 // base seed: attempt 0 is always the base seed; later attempts mix in a
 // large odd constant so sibling designs' derived seeds cannot collide.
 func (p RetryPolicy) AttemptSeed(base int64, attempt int) int64 {
-	if attempt == 0 || p.SameSeed {
+	if attempt == 0 {
 		return base
 	}
 	return base + int64(attempt)*0x4F1BBCDCBFA53E0B

@@ -395,10 +395,6 @@ func TestAttemptSeeds(t *testing.T) {
 	if p.AttemptSeed(7, 0) != 7 {
 		t.Error("attempt 0 must run the original seed")
 	}
-	pinned := RetryPolicy{Attempts: 3, SameSeed: true}
-	if pinned.AttemptSeed(7, 2) != 7 {
-		t.Error("SameSeed must pin every attempt to the base seed")
-	}
 }
 
 func TestRetryPolicyDo(t *testing.T) {

@@ -31,7 +31,6 @@ func (d *Design) ReplaceMaster(inst *Instance, m *cell.Master) error {
 	}
 	inst.Master = m
 	d.bumpInst(inst)
-	d.notify(Change{Kind: ChangeMaster, Inst: inst})
 	return nil
 }
 

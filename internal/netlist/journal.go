@@ -3,9 +3,11 @@ package netlist
 import "fmt"
 
 // Change journaling: every structural or physical mutation of a Design
-// bumps fine-grained revision counters and notifies registered observers,
-// so downstream caches (RC extraction, the incremental timing engine) know
-// exactly what was dirtied instead of re-deriving the whole design.
+// bumps fine-grained revision counters, so downstream consumers (RC
+// extraction caches, the incremental timing engine, the connectivity
+// snapshot) learn exactly what was dirtied by comparing the counters
+// against the values they saw last, instead of re-deriving the whole
+// design.
 //
 // Three revision domains cover the invalidation needs of the flow:
 //
@@ -18,104 +20,38 @@ import "fmt"
 //     (instances/nets/ports added, pins connected or disconnected). A
 //     retained timing graph must re-levelize when this moves.
 //
-// Direct writes to the exported Instance fields (Loc, Tier) remain legal
-// while no observer is attached — generators and the pre-timing placement
-// stages use them freely. Once a persistent consumer (sta.Timer,
-// route.Cache) is watching the design, mutations must go through the
-// journaled APIs: ReplaceMaster, InsertBuffer, Connect, Disconnect,
-// Instance.SetLoc, and Instance.SetTier.
+// Outside this package, every mutation goes through the journaled APIs:
+// ReplaceMaster, InsertBuffer, Connect, Disconnect, Instance.SetLoc and
+// Instance.SetTier. A direct write to Instance.Loc or .Tier bumps
+// nothing, so every consumer keyed on the counters would keep a stale
+// view.
 
-// ChangeKind classifies one journaled mutation.
-type ChangeKind uint8
-
-const (
-	// ChangeMaster is a gate resize/retarget (ReplaceMaster): the
-	// instance's delay tables and pin caps changed, geometry did not.
-	ChangeMaster ChangeKind = iota
-	// ChangeLoc is a placement move (Instance.SetLoc): wire geometry of
-	// every connected net changed.
-	ChangeLoc
-	// ChangeTier is a die reassignment (Instance.SetTier): MIV counts and
-	// boundary derates of every connected net changed.
-	ChangeTier
-	// ChangeStructure is a connectivity edit (instance/net/port added,
-	// pin connected or disconnected, buffer inserted). Retained timing
-	// graphs must rebuild.
-	ChangeStructure
-)
-
-func (k ChangeKind) String() string {
-	switch k {
-	case ChangeMaster:
-		return "master"
-	case ChangeLoc:
-		return "loc"
-	case ChangeTier:
-		return "tier"
-	case ChangeStructure:
-		return "structure"
-	default:
-		return "unknown"
-	}
-}
-
-// Change describes one journaled mutation. Inst is the affected instance
-// for master/loc/tier changes and may be nil for structural edits.
-type Change struct {
-	Kind ChangeKind
-	Inst *Instance
-}
-
-// Observer receives change notifications from a Design. Notifications are
-// synchronous and arrive on the mutating goroutine; observers must not
-// mutate the design from inside the callback.
-type Observer interface {
-	DesignChanged(Change)
-}
-
-// journal is the per-design revision and observer state. maxTopo is the
-// high-water mark of topoRev — they only differ after a fault-injected
-// rewind (CorruptTopoRev), and Reconcile uses it to move the revision
-// strictly past every value previously handed out.
+// journal is the per-design revision state. maxTopo is the high-water
+// mark of topoRev — they only differ after a fault-injected rewind
+// (CorruptTopoRev), and Reconcile uses it to move the revision strictly
+// past every value previously handed out.
 type journal struct {
-	topoRev   uint64
-	maxTopo   uint64
-	netRev    []uint64 // by net ID
-	instRev   []uint64 // by instance ID
-	observers []Observer
-}
-
-// Observe registers an observer for all subsequent journaled mutations.
-func (d *Design) Observe(o Observer) {
-	d.jn.observers = append(d.jn.observers, o)
-}
-
-// Unobserve removes a previously registered observer.
-func (d *Design) Unobserve(o Observer) {
-	for i, cur := range d.jn.observers {
-		if cur == o {
-			d.jn.observers = append(d.jn.observers[:i], d.jn.observers[i+1:]...)
-			return
-		}
-	}
+	topoRev uint64
+	maxTopo uint64
+	netRev  []uint64 // by net ID
+	instRev []uint64 // by instance ID
 }
 
 // TopoRev returns the design's connectivity revision: it moves whenever
 // the instance/net/port sets or any pin binding change.
 func (d *Design) TopoRev() uint64 { return d.jn.topoRev }
 
-// Observers returns the number of registered observers. The construction
-// bulk-init mutators (InitLoc/InitTier) use it to decide whether full
-// notification is required; the design-integrity checker reads it too.
-func (d *Design) Observers() int { return len(d.jn.observers) }
+// InstRevs returns every instance's revision, indexed by instance ID: the
+// bulk form of InstRev for consumers that diff the whole design against a
+// saved copy. A coherent journal covers every instance (AddInstance grows
+// the array in lockstep); the design-integrity checker's ENG rules assert
+// exactly that. The slice aliases the journal: read it only, and only
+// until the next mutation.
+func (d *Design) InstRevs() []uint64 { return d.jn.instRev }
 
-// JournalCoverage returns the lengths of the per-instance and per-net
-// revision arrays. A coherent journal covers every instance and net
-// (AddInstance/AddNet grow the arrays in lockstep); the design-integrity
-// checker's ENG rules assert exactly that.
-func (d *Design) JournalCoverage() (insts, nets int) {
-	return len(d.jn.instRev), len(d.jn.netRev)
-}
+// NetRevs returns every net's revision, indexed by net ID, with the same
+// coverage and aliasing rules as InstRevs.
+func (d *Design) NetRevs() []uint64 { return d.jn.netRev }
 
 // NetRev returns the net's extraction revision: it moves whenever the
 // net's pin membership or any connected instance's Loc/Tier changes, so a
@@ -136,28 +72,21 @@ func (d *Design) InstRev(inst *Instance) uint64 {
 	return d.jn.instRev[inst.ID]
 }
 
-func (d *Design) notify(c Change) {
-	for _, o := range d.jn.observers {
-		o.DesignChanged(c)
-	}
-}
-
 // bumpTopo records a connectivity edit.
 func (d *Design) bumpTopo() {
 	d.jn.topoRev++
 	if d.jn.topoRev > d.jn.maxTopo {
 		d.jn.maxTopo = d.jn.topoRev
 	}
-	d.notify(Change{Kind: ChangeStructure})
 }
 
 // Reconcile repairs a journal whose revision counters can no longer be
 // trusted (detected by the design-integrity checker's ENG rules, e.g.
 // after fault injection rewinds the topology revision): it moves the
 // topology revision strictly past every value previously handed out,
-// bumps every per-net and per-instance revision, and notifies observers
-// with a structural change — forcing every retained engine view (timing
-// graph, RC cache) to rebuild from ground truth. It never rewinds.
+// and bumps every per-net and per-instance revision — forcing every
+// retained engine view (timing graph, RC cache) to rebuild from ground
+// truth. It never rewinds.
 func (d *Design) Reconcile() {
 	for i := range d.jn.netRev {
 		d.jn.netRev[i]++
@@ -169,11 +98,11 @@ func (d *Design) Reconcile() {
 	d.bumpTopo()
 }
 
-// CorruptTopoRev rewinds the topology revision by n without notifying
-// observers — deliberately violating the journal's monotonicity
-// invariant. It exists only for fault injection (the harness's journal
-// corruption target): retained engines keep trusting their stale views
-// until an ENG-class check catches the rewind. Returns the new revision.
+// CorruptTopoRev rewinds the topology revision by n — deliberately
+// violating the journal's monotonicity invariant. It exists only for
+// fault injection (the harness's journal corruption target): retained
+// engines keep trusting their stale views until an ENG-class check
+// catches the rewind. Returns the new revision.
 func (d *Design) CorruptTopoRev(n uint64) uint64 {
 	if n > d.jn.topoRev {
 		n = d.jn.topoRev
@@ -184,17 +113,13 @@ func (d *Design) CorruptTopoRev(n uint64) uint64 {
 
 // RestoreJournal overwrites the journal's revision counters with a
 // previously exported JournalSnap — the last step of ImportState, run
-// on a freshly replayed design before any observer attaches. Restoring
-// the saved revisions (rather than keeping the replay's own counters)
-// is what keeps revision-keyed state saved alongside the netlist — RC
-// cache entries, the checker's ENG-003 high-water marks — coherent
-// after a load. The high-water mark is clamped up to the topology
-// revision so monotonicity holds even for a snapshot taken mid
-// fault-injection.
+// on a freshly replayed design. Restoring the saved revisions (rather
+// than keeping the replay's own counters) is what keeps revision-keyed
+// state saved alongside the netlist — RC cache entries, the checker's
+// ENG-003 high-water marks — coherent after a load. The high-water mark
+// is clamped up to the topology revision so monotonicity holds even for
+// a snapshot taken mid fault-injection.
 func (d *Design) RestoreJournal(s JournalSnap) error {
-	if n := len(d.jn.observers); n != 0 {
-		return fmt.Errorf("netlist: RestoreJournal with %d observers attached", n)
-	}
 	if len(s.InstRev) != len(d.Instances) {
 		return fmt.Errorf("netlist: journal covers %d instances, design has %d", len(s.InstRev), len(d.Instances))
 	}

@@ -8,23 +8,6 @@ import (
 	"repro/internal/tech"
 )
 
-// recorder collects every notification for assertion.
-type recorder struct {
-	changes []Change
-}
-
-func (r *recorder) DesignChanged(c Change) { r.changes = append(r.changes, c) }
-
-func (r *recorder) count(k ChangeKind) int {
-	n := 0
-	for _, c := range r.changes {
-		if c.Kind == k {
-			n++
-		}
-	}
-	return n
-}
-
 // journalDesign builds inv(a) → mid → inv(b) → out with an input port on a.
 func journalDesign(t *testing.T) (*Design, *Instance, *Instance, *Net) {
 	t.Helper()
@@ -135,85 +118,31 @@ func TestJournalRevisions(t *testing.T) {
 	}
 }
 
-func TestJournalObservers(t *testing.T) {
-	d, i1, _, _ := journalDesign(t)
-	lib := cell.NewLibrary(tech.Variant12T())
-
-	rec := &recorder{}
-	d.Observe(rec)
-
-	if err := d.ReplaceMaster(i1, lib.NextDriveUp(i1.Master)); err != nil {
-		t.Fatal(err)
-	}
-	i1.SetLoc(geom.Pt(1, 2))
-	i1.SetTier(tech.TierTop)
-	mid := d.Net("mid")
-	if _, _, err := d.InsertBuffer(mid, append([]PinRef{}, mid.Sinks...), lib.Smallest(cell.FuncBuf), "b1"); err != nil {
-		t.Fatal(err)
-	}
-
-	if got := rec.count(ChangeMaster); got != 1 {
-		t.Errorf("master notifications = %d, want 1", got)
-	}
-	if got := rec.count(ChangeLoc); got != 1 {
-		t.Errorf("loc notifications = %d, want 1", got)
-	}
-	if got := rec.count(ChangeTier); got != 1 {
-		t.Errorf("tier notifications = %d, want 1", got)
-	}
-	if got := rec.count(ChangeStructure); got == 0 {
-		t.Errorf("no structure notifications from InsertBuffer")
-	}
-	for _, c := range rec.changes {
-		if c.Kind == ChangeMaster && c.Inst != i1 {
-			t.Errorf("master change attributed to %v, want i1", c.Inst)
-		}
-	}
-
-	// After Unobserve the recorder sees nothing further.
-	seen := len(rec.changes)
-	d.Unobserve(rec)
-	i1.SetLoc(geom.Pt(9, 9))
-	if len(rec.changes) != seen {
-		t.Errorf("observer still notified after Unobserve")
-	}
-}
-
 func TestJournalCloneIndependence(t *testing.T) {
-	d, i1, _, _ := journalDesign(t)
-	rec := &recorder{}
-	d.Observe(rec)
-
+	d, i1, _, mid := journalDesign(t)
 	c, err := d.CloneInto("copy", func(m *cell.Master) (*cell.Master, error) { return m, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mutating the clone must not notify the original's observers, and the
-	// clone's instances must journal into the clone.
-	seen := len(rec.changes)
+	// The clone's instances must journal into the clone, leaving the
+	// original's revisions untouched.
+	topo, instRev, netRev := d.TopoRev(), d.InstRev(i1), d.NetRev(mid)
 	ci := c.Instance("i1")
 	rev := c.InstRev(ci)
 	ci.SetLoc(geom.Pt(3, 3))
-	if len(rec.changes) != seen {
-		t.Errorf("clone mutation notified the original's observer")
-	}
 	if c.InstRev(ci) != rev+1 {
 		t.Errorf("clone mutation did not bump the clone's revision")
 	}
-	_ = i1
+	if d.TopoRev() != topo || d.InstRev(i1) != instRev || d.NetRev(mid) != netRev {
+		t.Errorf("clone mutation moved the original's revisions")
+	}
 }
 
 func TestCorruptAndReconcile(t *testing.T) {
 	d, i1, _, mid := journalDesign(t)
-	rec := &recorder{}
-	d.Observe(rec)
-
 	before := d.TopoRev()
 	if got := d.CorruptTopoRev(2); got != before-2 {
 		t.Fatalf("CorruptTopoRev: rev = %d, want %d", got, before-2)
-	}
-	if n := rec.count(ChangeStructure); n != 0 {
-		t.Fatalf("corruption notified observers (%d structural changes) — it must be silent", n)
 	}
 
 	netRev, instRev := d.NetRev(mid), d.InstRev(i1)
@@ -226,9 +155,6 @@ func TestCorruptAndReconcile(t *testing.T) {
 	}
 	if d.NetRev(mid) <= netRev || d.InstRev(i1) <= instRev {
 		t.Fatal("Reconcile did not bump per-net/per-instance revisions")
-	}
-	if n := rec.count(ChangeStructure); n != 1 {
-		t.Fatalf("Reconcile sent %d structural notifications, want 1", n)
 	}
 
 	// Rewinding past zero clamps.

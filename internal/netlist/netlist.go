@@ -20,11 +20,10 @@ type Instance struct {
 	Name   string
 	Master *cell.Master
 	// Tier is the die the instance sits on; always TierBottom for 2-D.
-	// Mutate through SetTier once the design has observers (see
-	// journal.go); direct writes are fine before that.
+	// Mutate through SetTier, which journals the change (see journal.go).
 	Tier tech.Tier
-	// Loc is the cell center in µm. Mutate through SetLoc once the design
-	// has observers; direct writes are fine before that.
+	// Loc is the cell center in µm. Mutate through SetLoc, which journals
+	// the change.
 	Loc geom.Point
 	// Fixed marks pre-placed objects (macros) the placer must not move.
 	Fixed bool
@@ -38,59 +37,16 @@ type Instance struct {
 	design *Design
 }
 
-// SetLoc moves the instance, journaling the change: every connected net's
-// extraction revision is bumped and observers are notified. A no-op when
-// the location is bit-identical, so re-legalizing an unchanged region
-// leaves caches warm.
+// SetLoc moves the instance, journaling the change: the instance's
+// revision and every connected net's extraction revision are bumped. A
+// no-op when the location is bit-identical, so re-legalizing an
+// unchanged region leaves caches warm.
 func (inst *Instance) SetLoc(p geom.Point) {
 	if inst.Loc == p {
 		return
 	}
 	inst.Loc = p
 	if d := inst.design; d != nil {
-		d.bumpInst(inst)
-		d.bumpNetsOf(inst)
-		d.notify(Change{Kind: ChangeLoc, Inst: inst})
-	}
-}
-
-// InitLoc places the instance during construction — the documented
-// pre-journal bulk-init API for generators, the global placer, and the
-// floorplanner, whose hot loops rewrite millions of locations before any
-// persistent consumer (sta.Timer, a live route.Cache) exists. It bumps
-// the revision counters so pull-based caches stay coherent but skips
-// observer notification; if an observer is attached it delegates to
-// SetLoc, so the call is always safe.
-func (inst *Instance) InitLoc(p geom.Point) {
-	d := inst.design
-	if d != nil && len(d.jn.observers) > 0 {
-		inst.SetLoc(p)
-		return
-	}
-	if inst.Loc == p {
-		return
-	}
-	inst.Loc = p
-	if d != nil {
-		d.bumpInst(inst)
-		d.bumpNetsOf(inst)
-	}
-}
-
-// InitTier assigns the instance's die during construction — the tier
-// counterpart of InitLoc, with the same bump-but-don't-notify semantics
-// and the same delegation to SetTier once an observer is attached.
-func (inst *Instance) InitTier(t tech.Tier) {
-	d := inst.design
-	if d != nil && len(d.jn.observers) > 0 {
-		inst.SetTier(t)
-		return
-	}
-	if inst.Tier == t {
-		return
-	}
-	inst.Tier = t
-	if d != nil {
 		d.bumpInst(inst)
 		d.bumpNetsOf(inst)
 	}
@@ -107,7 +63,6 @@ func (inst *Instance) SetTier(t tech.Tier) {
 	if d := inst.design; d != nil {
 		d.bumpInst(inst)
 		d.bumpNetsOf(inst)
-		d.notify(Change{Kind: ChangeTier, Inst: inst})
 	}
 }
 
@@ -245,8 +200,7 @@ type Design struct {
 	netByName  map[string]*Net
 	portByName map[string]*Port
 
-	// jn tracks revisions and observers for the change journal
-	// (journal.go).
+	// jn holds the change journal's revisions (journal.go).
 	jn journal
 
 	// conn caches the topology-keyed connectivity snapshot (conn.go).

@@ -1,7 +1,6 @@
 package netlist
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/cell"
@@ -370,19 +369,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestMasterHistogram(t *testing.T) {
-	d := buildMini(t)
-	h := d.MasterHistogram()
-	if len(h) != 3 {
-		t.Fatalf("histogram entries = %d, want 3", len(h))
-	}
-	for i := 1; i < len(h); i++ {
-		if h[i].Name <= h[i-1].Name {
-			t.Error("histogram not sorted")
-		}
-	}
-}
-
 func TestInstancesOnTier(t *testing.T) {
 	d := buildMini(t)
 	d.Instance("u2").Tier = tech.TierTop
@@ -391,20 +377,6 @@ func TestInstancesOnTier(t *testing.T) {
 	}
 	if got := len(d.InstancesOnTier(tech.TierBottom)); got != 2 {
 		t.Errorf("bottom tier count = %d", got)
-	}
-}
-
-func TestWriteStructural(t *testing.T) {
-	d := buildMini(t)
-	var sb strings.Builder
-	if err := d.WriteStructural(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"design mini", "inst u1", "net mid", "port clk"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("structural dump missing %q", want)
-		}
 	}
 }
 

@@ -132,9 +132,9 @@ func (d *Design) ExportState() *Snapshot {
 // name-map contents, per-net sink order, and SinkPorts order all match
 // the original, and the journalmutate contract holds (no mutation
 // bypasses the journal). The journal counters are then overwritten with
-// the snapshot's values (legal on the freshly built, observer-free
-// design), so revision-keyed state restored alongside the netlist stays
-// coherent.
+// the snapshot's values (legal on the freshly built design, which no
+// consumer has read yet), so revision-keyed state restored alongside the
+// netlist stays coherent.
 //
 // Every structural inconsistency in the snapshot — out-of-range
 // indices, duplicate names, a doubly driven net — is reported as an
@@ -161,8 +161,8 @@ func ImportState(s *Snapshot) (*Design, error) {
 		if err != nil {
 			return nil, fmt.Errorf("netlist: import: %w", err)
 		}
-		// Direct physical-state writes are the documented pre-observer
-		// construction path (journal revisions are overwritten below).
+		// Direct physical-state writes are safe here: the journal
+		// revisions are overwritten below.
 		inst.Tier = is.Tier
 		inst.Loc = is.Loc
 		inst.Fixed = is.Fixed

@@ -2,8 +2,6 @@ package netlist
 
 import (
 	"fmt"
-	"io"
-	"sort"
 
 	"repro/internal/cell"
 	"repro/internal/tech"
@@ -63,32 +61,6 @@ func (d *Design) ComputeStats() Stats {
 	return s
 }
 
-// MasterHistogram returns instance counts per master name, sorted by name.
-// Useful for regression debugging and the structural writer.
-func (d *Design) MasterHistogram() []struct {
-	Name  string
-	Count int
-} {
-	counts := make(map[string]int)
-	for _, inst := range d.Instances {
-		counts[inst.Master.Name]++
-	}
-	names := make([]string, 0, len(counts))
-	for n := range counts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]struct {
-		Name  string
-		Count int
-	}, len(names))
-	for i, n := range names {
-		out[i].Name = n
-		out[i].Count = counts[n]
-	}
-	return out
-}
-
 // InstancesOnTier returns the instances currently assigned to t.
 func (d *Design) InstancesOnTier(t tech.Tier) []*Instance {
 	var out []*Instance
@@ -98,39 +70,6 @@ func (d *Design) InstancesOnTier(t tech.Tier) []*Instance {
 		}
 	}
 	return out
-}
-
-// WriteStructural emits a human-readable structural dump: one line per
-// instance (master, tier, location) and per net (driver → sinks). The
-// format is diff-friendly for golden tests and debugging, not a standard
-// interchange format.
-func (d *Design) WriteStructural(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "design %s\n", d.Name); err != nil {
-		return err
-	}
-	for _, p := range d.Ports {
-		if _, err := fmt.Fprintf(w, "port %s %s (%.2f,%.2f)\n", p.Name, p.Dir, p.Loc.X, p.Loc.Y); err != nil {
-			return err
-		}
-	}
-	for _, inst := range d.Instances {
-		if _, err := fmt.Fprintf(w, "inst %s %s tier=%d (%.2f,%.2f)\n",
-			inst.Name, inst.Master.Name, int(inst.Tier), inst.Loc.X, inst.Loc.Y); err != nil {
-			return err
-		}
-	}
-	for _, n := range d.Nets {
-		drv := "?"
-		if n.Driver.Valid() {
-			drv = n.Driver.Inst.Name + "/" + n.Driver.Spec().Name
-		} else if n.DriverPort != nil {
-			drv = "port:" + n.DriverPort.Name
-		}
-		if _, err := fmt.Fprintf(w, "net %s %s -> %d sinks\n", n.Name, drv, len(n.Sinks)+len(n.SinkPorts)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // CloneInto deep-copies the design structure into a fresh Design, mapping

@@ -23,7 +23,7 @@ func TestBisectAllocs(t *testing.T) {
 			continue
 		}
 		cells = append(cells, inst)
-		inst.InitLoc(region.Center())
+		inst.SetLoc(region.Center())
 	}
 	adj := buildAdjacency(d, 64)
 	opt := DefaultGlobalOptions()

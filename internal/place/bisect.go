@@ -69,7 +69,7 @@ func Global(d *netlist.Design, region geom.Rect, opt GlobalOptions) error {
 			continue
 		}
 		movable = append(movable, inst)
-		inst.InitLoc(region.Center()) // initial estimate for terminal propagation
+		inst.SetLoc(region.Center()) // initial estimate for terminal propagation
 	}
 
 	// Net adjacency once, by instance ID.
@@ -139,10 +139,10 @@ func Global(d *netlist.Design, region geom.Rect, opt GlobalOptions) error {
 			// the next level's cuts see propagated terminals.
 			left, right := j.cells[:s.nl], j.cells[s.nl:]
 			for _, c := range left {
-				c.InitLoc(s.lr.Center())
+				c.SetLoc(s.lr.Center())
 			}
 			for _, c := range right {
-				c.InitLoc(s.rr.Center())
+				c.SetLoc(s.rr.Center())
 			}
 			next = append(next, job{s.lr, left}, job{s.rr, right})
 		}
@@ -437,6 +437,6 @@ func spreadLeaf(region geom.Rect, cells []*netlist.Instance) {
 	for i, c := range cells {
 		cx := region.Lx + (float64(i%cols)+0.5)*dx
 		cy := region.Ly + (float64(i/cols)+0.5)*dy
-		c.InitLoc(geom.Pt(cx, cy))
+		c.SetLoc(geom.Pt(cx, cy))
 	}
 }

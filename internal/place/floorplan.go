@@ -146,7 +146,7 @@ func placeMacros(d *netlist.Design, block geom.Rect, tiers int) {
 			wScale = block.W() / m.Master.Width
 			h = h / wScale
 		}
-		m.InitLoc(geom.Pt(block.Lx+m.Master.Width*wScale/2, yCursor[t]+h/2))
+		m.SetLoc(geom.Pt(block.Lx+m.Master.Width*wScale/2, yCursor[t]+h/2))
 		m.Fixed = true
 		yCursor[t] += h
 	}

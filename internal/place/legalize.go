@@ -2,7 +2,6 @@ package place
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/geom"
@@ -179,49 +178,6 @@ func LegalizeTiers(d *netlist.Design, core geom.Rect, rowHeight [2]float64, tier
 		reports = append(reports, rep)
 	}
 	return reports, nil
-}
-
-// CheckLegal verifies that no two cells of the same tier overlap and that
-// every cell is inside region (tolerating eps). It is the test oracle for
-// the legalizer.
-func CheckLegal(cells []*netlist.Instance, region geom.Rect, eps float64) error {
-	type rowKey struct {
-		tier tech.Tier
-		y    int64
-	}
-	rows := make(map[rowKey][]*netlist.Instance)
-	for _, c := range cells {
-		half := c.Master.Width / 2
-		if c.Loc.X-half < region.Lx-eps || c.Loc.X+half > region.Ux+eps ||
-			c.Loc.Y < region.Ly-eps || c.Loc.Y > region.Uy+eps {
-			return fmt.Errorf("place: cell %s at %v outside region %v", c.Name, c.Loc, region)
-		}
-		k := rowKey{c.Tier, int64(math.Round(c.Loc.Y * 1e6))}
-		rows[k] = append(rows[k], c)
-	}
-	// Check rows in (tier, y) order so the first error named is the same
-	// on every run.
-	keys := make([]rowKey, 0, len(rows))
-	for k := range rows { //maporder:ok collection loop; keys sorted immediately below
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].tier != keys[j].tier {
-			return keys[i].tier < keys[j].tier
-		}
-		return keys[i].y < keys[j].y
-	})
-	for _, k := range keys {
-		row := rows[k]
-		sort.Slice(row, func(i, j int) bool { return row[i].Loc.X < row[j].Loc.X })
-		for i := 1; i < len(row); i++ {
-			a, b := row[i-1], row[i]
-			if a.Loc.X+a.Master.Width/2 > b.Loc.X-b.Master.Width/2+eps {
-				return fmt.Errorf("place: cells %s and %s overlap in row y=%v", a.Name, b.Name, a.Loc.Y)
-			}
-		}
-	}
-	return nil
 }
 
 // DensityMap bins cell area into an nx × ny histogram over the outline

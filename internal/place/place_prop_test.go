@@ -59,7 +59,7 @@ func TestLegalizeRandomProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := CheckLegal(cells, region, 1e-9); err != nil {
+		if err := checkLegal(cells, region, 1e-9); err != nil {
 			return false
 		}
 		if rep.Cells != n || rep.MaxDisp < 0 || rep.AvgDisp > rep.MaxDisp+1e-9 {

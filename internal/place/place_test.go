@@ -1,7 +1,9 @@
 package place
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/cell"
@@ -199,7 +201,7 @@ func TestLegalizeProducesLegalRows(t *testing.T) {
 	if rep.RowsUsed == 0 {
 		t.Error("no rows used")
 	}
-	if err := CheckLegal(cells, fp.Core, 1e-6); err != nil {
+	if err := checkLegal(cells, fp.Core, 1e-6); err != nil {
 		t.Fatal(err)
 	}
 	// Cells snapped to row centers: y - Ly must be (k+0.5)·h.
@@ -266,7 +268,7 @@ func TestLegalizeTiersHeteroHeights(t *testing.T) {
 				cells = append(cells, inst)
 			}
 		}
-		if err := CheckLegal(cells, fp.Core, 1e-6); err != nil {
+		if err := checkLegal(cells, fp.Core, 1e-6); err != nil {
 			t.Errorf("tier %d: %v", ti, err)
 		}
 	}
@@ -309,24 +311,67 @@ func TestDensityMap(t *testing.T) {
 	}
 }
 
+// checkLegal verifies that no two cells of the same tier overlap and that
+// every cell is inside region (tolerating eps). It is the test oracle for
+// the legalizer.
+func checkLegal(cells []*netlist.Instance, region geom.Rect, eps float64) error {
+	type rowKey struct {
+		tier tech.Tier
+		y    int64
+	}
+	rows := make(map[rowKey][]*netlist.Instance)
+	for _, c := range cells {
+		half := c.Master.Width / 2
+		if c.Loc.X-half < region.Lx-eps || c.Loc.X+half > region.Ux+eps ||
+			c.Loc.Y < region.Ly-eps || c.Loc.Y > region.Uy+eps {
+			return fmt.Errorf("place: cell %s at %v outside region %v", c.Name, c.Loc, region)
+		}
+		k := rowKey{c.Tier, int64(math.Round(c.Loc.Y * 1e6))}
+		rows[k] = append(rows[k], c)
+	}
+	// Check rows in (tier, y) order so the first error named is the same
+	// on every run.
+	keys := make([]rowKey, 0, len(rows))
+	for k := range rows { //maporder:ok collection loop; keys sorted immediately below
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].tier != keys[j].tier {
+			return keys[i].tier < keys[j].tier
+		}
+		return keys[i].y < keys[j].y
+	})
+	for _, k := range keys {
+		row := rows[k]
+		sort.Slice(row, func(i, j int) bool { return row[i].Loc.X < row[j].Loc.X })
+		for i := 1; i < len(row); i++ {
+			a, b := row[i-1], row[i]
+			if a.Loc.X+a.Master.Width/2 > b.Loc.X-b.Master.Width/2+eps {
+				return fmt.Errorf("place: cells %s and %s overlap in row y=%v", a.Name, b.Name, a.Loc.Y)
+			}
+		}
+	}
+	return nil
+}
+
 func TestCheckLegalDetectsOverlap(t *testing.T) {
 	d := netlist.New("ov")
 	a, _ := d.AddInstance("a", lib.Smallest(cell.FuncInv))
 	b, _ := d.AddInstance("b", lib.Smallest(cell.FuncInv))
 	a.Loc = geom.Pt(5, 0.6)
 	b.Loc = geom.Pt(5.1, 0.6) // overlapping in the same row
-	err := CheckLegal([]*netlist.Instance{a, b}, geom.R(0, 0, 10, 10), 1e-9)
+	err := checkLegal([]*netlist.Instance{a, b}, geom.R(0, 0, 10, 10), 1e-9)
 	if err == nil {
 		t.Error("overlap not detected")
 	}
 	b.Loc = geom.Pt(6, 0.6)
-	if err := CheckLegal([]*netlist.Instance{a, b}, geom.R(0, 0, 10, 10), 1e-9); err != nil {
+	if err := checkLegal([]*netlist.Instance{a, b}, geom.R(0, 0, 10, 10), 1e-9); err != nil {
 		t.Errorf("non-overlapping cells flagged: %v", err)
 	}
 	// Different tiers may share coordinates.
 	b.Loc = a.Loc
 	b.Tier = tech.TierTop
-	if err := CheckLegal([]*netlist.Instance{a, b}, geom.R(0, 0, 10, 10), 1e-9); err != nil {
+	if err := checkLegal([]*netlist.Instance{a, b}, geom.R(0, 0, 10, 10), 1e-9); err != nil {
 		t.Errorf("cross-tier overlap flagged: %v", err)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // TestGlobalWorkersEquivalence pins the placer's determinism contract:
 // the level-synchronous frontier produces byte-identical locations at
 // any worker count, because every bisection reads the level-start
-// location snapshot and all InitLoc updates apply sequentially in
+// location snapshot and all SetLoc updates apply sequentially in
 // region order. Under -race this also proves the frontier fan-out has
 // no conflicting accesses. It doubles as the RNG-audit regression for
 // this kernel — each worker's FM engine re-seeds its own random stream

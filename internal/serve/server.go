@@ -280,10 +280,7 @@ func (c *serverConn) workLoop() {
 		c.sink.close()
 		c.cancel()
 		c.nc.Close()
-		if c.sess != nil {
-			c.sess.close()
-			c.sess = nil
-		}
+		c.sess = nil
 		if c.holdSlot {
 			c.srv.admit.Release()
 			c.holdSlot = false

@@ -57,13 +57,6 @@ type session struct {
 	timer    *sta.Timer
 }
 
-func (s *session) close() {
-	if s.timer != nil {
-		s.timer.Close()
-		s.timer = nil
-	}
-}
-
 // ---- shared immutable data and singleflight caches ----
 //
 // Three layers, all keyed on the full request parameters and built at

@@ -28,7 +28,6 @@ func TestIncrementalUpdateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tm.Close()
 	if _, err := tm.Update(); err != nil {
 		t.Fatal(err)
 	}

@@ -194,7 +194,6 @@ func TestAnalyzeMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, err := tm.Update()
-		tm.Close()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,14 +80,13 @@ type endpoint struct {
 	hold float64
 }
 
-// Analyze runs full STA on the design: a one-shot Timer session —
-// construct, update once, detach.
+// Analyze runs full STA on the design: a one-shot Timer session,
+// constructed and updated once.
 func Analyze(d *netlist.Design, cfg Config) (*Result, error) {
 	t, err := NewTimer(d, cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer t.Close()
 	return t.Update()
 }
 

@@ -42,15 +42,18 @@ type faninEdge struct {
 	idx int32
 }
 
-// Timer is a persistent incremental timing session over one design. It
-// observes the design's change journal: master swaps, placement moves and
-// tier changes re-propagate only from the affected cells outward, while
-// structural edits (buffer insertion, reconnection) fall back to an exact
-// full recompute. Every Update leaves the retained Result in the state a
-// fresh Analyze would produce — bit for bit, including tie-breaks.
+// Timer is a persistent incremental timing session over one design. At
+// each Update it reads the design's change journal: instances whose
+// revision moved since the last update (master swaps, placement moves,
+// tier changes) re-propagate only from the affected cells outward, while
+// a moved topology revision (buffer insertion, reconnection) falls back
+// to an exact full recompute. Every Update leaves the retained Result in
+// the state a fresh Analyze would produce — bit for bit, including
+// tie-breaks.
 //
-// A Timer belongs to one flow and is not safe for concurrent use. Call
-// Close when done to detach it from the design's journal.
+// A Timer belongs to one flow and is not safe for concurrent use. It
+// only reads the design, so several Timers may share a design that no
+// one mutates.
 type Timer struct {
 	d   *netlist.Design
 	cfg Config
@@ -92,16 +95,16 @@ type Timer struct {
 	dirty, inB []bool
 	incScratch []endpoint
 
-	fresh      bool // no update has run yet
-	structural bool // a ChangeStructure arrived since the last update
-	overflow   bool // too many journal entries to bother being selective
-	changes    []netlist.Change
-	stats      TimerStats
+	// instRev/netRev are the journal revisions (by instance and net ID)
+	// the retained state reflects; Update diffs the design against them.
+	instRev, netRev []uint64
+
+	fresh bool // no update has run yet
+	stats TimerStats
 }
 
-// NewTimer validates and defaults cfg exactly like Analyze, attaches to
-// the design's change journal, and returns a session whose first Update
-// performs a full analysis.
+// NewTimer validates and defaults cfg exactly like Analyze and returns a
+// session whose first Update performs a full analysis.
 func NewTimer(d *netlist.Design, cfg Config) (*Timer, error) {
 	if cfg.Period <= 0 {
 		return nil, fmt.Errorf("sta: period %v must be positive", cfg.Period)
@@ -125,37 +128,12 @@ func NewTimer(d *netlist.Design, cfg Config) (*Timer, error) {
 	}
 	t.rec, _ = cfg.Router.(*route.Cache)
 	_, t.pooled = cfg.Router.(*route.Router)
-	d.Observe(t)
 	return t, nil
 }
 
-// DesignChanged implements netlist.Observer.
-func (t *Timer) DesignChanged(c netlist.Change) {
-	if c.Kind == netlist.ChangeStructure {
-		t.structural = true
-		t.changes = t.changes[:0]
-		return
-	}
-	if t.structural || t.overflow {
-		return
-	}
-	if len(t.changes) > len(t.d.Instances) {
-		// More journal entries than instances: a full pass is cheaper than
-		// bookkeeping, so stop recording.
-		t.overflow = true
-		t.changes = t.changes[:0]
-		return
-	}
-	t.changes = append(t.changes, c)
-}
-
-// Close detaches the timer from the design's journal. The retained Result
-// stays readable but no longer tracks the design.
-func (t *Timer) Close() {
-	if t.d != nil {
-		t.d.Unobserve(t)
-	}
-}
+// Close is a no-op: a Timer registers nothing on the design, so there is
+// nothing to release. It stays for callers that pair NewTimer with Close.
+func (t *Timer) Close() {}
 
 // Stats returns cumulative engine counters.
 func (t *Timer) Stats() TimerStats { return t.stats }
@@ -165,21 +143,18 @@ func (t *Timer) Stats() TimerStats { return t.stats }
 func (t *Timer) Result() *Result { return t.res }
 
 // Update brings the retained Result up to date with the design and
-// returns it. Pure master/placement/tier changes re-propagate from the
-// dirty frontier; anything structural — or a frontier so wide that
-// selectivity stops paying — recomputes from scratch. Either way the
+// returns it. Instances whose journal revision moved re-propagate from
+// the dirty frontier; a moved topology revision — or a frontier so wide
+// that selectivity stops paying — recomputes from scratch. Either way the
 // result is exactly what a fresh Analyze would report.
 func (t *Timer) Update() (*Result, error) {
-	full := t.fresh || t.structural || t.overflow || t.cfg.ForceFull ||
-		t.topoRev != t.d.TopoRev()
+	full := t.fresh || t.cfg.ForceFull || t.topoRev != t.d.TopoRev()
 	done := false
 	if !full {
 		seeds := t.resolveSeeds()
 		// Past half the design, frontier bookkeeping costs more than it
 		// saves.
-		if len(seeds)*2 > len(t.d.Instances) {
-			full = true
-		} else {
+		if len(seeds)*2 <= len(t.d.Instances) {
 			done = t.incremental(seeds)
 		}
 	}
@@ -188,8 +163,7 @@ func (t *Timer) Update() (*Result, error) {
 			return nil, err
 		}
 	}
-	t.changes = t.changes[:0]
-	t.structural, t.overflow, t.fresh = false, false, false
+	t.fresh = false
 	t.summarize()
 	return t.res, nil
 }
@@ -199,15 +173,17 @@ func timingSource(inst *netlist.Instance) bool {
 	return f.IsSequential() || f.IsMacro()
 }
 
-// resolveSeeds turns the recorded journal entries into the set of
-// instances whose forward state must be recomputed, and refreshes the
-// extraction of every net a move touched. The seed set is deliberately a
-// superset: the changed instance plus every driver and sink of each of
-// its nets — that covers load changes at drivers, wire-delay changes at
-// sibling sinks, and the derate dependencies that reach one net away in
-// both directions.
+// resolveSeeds turns the instances whose journal revision moved since
+// the last update into the set of instances whose forward state must be
+// recomputed, and refreshes the extraction of every net whose revision
+// moved. The seed set is deliberately a superset: the changed instance
+// plus every driver and sink of each of its nets — that covers load
+// changes at drivers, wire-delay changes at sibling sinks, and the
+// derate dependencies that reach one net away in both directions. The
+// baselines advance as the changes are consumed.
 func (t *Timer) resolveSeeds() []int32 {
-	t.seedMarked = dense.Zero(t.seedMarked, len(t.d.Instances))
+	d := t.d
+	t.seedMarked = dense.Zero(t.seedMarked, len(d.Instances))
 	marked := t.seedMarked
 	seeds := t.seeds[:0]
 	add := func(id int) {
@@ -216,12 +192,17 @@ func (t *Timer) resolveSeeds() []int32 {
 			seeds = append(seeds, int32(id))
 		}
 	}
-	for _, c := range t.changes {
-		inst := c.Inst
-		add(inst.ID)
-		moved := c.Kind == netlist.ChangeLoc || c.Kind == netlist.ChangeTier
+	revs := d.InstRevs()
+	base := t.instRev[:len(revs)]
+	for id, rev := range revs {
+		if rev == base[id] {
+			continue
+		}
+		base[id] = rev
+		add(id)
+		inst := d.Instances[id]
 		for pi := range inst.Master.Pins {
-			n := t.d.NetAt(inst, pi)
+			n := d.NetAt(inst, pi)
 			if n == nil {
 				continue
 			}
@@ -231,7 +212,8 @@ func (t *Timer) resolveSeeds() []int32 {
 			for _, s := range n.Sinks {
 				add(s.Inst.ID)
 			}
-			if moved && !n.IsClock && n.ID < len(t.rc) {
+			if nr := d.NetRev(n); !n.IsClock && nr != t.netRev[n.ID] {
+				t.netRev[n.ID] = nr
 				old := t.rc[n.ID]
 				t.rc[n.ID] = t.cfg.Router.Extract(n) //poolescape:ignore timer rc table is the audited epoch store; recycle() below retires the old shell
 				t.recycle(n, old)
@@ -240,6 +222,16 @@ func (t *Timer) resolveSeeds() []int32 {
 	}
 	t.seeds = seeds
 	return seeds
+}
+
+// syncRevs records every instance's and net's current journal revision
+// as the baseline the next Update diffs against.
+func (t *Timer) syncRevs() {
+	inst, net := t.d.InstRevs(), t.d.NetRevs()
+	t.instRev = dense.Grow(t.instRev, len(inst))
+	copy(t.instRev, inst)
+	t.netRev = dense.Grow(t.netRev, len(net))
+	copy(t.netRev, net)
 }
 
 // recycle returns a replaced extraction to the route free list. The
@@ -261,8 +253,9 @@ func (t *Timer) recycle(n *netlist.Net, old *route.NetRC) {
 }
 
 // fullUpdate recomputes everything: graph (when the topology revision
-// moved), extraction, forward arrivals, and the backward required pass.
-// This is the reference computation — Analyze is exactly one of these.
+// moved), revision baselines, extraction, forward arrivals, and the
+// backward required pass. This is the reference computation — Analyze is
+// exactly one of these.
 //
 // With Config.Workers > 1 the expensive phases fan out without changing
 // a single bit of the result: extraction is per-net independent; the
@@ -290,6 +283,7 @@ func (t *Timer) fullUpdate() error {
 		t.buildFanin()
 		t.buildLevels()
 	}
+	t.syncRevs()
 	workers := t.cfg.Workers
 	// Extract in place over the retained per-net slots, handing each
 	// replaced extraction back to the route free list. Each net touches
@@ -588,8 +582,8 @@ func (t *Timer) incremental(seeds []int32) bool {
 		var req float64
 		req, scratch = t.computeRequired(inst, scratch[:0])
 		if int32(len(scratch)) != t.endCount[inst.ID] {
-			// Endpoint membership drifted without a structural notice;
-			// hand the update to the full pass.
+			// Endpoint membership drifted without a topology revision
+			// move; hand the update to the full pass.
 			return false
 		}
 		copy(res.endSlack[t.endStart[inst.ID]:], scratch)

@@ -2,6 +2,7 @@ package sta
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/cell"
@@ -148,7 +149,6 @@ func runEquivalence(t *testing.T, tag string, d *netlist.Design, cfg Config, mk 
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
-	defer tm.Close()
 
 	fcfg := cfg
 	fcfg.Router = mk()
@@ -185,6 +185,69 @@ func TestTimerEquivalenceRandomDAGs(t *testing.T) {
 			}
 		}
 		runEquivalence(t, "dag"+itoa(int(seed)), d, DefaultConfig(0.7), func() route.Extractor { return route.New() }, rng, 10)
+	}
+}
+
+// TestTimerEquivalenceBatchedEdits lets several edits pile up between
+// updates — one cell moved twice, its neighbour resized, a tier flip
+// undone, plus a random edit — so the revision diff must find every
+// changed cell and net, not only the last one. The design is large
+// enough that the rounds stay incremental.
+func TestTimerEquivalenceBatchedEdits(t *testing.T) {
+	d, err := designs.Generate(designs.AES, lib12, designs.Params{Scale: 0.04, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	for _, inst := range d.Instances {
+		inst.Loc = geom.Pt(rng.Float64()*80, rng.Float64()*80)
+	}
+	cfg := DefaultConfig(0.8)
+	tcfg := cfg
+	tcfg.Router = route.NewCache(route.New(), d)
+	tm, err := NewTimer(d, tcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pick := func() *netlist.Instance {
+		for {
+			inst := d.Instances[rng.Intn(len(d.Instances))]
+			if !inst.Master.Function.IsSequential() && !inst.Master.Function.IsMacro() {
+				return inst
+			}
+		}
+	}
+	bufN := 0
+	for round := 0; round < 8; round++ {
+		moved := pick()
+		moved.SetLoc(geom.Pt(rng.Float64()*80, rng.Float64()*80))
+		moved.SetLoc(geom.Pt(rng.Float64()*80, rng.Float64()*80))
+		if out := d.OutputNet(moved); out != nil && len(out.Sinks) > 0 {
+			sink := out.Sinks[0].Inst
+			if up := lib12.NextDriveUp(sink.Master); up != nil {
+				if err := d.ReplaceMaster(sink, up); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		flipped := pick()
+		flipped.SetTier(flipped.Tier.Other())
+		flipped.SetTier(flipped.Tier.Other())
+		if round%2 == 1 {
+			mutate(t, d, rng, &bufN)
+		}
+		got, err := tm.Update()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Analyze(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireEqualResults(t, "round"+itoa(round), d, got, want)
+	}
+	if s := tm.Stats(); s.IncrementalUpdates == 0 {
+		t.Fatalf("no batched round ran incrementally: %+v", s)
 	}
 }
 
@@ -230,7 +293,6 @@ func TestTimerStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tm.Close()
 
 	if _, err := tm.Update(); err != nil {
 		t.Fatal(err)
@@ -279,7 +341,6 @@ func TestTimerStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tf.Close()
 	if _, err := tf.Update(); err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +365,6 @@ func TestTimerSharedCacheWithPower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tm.Close()
 	if _, err := tm.Update(); err != nil {
 		t.Fatal(err)
 	}
@@ -334,5 +394,94 @@ func TestTimerSharedCacheWithPower(t *testing.T) {
 	}
 	if got := cache.Stats().Misses; got == m0 {
 		t.Errorf("move did not re-extract")
+	}
+}
+
+// TestTimerExtractsEachMovedNetOnce pins the revision diff's extraction
+// footprint: however many edits touched a net since the last update, the
+// timer re-extracts it once — every non-clock net of the moved cells is
+// one cache miss and none is a repeat hit.
+func TestTimerExtractsEachMovedNetOnce(t *testing.T) {
+	d, err := designs.Generate(designs.AES, lib12, designs.Params{Scale: 0.04, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := route.NewCache(route.New(), d)
+	cfg := DefaultConfig(0.7)
+	cfg.Router = cache
+	tm, err := NewTimer(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tm.Update(); err != nil {
+		t.Fatal(err)
+	}
+	var a *netlist.Instance
+	for _, inst := range d.Instances {
+		if !inst.Master.Function.IsSequential() {
+			a = inst
+			break
+		}
+	}
+	b := d.OutputNet(a).Sinks[0].Inst
+	a.SetLoc(geom.Pt(11, 11))
+	a.SetTier(a.Tier.Other())
+	b.SetLoc(geom.Pt(13, 13))
+	touched := map[*netlist.Net]bool{}
+	for _, inst := range []*netlist.Instance{a, b} {
+		for pi := range inst.Master.Pins {
+			if n := d.NetAt(inst, pi); n != nil && !n.IsClock {
+				touched[n] = true
+			}
+		}
+	}
+	before := cache.Stats()
+	if _, err := tm.Update(); err != nil {
+		t.Fatal(err)
+	}
+	after := cache.Stats()
+	if s := tm.Stats(); s.IncrementalUpdates != 1 {
+		t.Fatalf("stats = %+v, want one incremental update", s)
+	}
+	if got := after.Misses - before.Misses; got != int64(len(touched)) {
+		t.Errorf("re-extracted %d nets, want %d", got, len(touched))
+	}
+	if got := after.Hits - before.Hits; got != 0 {
+		t.Errorf("%d repeat extractions of already refreshed nets", got)
+	}
+}
+
+// TestTimersShareDesign runs two sessions over one design from two
+// goroutines. A Timer only reads the design, so under -race this shows
+// that sessions sharing a design no one mutates do not race, and both
+// match a fresh analysis.
+func TestTimersShareDesign(t *testing.T) {
+	d := randomDAG(t, 5)
+	cfg := DefaultConfig(0.7)
+	var wg sync.WaitGroup
+	got := make([]*Result, 2)
+	errs := make([]error, 2)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tm, err := NewTimer(d, cfg)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			got[i], errs[i] = tm.Update()
+		}()
+	}
+	wg.Wait()
+	want, err := Analyze(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("timer %d: %v", i, errs[i])
+		}
+		requireEqualResults(t, "timer"+itoa(i), d, got[i], want)
 	}
 }

@@ -81,7 +81,6 @@ func TestTimerWorkersStatsScheduleIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer tm.Close()
 		if _, err := tm.Update(); err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,9 @@
 // Package journalmutate flags direct assignments to netlist.Instance.Loc
-// and .Tier outside internal/netlist. The change journal (instance/net
-// revisions plus observer notification) is what keeps the incremental
-// sta.Timer and the RC extraction cache bit-exact; a raw field write
-// bypasses it and silently desynchronizes every engine holding the
-// design. Mutations must go through SetLoc/SetTier, or InitLoc/InitTier
-// on freshly constructed instances before observers attach.
+// and .Tier outside internal/netlist. The change journal's instance and
+// net revisions are what keep the incremental sta.Timer and the RC
+// extraction cache bit-exact; a raw field write bypasses them and
+// silently desynchronizes every engine holding the design. Mutations
+// must go through SetLoc/SetTier.
 package journalmutate
 
 import (
@@ -21,8 +20,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: "journalmutate",
 	Doc: "flag direct Instance.Loc/Tier writes that bypass the change journal\n\n" +
 		"Outside internal/netlist (and tests), assigning to netlist.Instance.Loc\n" +
-		"or .Tier skips the revision bump and observer notification the\n" +
-		"incremental timer depends on; use SetLoc/SetTier or InitLoc/InitTier.",
+		"or .Tier skips the revision bump the incremental timer and the RC\n" +
+		"cache depend on; use SetLoc/SetTier.",
 	Run: run,
 }
 
@@ -64,8 +63,8 @@ func checkTarget(pass *analysis.Pass, expr ast.Expr) {
 					isFieldSelection(pass.TypesInfo, e) &&
 					!pass.InTestFile(e.Pos()) {
 					pass.Reportf("journalmutate001", e.Sel.Pos(),
-						"direct write to netlist.Instance.%s bypasses the change journal; use Set%s (or Init%s before observers attach)",
-						field, field, field)
+						"direct write to netlist.Instance.%s bypasses the change journal; use Set%s",
+						field, field)
 				}
 			}
 			expr = e.X

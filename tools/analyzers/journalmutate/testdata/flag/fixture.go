@@ -25,8 +25,6 @@ func bad(inst *netlist.Instance, insts []*netlist.Instance) {
 func good(d *netlist.Design, inst *netlist.Instance, h *hasLoc) {
 	inst.SetLoc(geom.Pt(1, 2))
 	inst.SetTier(tech.TierTop)
-	inst.InitLoc(geom.Pt(3, 4))
-	inst.InitTier(tech.TierBottom)
 	h.Loc = geom.Pt(5, 6) // not an Instance
 	h.Tier = tech.TierTop // not an Instance
 	inst.Fixed = true     // not a journaled field
