@@ -36,7 +36,7 @@ var catalog = []Rule{
 	},
 	{
 		ID: "ERC-007", Title: "pin-binding integrity", Severity: Error, Class: ClassERC,
-		Doc: "Instance-side pin bindings and net-side driver/sink lists must mirror each other exactly, or incremental edits corrupt connectivity unnoticed.",
+		Doc: "Instance-side pin bindings and net-side driver/sink lists must mirror each other exactly, or incremental edits corrupt connectivity unnoticed. Reported from netlist.Bindings, the same O(pins) walk behind netlist.Validate and ERC-002/003.",
 		run: ercBinding,
 	},
 	{

@@ -291,6 +291,18 @@ type checker struct {
 	in  Input
 	rep *Report
 	cur *RuleStat
+	// binds holds the design's netlist.Bindings findings, walked once per
+	// run for ERC-002, ERC-003 and ERC-007.
+	binds []netlist.BindFault
+}
+
+// failBindings records the design's binding findings of one kind.
+func (c *checker) failBindings(k netlist.BindKind) {
+	for _, f := range c.binds {
+		if f.Kind == k {
+			c.fail(f.Obj, "%s", f.Msg)
+		}
+	}
 }
 
 // checked counts objects the current rule examined.
@@ -318,6 +330,9 @@ func Run(in Input, classes Class) *Report {
 		rep.Design = in.Design.Name
 	}
 	c := &checker{in: in, rep: rep}
+	if in.Design != nil && classes&ClassERC != 0 {
+		c.binds = in.Design.Bindings()
+	}
 	for _, r := range catalog {
 		if r.Class&classes == 0 {
 			continue

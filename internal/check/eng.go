@@ -99,20 +99,19 @@ func engLevelization(c *checker) {
 // backwards between boundaries — a decrease means some engine holds a
 // stale view of the design.
 func engMonotonic(c *checker) {
-	s := c.in.session
-	if s == nil || !s.seen {
+	if c.in.session == nil || !c.in.session.prev.Seen {
 		return
 	}
-	d := c.in.Design
+	p, d := c.in.session.prev, c.in.Design
 	c.checked(3)
-	if rev := d.TopoRev(); rev < s.prevTopo {
-		c.fail("design", "topology revision moved backwards: %d after %d (stage %s)", rev, s.prevTopo, s.prevStage)
+	if rev := d.TopoRev(); rev < p.PrevTopo {
+		c.fail("design", "topology revision moved backwards: %d after %d (stage %s)", rev, p.PrevTopo, p.PrevStage)
 	}
-	if n := len(d.Instances); n < s.prevInsts {
-		c.fail("design", "instance count shrank: %d after %d (stage %s)", n, s.prevInsts, s.prevStage)
+	if n := len(d.Instances); n < p.PrevInsts {
+		c.fail("design", "instance count shrank: %d after %d (stage %s)", n, p.PrevInsts, p.PrevStage)
 	}
-	if n := len(d.Nets); n < s.prevNets {
-		c.fail("design", "net count shrank: %d after %d (stage %s)", n, s.prevNets, s.prevStage)
+	if n := len(d.Nets); n < p.PrevNets {
+		c.fail("design", "net count shrank: %d after %d (stage %s)", n, p.PrevNets, p.PrevStage)
 	}
 }
 
@@ -121,12 +120,7 @@ func engMonotonic(c *checker) {
 // The zero value is ready to use; Session is not safe for concurrent use
 // (one flow = one session).
 type Session struct {
-	seen      bool
-	prevStage string
-	prevTopo  uint64
-	prevInsts int
-	prevNets  int
-
+	prev    SessionState
 	reports []*Report
 }
 
@@ -138,11 +132,8 @@ func (s *Session) Run(stage string, in Input, classes Class) *Report {
 	rep := Run(in, classes)
 	rep.Stage = stage
 	if d := in.Design; d != nil {
-		s.prevStage = stage
-		s.prevTopo = d.TopoRev()
-		s.prevInsts = len(d.Instances)
-		s.prevNets = len(d.Nets)
-		s.seen = true
+		s.prev = SessionState{Seen: true, PrevStage: stage, PrevTopo: d.TopoRev(),
+			PrevInsts: len(d.Instances), PrevNets: len(d.Nets)}
 	}
 	s.reports = append(s.reports, rep)
 	return rep

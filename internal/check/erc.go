@@ -1,8 +1,11 @@
 package check
 
 import (
+	"slices"
+
 	"repro/internal/cell"
 	"repro/internal/netlist"
+	"repro/internal/tech"
 )
 
 // ERC rules: the electrical-rule checks a commercial sign-off run
@@ -20,60 +23,39 @@ func ercDanglingNet(c *checker) {
 }
 
 func ercUndrivenNet(c *checker) {
-	d := c.in.Design
-	c.checked(len(d.Nets))
-	for _, n := range d.Nets {
-		if n.Degree() > 0 && !n.HasDriver() {
-			c.fail(n.Name, "net has %d sink(s) but no driver", len(n.Sinks)+len(n.SinkPorts))
-		}
-	}
+	c.checked(len(c.in.Design.Nets))
+	c.failBindings(netlist.NoDriver)
 }
 
 func ercMultiDrivenNet(c *checker) {
-	d := c.in.Design
-	c.checked(len(d.Nets))
-	for _, n := range d.Nets {
-		if n.Driver.Valid() && n.DriverPort != nil {
-			c.fail(n.Name, "net driven by both pin %s/%s and port %s",
-				n.Driver.Inst.Name, n.Driver.Spec().Name, n.DriverPort.Name)
-		}
-	}
+	c.checked(len(c.in.Design.Nets))
+	c.failBindings(netlist.MultiDriver)
 }
 
 func ercFloatingInput(c *checker) {
+	ercUnbound(c, cell.DirIn, "input pin %s is unconnected")
+}
+
+func ercUnconnectedClock(c *checker) {
+	if c.in.ClockBuilt { // pre-CTS states legitimately float clock pins
+		ercUnbound(c, cell.DirClk, "clock pin %s unconnected after CTS")
+	}
+}
+
+// ercUnbound fails every instance pin of direction dir that has no net.
+func ercUnbound(c *checker, dir cell.Dir, format string) {
 	d := c.in.Design
 	for _, inst := range d.Instances {
 		if inst.Master == nil {
 			continue // ERC-006's finding
 		}
 		for i, p := range inst.Master.Pins {
-			if p.Dir != cell.DirIn {
+			if p.Dir != dir {
 				continue
 			}
 			c.checked(1)
 			if d.NetAt(inst, i) == nil {
-				c.fail(inst.Name, "input pin %s is unconnected", p.Name)
-			}
-		}
-	}
-}
-
-func ercUnconnectedClock(c *checker) {
-	if !c.in.ClockBuilt {
-		return // pre-CTS states legitimately float clock pins
-	}
-	d := c.in.Design
-	for _, inst := range d.Instances {
-		if inst.Master == nil {
-			continue
-		}
-		for i, p := range inst.Master.Pins {
-			if p.Dir != cell.DirClk {
-				continue
-			}
-			c.checked(1)
-			if d.NetAt(inst, i) == nil {
-				c.fail(inst.Name, "clock pin %s unconnected after CTS", p.Name)
+				c.fail(inst.Name, format, p.Name)
 			}
 		}
 	}
@@ -82,12 +64,10 @@ func ercUnconnectedClock(c *checker) {
 func ercMaster(c *checker) {
 	d := c.in.Design
 	c.checked(len(d.Instances))
-	var tracks []string
-	haveLibs := false
+	var tracks []tech.Track
 	for _, lib := range c.in.Libs {
 		if lib != nil {
-			haveLibs = true
-			tracks = append(tracks, lib.Variant.Track.String())
+			tracks = append(tracks, lib.Variant.Track)
 		}
 	}
 	for _, inst := range d.Instances {
@@ -100,18 +80,9 @@ func ercMaster(c *checker) {
 			c.fail(inst.Name, "invalid master %s: %v", m.Name, err)
 			continue
 		}
-		if haveLibs && !m.Function.IsMacro() {
-			known := false
-			for _, lib := range c.in.Libs {
-				if lib != nil && lib.Variant.Track == m.Track {
-					known = true
-					break
-				}
-			}
-			if !known {
-				c.fail(inst.Name, "master %s track %v outside flow libraries (%v)",
-					m.Name, m.Track, tracks)
-			}
+		if len(tracks) > 0 && !m.Function.IsMacro() && !slices.Contains(tracks, m.Track) {
+			c.fail(inst.Name, "master %s track %v outside flow libraries (%v)",
+				m.Name, m.Track, tracks)
 		}
 	}
 }
@@ -119,53 +90,7 @@ func ercMaster(c *checker) {
 func ercBinding(c *checker) {
 	d := c.in.Design
 	c.checked(len(d.Nets) + len(d.Instances) + len(d.Ports))
-	for _, n := range d.Nets {
-		if n.Driver.Valid() && d.NetAt(n.Driver.Inst, n.Driver.Pin) != n {
-			c.fail(n.Name, "driver %s/%s does not point back at the net",
-				n.Driver.Inst.Name, n.Driver.Spec().Name)
-		}
-		for _, s := range n.Sinks {
-			if !s.Valid() {
-				c.fail(n.Name, "invalid sink reference")
-				continue
-			}
-			if s.Spec().Dir == cell.DirOut {
-				c.fail(n.Name, "output pin %s/%s listed as sink", s.Inst.Name, s.Spec().Name)
-			}
-			if d.NetAt(s.Inst, s.Pin) != n {
-				c.fail(n.Name, "sink %s/%s does not point back at the net",
-					s.Inst.Name, s.Spec().Name)
-			}
-		}
-	}
-	for _, inst := range d.Instances {
-		if inst.Master == nil {
-			continue
-		}
-		for i, spec := range inst.Master.Pins {
-			n := d.NetAt(inst, i)
-			if n == nil {
-				continue
-			}
-			ref := netlist.PinRef{Inst: inst, Pin: i}
-			if spec.Dir == cell.DirOut {
-				if n.Driver != ref {
-					c.fail(inst.Name, "output pin %s bound to net %s but not its driver", spec.Name, n.Name)
-				}
-				continue
-			}
-			found := false
-			for _, s := range n.Sinks {
-				if s == ref {
-					found = true
-					break
-				}
-			}
-			if !found {
-				c.fail(inst.Name, "pin %s bound to net %s but missing from its sinks", spec.Name, n.Name)
-			}
-		}
-	}
+	c.failBindings(netlist.Mirror)
 	for _, p := range d.Ports {
 		if p.Net == nil {
 			c.fail(p.Name, "port has no net")

@@ -14,23 +14,11 @@ type SessionState struct {
 }
 
 // State exports the session's boundary context.
-func (s *Session) State() SessionState {
-	return SessionState{
-		Seen:      s.seen,
-		PrevStage: s.prevStage,
-		PrevTopo:  s.prevTopo,
-		PrevInsts: s.prevInsts,
-		PrevNets:  s.prevNets,
-	}
-}
+func (s *Session) State() SessionState { return s.prev }
 
 // Restore overwrites the session with a previously exported state and
 // report history — the resume counterpart of State/Reports.
 func (s *Session) Restore(st SessionState, reports []*Report) {
-	s.seen = st.Seen
-	s.prevStage = st.PrevStage
-	s.prevTopo = st.PrevTopo
-	s.prevInsts = st.PrevInsts
-	s.prevNets = st.PrevNets
+	s.prev = st
 	s.reports = append([]*Report(nil), reports...)
 }

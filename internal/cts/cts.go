@@ -121,8 +121,7 @@ func Build(d *netlist.Design, opt Options) (*Result, error) {
 	if clkNet == nil {
 		return nil, fmt.Errorf("cts: no port-driven clock net in %s", d.Name)
 	}
-	sinks := append([]netlist.PinRef{}, clkNet.Sinks...)
-	if len(sinks) == 0 {
+	if len(clkNet.Sinks) == 0 {
 		return nil, fmt.Errorf("cts: clock net %s has no sinks", clkNet.Name)
 	}
 
@@ -132,9 +131,9 @@ func Build(d *netlist.Design, opt Options) (*Result, error) {
 	// buffers sequentially in the partition tree's DFS post-order, which
 	// is exactly the order the fused recursion used, so cts_buf%d
 	// numbering (and every downstream metric) is unchanged.
-	// partition reorders its argument in place; hand it a private copy so
-	// the Disconnect loop below still walks the original sink order.
-	pt := partition(append([]netlist.PinRef{}, sinks...), 1, opt.MaxLeafFanout, opt.Workers)
+	// partition reorders its argument in place; hand it a private copy of
+	// the net's sink list.
+	pt := partition(append([]netlist.PinRef{}, clkNet.Sinks...), 1, opt.MaxLeafFanout, opt.Workers)
 	opt.Par.Note(countNodes(pt))
 	root, err := b.materialize(pt)
 	if err != nil {
@@ -143,10 +142,8 @@ func Build(d *netlist.Design, opt Options) (*Result, error) {
 
 	// Detach original sinks and wire the root buffer to the clock port
 	// net.
-	for _, s := range sinks {
-		if err := d.Disconnect(s); err != nil {
-			return nil, err
-		}
+	if err := d.DisconnectSinks(clkNet); err != nil {
+		return nil, err
 	}
 	if err := d.Connect(root.inst, "A", clkNet); err != nil {
 		return nil, err

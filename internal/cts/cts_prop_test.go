@@ -1,6 +1,7 @@
 package cts
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/cell"
 	"repro/internal/geom"
 	"repro/internal/netlist"
+	"repro/internal/route"
 	"repro/internal/tech"
 )
 
@@ -178,5 +180,98 @@ func TestSkewScalesWithSpread(t *testing.T) {
 	wide := mk(200)
 	if wide <= tight {
 		t.Errorf("spread 200 skew %v should exceed spread 10 skew %v", wide, tight)
+	}
+}
+
+// Oracle: walk the built netlist from the clock port, following pin
+// bindings rather than the builder's node tree. The port net must feed
+// exactly the root buffer, every buffer and every flip-flop clock pin
+// must be reached exactly once, and the latency of each flip-flop and
+// the skew, recomputed over the walk with the same Elmore model, must
+// equal the result's.
+func TestBuildNetlistOracle(t *testing.T) {
+	rt := route.New()
+	avgR, avgC, miv := rt.Stack.AvgR(), rt.Stack.AvgC(), rt.MIV
+	for _, mode := range []Mode{Mode2D, ModeHetero3D} {
+		libs := [2]*cell.Library{lib12, nil}
+		if mode == ModeHetero3D {
+			libs[1] = lib9
+		}
+		rng := rand.New(rand.NewSource(int64(mode) + 11))
+		for trial := 0; trial < 12; trial++ {
+			n := 5 + rng.Intn(300)
+			d := randomFFField(t, n, rng.Int63(), mode == ModeHetero3D)
+			res, err := Build(d, DefaultOptions(mode, libs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			isBuf := make(map[*netlist.Instance]bool, len(res.Buffers))
+			for _, b := range res.Buffers {
+				isBuf[b] = true
+			}
+			clk := d.Port("clk").Net
+			if len(clk.Sinks) != 1 || !isBuf[clk.Sinks[0].Inst] || clk.Sinks[0].Spec().Name != "A" {
+				t.Fatalf("mode %d trial %d: clock port net sinks %v, want the root buffer's A", mode, trial, clk.Sinks)
+			}
+
+			reached := make(map[*netlist.Instance]int)
+			latency := make(map[int]float64)
+			var walk func(buf *netlist.Instance, arrival, inSlew float64)
+			walk = func(buf *netlist.Instance, arrival, inSlew float64) {
+				reached[buf]++
+				out := d.OutputNet(buf)
+				wl := 0.0
+				for _, s := range out.Sinks {
+					wl += buf.Loc.ManhattanDist(s.Loc())
+				}
+				load := out.TotalPinCap() + wl*avgC
+				after := arrival + buf.Master.Delay.Lookup(inSlew, load)
+				outSlew := buf.Master.OutSlew.Lookup(inSlew, load)
+				for _, s := range out.Sinks {
+					dist := buf.Loc.ManhattanDist(s.Loc())
+					wd := tech.RCps(dist*avgR, dist*avgC/2+s.Spec().Cap)
+					if s.Inst.Tier != buf.Tier {
+						wd += tech.RCps(miv.R, miv.C)
+					}
+					switch {
+					case isBuf[s.Inst] && s.Spec().Name == "A":
+						walk(s.Inst, after+wd, outSlew+wd)
+					case s.Spec().Dir == cell.DirClk && s.Inst.Master.Function.IsSequential():
+						reached[s.Inst]++
+						latency[s.Inst.ID] = after + wd
+					default:
+						t.Fatalf("mode %d trial %d: clock net %s feeds %s/%s", mode, trial, out.Name, s.Inst.Name, s.Spec().Name)
+					}
+				}
+			}
+			walk(clk.Sinks[0].Inst, 0, 0.02)
+
+			ffs := 0
+			for _, inst := range d.Instances {
+				want := 0
+				if isBuf[inst] || inst.Master.Function.IsSequential() {
+					want = 1
+				}
+				if reached[inst] != want {
+					t.Fatalf("mode %d trial %d: %s reached %d times, want %d", mode, trial, inst.Name, reached[inst], want)
+				}
+				if inst.Master.Function.IsSequential() {
+					ffs++
+				}
+			}
+			if ffs != n || len(latency) != n || len(res.Latency) != n {
+				t.Fatalf("mode %d trial %d: %d flip-flops, %d walked latencies, %d reported", mode, trial, ffs, len(latency), len(res.Latency))
+			}
+			lo, hi := math.Inf(1), math.Inf(-1)
+			for id, lat := range latency {
+				if res.Latency[id] != lat {
+					t.Fatalf("mode %d trial %d: instance %d latency %v, walk gives %v", mode, trial, id, res.Latency[id], lat)
+				}
+				lo, hi = math.Min(lo, lat), math.Max(hi, lat)
+			}
+			if res.MaxSkew != hi-lo {
+				t.Fatalf("mode %d trial %d: skew %v, walk gives %v", mode, trial, res.MaxSkew, hi-lo)
+			}
+		}
 	}
 }

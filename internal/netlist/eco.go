@@ -37,10 +37,26 @@ func (d *Design) ReplaceMaster(inst *Instance, m *cell.Master) error {
 // InsertBuffer splits net n in front of the given sink subset: a new
 // buffer instance (of master buf) is driven by n, and the listed sinks are
 // moved onto a new net driven by the buffer. The buffer is placed at the
-// centroid of the moved sinks. Returns the new instance and net.
+// centroid of the moved sinks. Returns the new instance and net. The
+// sink list is checked before anything is added, so an error leaves the
+// design untouched.
 func (d *Design) InsertBuffer(n *Net, sinks []PinRef, buf *cell.Master, name string) (*Instance, *Net, error) {
 	if len(sinks) == 0 {
 		return nil, nil, fmt.Errorf("netlist: InsertBuffer with no sinks on %q", n.Name)
+	}
+	// A sink listed twice is counted once, so found falls short of it too.
+	moved := make(map[PinRef]bool, len(sinks))
+	for _, s := range sinks {
+		moved[s] = true
+	}
+	found := 0
+	for _, s := range n.Sinks {
+		if moved[s] {
+			found++
+		}
+	}
+	if found != len(sinks) {
+		return nil, nil, fmt.Errorf("netlist: %d of %d sinks not distinct sinks of net %q", len(sinks)-found, len(sinks), n.Name)
 	}
 	inst, err := d.AddInstance(name, buf)
 	if err != nil {
@@ -53,26 +69,17 @@ func (d *Design) InsertBuffer(n *Net, sinks []PinRef, buf *cell.Master, name str
 	newNet.IsClock = n.IsClock
 
 	// Detach the chosen sinks from n.
-	moved := make(map[PinRef]bool, len(sinks))
-	for _, s := range sinks {
-		moved[s] = true
-	}
 	kept := n.Sinks[:0]
 	var cx, cy float64
-	found := 0
 	for _, s := range n.Sinks {
 		if moved[s] {
 			s.Inst.nets[s.Pin] = newNet
 			newNet.Sinks = append(newNet.Sinks, s)
 			cx += s.Loc().X
 			cy += s.Loc().Y
-			found++
 		} else {
 			kept = append(kept, s)
 		}
-	}
-	if found != len(sinks) {
-		return nil, nil, fmt.Errorf("netlist: %d of %d sinks not on net %q", len(sinks)-found, len(sinks), n.Name)
 	}
 	n.Sinks = kept
 	// The sink moves above bypass Connect, so journal them here: both
@@ -123,62 +130,142 @@ func (d *Design) Disconnect(ref PinRef) error {
 	return nil
 }
 
+// DisconnectSinks removes the bindings of every sink of n in one pass:
+// the bulk form of calling Disconnect on each, with the same journal
+// bumps (NetRev(n) and TopoRev each move once per sink). Every sink must
+// be bound to n; otherwise nothing changes.
+func (d *Design) DisconnectSinks(n *Net) error {
+	for i, s := range n.Sinks {
+		if !s.Valid() || s.Inst.nets[s.Pin] != n {
+			for _, r := range n.Sinks[:i] {
+				r.Inst.nets[r.Pin] = n
+			}
+			return fmt.Errorf("netlist: net %q sink binding mismatch", n.Name)
+		}
+		s.Inst.nets[s.Pin] = nil
+	}
+	for range n.Sinks {
+		d.bumpNet(n)
+		d.bumpTopo()
+	}
+	n.Sinks = nil
+	return nil
+}
+
 // Validate checks global structural consistency: every net driven exactly
-// once, every pin binding mirrored on the net side, no dangling sinks.
+// once, every pin binding mirrored on the net side, no dangling sinks. It
+// returns the first finding of Bindings.
 func (d *Design) Validate() error {
-	for _, n := range d.Nets {
-		drivers := 0
-		if n.Driver.Valid() {
-			drivers++
-			if n.Driver.Inst.nets[n.Driver.Pin] != n {
-				return fmt.Errorf("netlist: net %q driver binding mismatch", n.Name)
+	if f := d.Bindings(); len(f) > 0 {
+		return f[0]
+	}
+	return nil
+}
+
+// BindKind says which invariant a BindFault breaks.
+type BindKind uint8
+
+const (
+	// Mirror: a driver or sink binding is not mirrored on the other side,
+	// or an output pin is listed as a sink.
+	Mirror BindKind = iota
+	// NoDriver: the net has sinks or sink ports but no driver.
+	NoDriver
+	// MultiDriver: the net is driven by both an instance pin and a port.
+	MultiDriver
+)
+
+// BindFault is one structural finding; Obj names the net or instance at
+// fault.
+type BindFault struct {
+	Kind     BindKind
+	Obj, Msg string
+}
+
+func (f BindFault) Error() string { return "netlist: " + f.Obj + ": " + f.Msg }
+
+// Bindings walks every net and every instance pin once, in O(pins), and
+// returns all structural findings: nets in order (driver, driver count,
+// then each sink entry), then instances in order (each bound pin). It
+// tolerates master-less instances, invalid references and instance IDs
+// that are not positions, the corrupted states the design-integrity
+// checker diagnoses. A bound input pin counts as listed when a net of
+// d.Nets lists it. A per-pin stamp, not a sink count, records that, so
+// a duplicate sink entry cannot hide a missing pin.
+func (d *Design) Bindings() []BindFault {
+	var out []BindFault
+	add := func(k BindKind, obj, format string, args ...any) {
+		out = append(out, BindFault{k, obj, fmt.Sprintf(format, args...)})
+	}
+	// Bit base[i]+p of listed stamps pin p of d.Instances[i]. Instance IDs
+	// are positions in every design the journaled APIs build; pos maps the
+	// instances of one where they are not.
+	base := make([]int32, len(d.Instances)+1)
+	for i, inst := range d.Instances {
+		base[i+1] = base[i]
+		if inst.Master != nil {
+			base[i+1] += int32(len(inst.Master.Pins))
+		}
+	}
+	listed := make([]uint64, (base[len(d.Instances)]+63)/64)
+	var pos map[*Instance]int
+	slot := func(r PinRef) int {
+		i := r.Inst.ID
+		if i < 0 || i >= len(d.Instances) || d.Instances[i] != r.Inst {
+			if pos == nil {
+				pos = make(map[*Instance]int, len(d.Instances))
+				for j, inst := range d.Instances {
+					pos[inst] = j
+				}
+			}
+			var ok bool
+			if i, ok = pos[r.Inst]; !ok {
+				return -1
 			}
 		}
-		if n.DriverPort != nil {
-			drivers++
+		return int(base[i]) + r.Pin
+	}
+
+	for _, n := range d.Nets {
+		if p := n.Driver; p.Valid() && d.NetAt(p.Inst, p.Pin) != n {
+			add(Mirror, n.Name, "driver %s/%s does not point back at the net", p.Inst.Name, p.Spec().Name)
 		}
-		if drivers == 0 && n.Degree() > 0 {
-			return fmt.Errorf("netlist: net %q has sinks but no driver", n.Name)
+		if !n.HasDriver() && n.Degree() > 0 {
+			add(NoDriver, n.Name, "net has %d sink(s) but no driver", len(n.Sinks)+len(n.SinkPorts))
 		}
-		if drivers > 1 {
-			return fmt.Errorf("netlist: net %q has multiple drivers", n.Name)
+		if p := n.Driver; p.Valid() && n.DriverPort != nil {
+			add(MultiDriver, n.Name, "net driven by both pin %s/%s and port %s", p.Inst.Name, p.Spec().Name, n.DriverPort.Name)
 		}
 		for _, s := range n.Sinks {
 			if !s.Valid() {
-				return fmt.Errorf("netlist: net %q has invalid sink ref", n.Name)
+				add(Mirror, n.Name, "invalid sink reference")
+				continue
 			}
-			if s.Inst.nets[s.Pin] != n {
-				return fmt.Errorf("netlist: net %q sink %s binding mismatch", n.Name, s.Inst.Name)
+			isOut := s.Spec().Dir == cell.DirOut
+			if isOut {
+				add(Mirror, n.Name, "output pin %s/%s listed as sink", s.Inst.Name, s.Spec().Name)
 			}
-			if s.Spec().Dir == cell.DirOut {
-				return fmt.Errorf("netlist: net %q lists output pin of %s as sink", n.Name, s.Inst.Name)
+			if d.NetAt(s.Inst, s.Pin) != n {
+				add(Mirror, n.Name, "sink %s/%s does not point back at the net", s.Inst.Name, s.Spec().Name)
+			} else if b := slot(s); !isOut && b >= 0 {
+				listed[b/64] |= 1 << (b % 64)
 			}
 		}
 	}
-	for _, inst := range d.Instances {
-		for i, n := range inst.nets {
-			if n == nil {
-				continue
-			}
-			spec := inst.Master.Pins[i]
-			ref := PinRef{Inst: inst, Pin: i}
-			if spec.Dir == cell.DirOut {
-				if n.Driver != ref {
-					return fmt.Errorf("netlist: instance %s output not the driver of %q", inst.Name, n.Name)
-				}
-				continue
-			}
-			found := false
-			for _, s := range n.Sinks {
-				if s == ref {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("netlist: instance %s pin %s not listed on net %q", inst.Name, spec.Name, n.Name)
+	for i, inst := range d.Instances {
+		if inst.Master == nil {
+			continue
+		}
+		for p, spec := range inst.Master.Pins {
+			n, b := d.NetAt(inst, p), int(base[i])+p
+			switch {
+			case n == nil:
+			case spec.Dir == cell.DirOut && n.Driver != PinRef{Inst: inst, Pin: p}:
+				add(Mirror, inst.Name, "output pin %s bound to net %s but not its driver", spec.Name, n.Name)
+			case spec.Dir != cell.DirOut && listed[b/64]&(1<<(b%64)) == 0:
+				add(Mirror, inst.Name, "pin %s bound to net %s but missing from its sinks", spec.Name, n.Name)
 			}
 		}
 	}
-	return nil
+	return out
 }

@@ -21,10 +21,10 @@ import "fmt"
 //     retained timing graph must re-levelize when this moves.
 //
 // Outside this package, every mutation goes through the journaled APIs:
-// ReplaceMaster, InsertBuffer, Connect, Disconnect, Instance.SetLoc and
-// Instance.SetTier. A direct write to Instance.Loc or .Tier bumps
-// nothing, so every consumer keyed on the counters would keep a stale
-// view.
+// ReplaceMaster, InsertBuffer, Connect, Disconnect, DisconnectSinks,
+// Instance.SetLoc and Instance.SetTier. A direct write to Instance.Loc or
+// .Tier bumps nothing, so every consumer keyed on the counters would keep
+// a stale view.
 
 // journal is the per-design revision state. maxTopo is the high-water
 // mark of topoRev — they only differ after a fault-injected rewind

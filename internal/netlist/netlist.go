@@ -125,26 +125,9 @@ func (n *Net) Degree() int {
 	return d
 }
 
-// DriverLoc returns the location of the net's driver.
-func (n *Net) DriverLoc() geom.Point {
-	if n.Driver.Valid() {
-		return n.Driver.Loc()
-	}
-	if n.DriverPort != nil {
-		return n.DriverPort.Loc
-	}
-	return geom.Point{}
-}
-
-// PinLocs returns the locations of every pin on the net, driver first.
-func (n *Net) PinLocs() []geom.Point {
-	return n.AppendPinLocs(make([]geom.Point, 0, n.Degree()))
-}
-
 // AppendPinLocs appends every pin location on the net to dst, driver
-// first, and returns the extended slice — the allocation-free form of
-// PinLocs for callers with a reusable buffer (the router's per-net hot
-// paths).
+// first, and returns the extended slice; callers pass a reusable buffer
+// (the router's per-net hot paths).
 func (n *Net) AppendPinLocs(dst []geom.Point) []geom.Point {
 	if n.Driver.Valid() {
 		dst = append(dst, n.Driver.Loc())

@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cell"
@@ -153,12 +154,9 @@ func TestNetQueries(t *testing.T) {
 	}
 	u1 := d.Instance("u1")
 	u1.Loc = geom.Pt(3, 4)
-	if mid.DriverLoc() != geom.Pt(3, 4) {
-		t.Errorf("DriverLoc = %v", mid.DriverLoc())
-	}
-	locs := mid.PinLocs()
-	if len(locs) != 2 {
-		t.Errorf("PinLocs = %v", locs)
+	locs := mid.AppendPinLocs(nil)
+	if len(locs) != 2 || locs[0] != geom.Pt(3, 4) {
+		t.Errorf("AppendPinLocs = %v, want the driver at (3,4) first", locs)
 	}
 }
 
@@ -294,6 +292,95 @@ func TestInsertBuffer(t *testing.T) {
 	bogus := []PinRef{{Inst: buf, Pin: 0}}
 	if _, _, err := d.InsertBuffer(newNet, bogus, lib12.Smallest(cell.FuncBuf), "b2"); err == nil {
 		t.Error("sink not on net should fail")
+	}
+}
+
+// A rejected sink list leaves the design as it was: no buffer instance,
+// no new net, no journal movement, and the netlist still validates.
+func TestInsertBufferErrorLeavesDesign(t *testing.T) {
+	buf := lib12.Smallest(cell.FuncBuf)
+	for _, c := range []struct {
+		name  string
+		sinks func(d *Design) []PinRef
+	}{
+		{"sink on another net", func(d *Design) []PinRef {
+			return []PinRef{{Inst: d.Instance("u1"), Pin: 0}, {Inst: d.Instance("u2"), Pin: 1}}
+		}},
+		{"sink listed twice", func(d *Design) []PinRef {
+			u1A := PinRef{Inst: d.Instance("u1"), Pin: 0}
+			return []PinRef{u1A, u1A}
+		}},
+	} {
+		d := buildMini(t)
+		in := d.Net("in")
+		insts, nets, topo, rev := len(d.Instances), len(d.Nets), d.TopoRev(), d.NetRev(in)
+		if _, _, err := d.InsertBuffer(in, c.sinks(d), buf, "bad"); err == nil {
+			t.Fatalf("%s: InsertBuffer accepted the sink list", c.name)
+		}
+		if len(d.Instances) != insts || len(d.Nets) != nets {
+			t.Errorf("%s: instances %d → %d, nets %d → %d", c.name, insts, len(d.Instances), nets, len(d.Nets))
+		}
+		if d.TopoRev() != topo || d.NetRev(in) != rev {
+			t.Errorf("%s: journal moved: topo %d → %d, net rev %d → %d", c.name, topo, d.TopoRev(), rev, d.NetRev(in))
+		}
+		if err := d.Validate(); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+}
+
+// DisconnectSinks leaves the net without sinks and its pins unbound, and
+// moves the journal exactly as one Disconnect per sink does.
+func TestDisconnectSinks(t *testing.T) {
+	build := func() *Design {
+		d := buildMini(t)
+		for _, name := range []string{"x1", "x2"} {
+			x, _ := d.AddInstance(name, lib12.Smallest(cell.FuncInv))
+			if err := d.Connect(x, "A", d.Net("in")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return d
+	}
+	bulk, single := build(), build()
+	for _, s := range append([]PinRef{}, single.Net("in").Sinks...) {
+		if err := single.Disconnect(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in := bulk.Net("in")
+	sinks := append([]PinRef{}, in.Sinks...)
+	if err := bulk.DisconnectSinks(in); err != nil {
+		t.Fatal(err)
+	}
+	if len(in.Sinks) != 0 {
+		t.Errorf("%d sinks left", len(in.Sinks))
+	}
+	for _, s := range sinks {
+		if bulk.NetAt(s.Inst, s.Pin) != nil {
+			t.Errorf("%s still bound", s.Inst.Name)
+		}
+	}
+	if bulk.TopoRev() != single.TopoRev() || !slices.Equal(bulk.NetRevs(), single.NetRevs()) ||
+		!slices.Equal(bulk.InstRevs(), single.InstRevs()) {
+		t.Errorf("journal: bulk topo %d nets %v, single topo %d nets %v",
+			bulk.TopoRev(), bulk.NetRevs(), single.TopoRev(), single.NetRevs())
+	}
+	if err := bulk.Validate(); err != nil {
+		t.Error(err)
+	}
+
+	// A sink entry the pin does not point back at is refused, and nothing
+	// is detached.
+	d := build()
+	mid := d.Net("mid")
+	mid.Sinks = append(mid.Sinks, PinRef{Inst: d.Instance("x1"), Pin: 0})
+	topo := d.TopoRev()
+	if err := d.DisconnectSinks(mid); err == nil {
+		t.Error("mismatched sink accepted")
+	}
+	if d.TopoRev() != topo || len(mid.Sinks) != 2 || d.NetOf(d.Instance("u2"), "A") != mid {
+		t.Error("refused DisconnectSinks changed the design")
 	}
 }
 

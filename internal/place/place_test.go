@@ -131,7 +131,7 @@ func hpwl(d *netlist.Design) float64 {
 			continue
 		}
 		var bb geom.BBox
-		for _, p := range n.PinLocs() {
+		for _, p := range n.AppendPinLocs(nil) {
 			bb.Extend(p)
 		}
 		tot += bb.HalfPerimeter()
