@@ -4,10 +4,13 @@
 // (fresh analysis per round, raw extraction — the pre-Timer behaviour)
 // with an "incremental" one (persistent Timer over a revision-keyed
 // extraction cache); the wall-clock ratio is the engine's payoff.
-// bench/'s sta.analyze_full_ms and sta.update_incr_ms track both sweeps.
+// BenchmarkStaFull isolates the full pass's propagation at 1 and 2
+// workers. bench/'s sta.analyze_full_ms and sta.update_incr_ms track
+// both sweeps.
 package repro_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -120,6 +123,35 @@ func BenchmarkStaIncremental(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkStaFull times one full Timer.Update at 1 and 2 workers. The
+// route.Cache is warmed by an untimed first update, so each round
+// measures the level-parallel propagation sweeps, not extraction; the
+// ratio of the two is the sweeps' two-core payoff.
+func BenchmarkStaFull(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			d, _ := benchDesign(b, *benchScale)
+			cfg := sta.DefaultConfig(benchPeriod)
+			cfg.Router = route.NewCache(route.New(), d)
+			cfg.ForceFull = true
+			cfg.Workers = workers
+			tm, err := sta.NewTimer(d, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := tm.Update(); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := tm.Update(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkRepairTiming times one sizing round of the repair loop: flip

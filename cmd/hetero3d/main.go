@@ -157,13 +157,24 @@ func run(ctx context.Context, design, config string, scale, clock float64, seed 
 	stats := src.ComputeStats()
 	fmt.Printf("design %s: %d cells, %d macros, %d nets\n", design, stats.Cells, stats.Macros, stats.Nets)
 
+	// -flow-workers 0 budgets intra-flow workers against the jobs that
+	// run at once, so outer × inner stays within the machine: the f_max
+	// sweep is one job, the configuration fan-out min(workers, configs).
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	budget := func(outer int) int {
+		if flowWorkers > 0 {
+			return flowWorkers
+		}
+		return par.Budget(runtime.GOMAXPROCS(0), outer)
+	}
+
 	if clock <= 0 {
 		fmt.Println("sweeping 2D-12T f_max...")
 		fopt := core.DefaultFmaxOptions()
 		fopt.Flow.Seed = seed
-		if flowWorkers > 0 {
-			fopt.Flow.FlowWorkers = flowWorkers
-		}
+		fopt.Flow.FlowWorkers = budget(1)
 		clock, err = core.FindFmax(ctx, src, core.Config2D12T, fopt)
 		if err != nil {
 			return err
@@ -174,18 +185,7 @@ func run(ctx context.Context, design, config string, scale, clock float64, seed 
 	// Implement every requested configuration, fanning out on a worker
 	// pool when more than one is asked for. Flows are deterministic, so
 	// the printed results do not depend on the worker count.
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if flowWorkers <= 0 {
-		// Budget nested parallelism: config fan-out × intra-flow workers
-		// stays within the machine.
-		outer := workers
-		if len(cfgs) < outer {
-			outer = len(cfgs)
-		}
-		flowWorkers = par.Budget(runtime.GOMAXPROCS(0), outer)
-	}
+	cfgWorkers := budget(min(workers, len(cfgs)))
 	policy := flow.NoRetry
 	if retries > 1 {
 		policy = flow.DefaultRetryPolicy(retries)
@@ -196,7 +196,7 @@ func run(ctx context.Context, design, config string, scale, clock float64, seed 
 		opt := core.DefaultOptions(clock)
 		opt.Seed = seed
 		opt.Check = checkMode
-		opt.FlowWorkers = flowWorkers
+		opt.FlowWorkers = cfgWorkers
 		opt.SaveDesign = dbio.save
 		opt.SaveAfter = dbio.saveAfter
 		opt.LoadDesign = dbio.load

@@ -2,18 +2,34 @@ package par
 
 import (
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
 
+// blockCases returns fan-outs around the block-claim boundaries for
+// workers ∈ {2, 3, 8}: n just below, at and above claimsPerWorker·workers
+// (where claims stop being single items) and twice that (where the block
+// grows to two items), plus a prime n ≈ 10⁴ whose last block is partial.
+func blockCases() []struct{ workers, n int } {
+	var out []struct{ workers, n int }
+	for _, w := range []int{2, 3, 8} {
+		c := claimsPerWorker * w
+		for _, n := range []int{c - 1, c, c + 1, 2*c - 1, 2 * c, 2*c + 1, 10007} {
+			out = append(out, struct{ workers, n int }{w, n})
+		}
+	}
+	return out
+}
+
 func TestParallelForCoversAllItems(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 4, 13} {
-		n := 1000
-		got := make([]int32, n)
-		ParallelFor(workers, n, func(i int) { atomic.AddInt32(&got[i], 1) })
-		for i, c := range got {
-			if c != 1 {
-				t.Fatalf("workers=%d: item %d executed %d times", workers, i, c)
+	cases := []struct{ workers, n int }{{0, 1000}, {1, 1000}, {2, 1000}, {4, 1000}, {13, 1000}}
+	for _, c := range append(cases, blockCases()...) {
+		got := make([]int32, c.n)
+		ParallelFor(c.workers, c.n, func(i int) { atomic.AddInt32(&got[i], 1) })
+		for i, r := range got {
+			if r != 1 {
+				t.Fatalf("workers=%d n=%d: item %d executed %d times", c.workers, c.n, i, r)
 			}
 		}
 	}
@@ -25,7 +41,8 @@ func TestParallelForCoversAllItems(t *testing.T) {
 // worker-indexed scratch needs no lock. Each item marks its slot busy
 // and fails if it finds it already taken.
 func TestParallelForWorkerExclusiveSlots(t *testing.T) {
-	for _, c := range []struct{ workers, n int }{{0, 50}, {1, 50}, {3, 500}, {8, 5}, {4, 1}} {
+	cases := []struct{ workers, n int }{{0, 50}, {1, 50}, {3, 500}, {8, 5}, {4, 1}}
+	for _, c := range append(cases, blockCases()...) {
 		slots := max(1, min(c.workers, c.n))
 		busy := make([]atomic.Int32, slots)
 		ran := make([]int32, c.n)
@@ -77,32 +94,65 @@ func TestParallelForEmptyAndSingle(t *testing.T) {
 	}
 }
 
+// TestParallelForPanicLowestIndexWins pins the panic contract across
+// block claims: the lowest panicking item is re-raised whichever block
+// it sits in, and every other item still runs once, including those
+// after a panic inside the same block.
 func TestParallelForPanicLowestIndexWins(t *testing.T) {
-	for _, workers := range []int{1, 8} {
+	odd := func(n int) []int {
+		var out []int
+		for i := 3; i < n; i += 2 {
+			out = append(out, i)
+		}
+		return out
+	}
+	cases := []struct {
+		workers, n int
+		panics     []int // ascending
+	}{
+		{1, 64, odd(64)},
+		{8, 64, odd(64)},
+		// 10007 items claim blocks of 156 on 2 workers and 104 on 3:
+		// panics in the first block, a middle block, the partial last
+		// block, and on both sides of a block edge.
+		{2, 10007, []int{5, 4000, 10006}},
+		{2, 10007, []int{4000, 10006}},
+		{2, 10007, []int{10006}},
+		{3, 10007, []int{103, 104, 9999}},
+		{8, 2*claimsPerWorker*8 + 1, []int{2*claimsPerWorker*8 - 1, 2 * claimsPerWorker * 8}},
+	}
+	for _, c := range cases {
+		ran := make([]int32, c.n)
 		func() {
 			defer func() {
 				v := recover()
 				wp, ok := v.(*WorkerPanic)
 				if !ok {
-					t.Fatalf("workers=%d: recovered %T (%v), want *WorkerPanic", workers, v, v)
+					t.Fatalf("workers=%d n=%d: recovered %T (%v), want *WorkerPanic", c.workers, c.n, v, v)
 				}
-				if wp.Item != 3 {
-					t.Errorf("workers=%d: panic attributed to item %d, want 3 (lowest)", workers, wp.Item)
+				if wp.Item != c.panics[0] {
+					t.Errorf("workers=%d n=%d: panic attributed to item %d, want %d (lowest)", c.workers, c.n, wp.Item, c.panics[0])
 				}
 				if wp.Value != "boom" {
-					t.Errorf("workers=%d: panic value %v, want boom", workers, wp.Value)
+					t.Errorf("workers=%d n=%d: panic value %v, want boom", c.workers, c.n, wp.Value)
 				}
 				if len(wp.Stack) == 0 {
-					t.Errorf("workers=%d: no stack captured", workers)
+					t.Errorf("workers=%d n=%d: no stack captured", c.workers, c.n)
 				}
 			}()
-			ParallelFor(workers, 64, func(i int) {
-				if i >= 3 && i%2 == 1 {
+			ParallelFor(c.workers, c.n, func(i int) {
+				atomic.AddInt32(&ran[i], 1)
+				if slices.Contains(c.panics, i) {
 					panic("boom")
 				}
 			})
-			t.Fatalf("workers=%d: ParallelFor returned, want panic", workers)
+			t.Fatalf("workers=%d n=%d: ParallelFor returned, want panic", c.workers, c.n)
 		}()
+		for i, r := range ran {
+			if r != 1 {
+				t.Fatalf("workers=%d n=%d: item %d ran %d times", c.workers, c.n, i, r)
+			}
+		}
 	}
 }
 

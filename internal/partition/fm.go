@@ -575,9 +575,11 @@ func (st *fmState) runPass() int {
 		}
 	}
 
-	// Roll back moves after the best prefix.
+	// Roll back moves after the best prefix: sides and areas only. The
+	// next pass recounts the nets and recomputes every gain, and after
+	// the last pass only the sides are read.
 	for i := len(moves) - 1; i > bestIdx; i-- {
-		st.applyMove(moves[i].cell) // moving back
+		st.flip(moves[i].cell)
 	}
 	st.moves = moves[:0]
 	if best < 0 {
@@ -699,17 +701,23 @@ func (st *fmState) cachedFilter() moveFilter {
 	return f
 }
 
+// flip moves cell c to the other side and its area with it, and returns
+// the sides it left and joined.
+func (st *fmState) flip(c int32) (from, to uint8) {
+	from = st.side[c]
+	to = 1 - from
+	st.area[from] -= st.h.Area[c]
+	st.area[to] += st.h.Area[c]
+	st.side[c] = to
+	return from, to
+}
+
 // applyMove flips cell c's side, updating areas, net counts, and the
 // gains of unlocked neighbours.
 //
 //hotpath:kernel
 func (st *fmState) applyMove(c int32) {
-	from := st.side[c]
-	to := 1 - from
-	st.area[from] -= st.h.Area[c]
-	st.area[to] += st.h.Area[c]
-	st.side[c] = to
-
+	from, to := st.flip(c)
 	for _, ni := range st.h.netsOf(int(c)) {
 		net := st.h.pins[st.h.netOff[ni]:st.h.netOff[ni+1]]
 		if len(net) < 2 {

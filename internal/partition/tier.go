@@ -1,7 +1,9 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dense"
@@ -389,11 +391,8 @@ func PreassignCritical(cells []*netlist.Instance, slack func(*netlist.Instance) 
 		total += c.Master.Area()
 		entries = append(entries, entry{c, slack(c)})
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].slack != entries[j].slack {
-			return entries[i].slack < entries[j].slack
-		}
-		return entries[i].inst.ID < entries[j].inst.ID
+	slices.SortFunc(entries, func(a, b entry) int {
+		return cmp.Or(cmp.Compare(a.slack, b.slack), a.inst.ID-b.inst.ID)
 	})
 	budget := areaFrac * total
 	out := make(map[*netlist.Instance]tech.Tier)

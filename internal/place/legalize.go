@@ -1,8 +1,9 @@
 package place
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/netlist"
@@ -48,11 +49,8 @@ func Legalize(cells []*netlist.Instance, region geom.Rect, rowHeight float64) (*
 	used := make([]float64, nRows)
 	rows := make([][]*netlist.Instance, nRows)
 	order := append([]*netlist.Instance{}, cells...)
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].Loc.Y != order[j].Loc.Y {
-			return order[i].Loc.Y < order[j].Loc.Y
-		}
-		return order[i].ID < order[j].ID
+	slices.SortFunc(order, func(a, b *netlist.Instance) int {
+		return cmp.Or(cmp.Compare(a.Loc.Y, b.Loc.Y), a.ID-b.ID)
 	})
 	// Leave a little per-row slack so phase 2 can keep cells near their
 	// desired x.
@@ -108,11 +106,8 @@ func Legalize(cells []*netlist.Instance, region geom.Rect, rowHeight float64) (*
 			continue
 		}
 		rowsUsed++
-		sort.Slice(members, func(i, j int) bool {
-			if members[i].Loc.X != members[j].Loc.X {
-				return members[i].Loc.X < members[j].Loc.X
-			}
-			return members[i].ID < members[j].ID
+		slices.SortFunc(members, func(a, b *netlist.Instance) int {
+			return cmp.Or(cmp.Compare(a.Loc.X, b.Loc.X), a.ID-b.ID)
 		})
 		xs := make([]float64, len(members)) // left edges
 		cursor := region.Lx
