@@ -1,7 +1,7 @@
 // Command designdb inspects and verifies the repository's binary file
 // formats: design databases ("H3DB", written by hetero3d/ppac
 // -save-design) and evaluation journals ("H3CK", written by ppac
-// -checkpoint and evalfarm).
+// -checkpoint).
 //
 // Usage:
 //
@@ -12,8 +12,8 @@
 // (tag, offset, payload size, CRC), and — for design databases — the
 // design, configuration, and save boundary from the META section. For
 // evaluation journals it then prints one line per record: the header's
-// suite options, "fmax design cells GHz", "flow design config" with the
-// PPAC headline, and "lease shard action owner attempt reason".
+// suite options, "fmax design cells GHz", and "flow design config" with
+// the PPAC headline.
 //
 // verify decodes each design database and re-encodes it, requiring the
 // bytes to match exactly: the canonical-encoding invariant every writer

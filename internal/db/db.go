@@ -53,19 +53,16 @@ const (
 	// MagicDesign opens a design-database file (cmd/ppac -save-design,
 	// cmd/hetero3d -save-design, the flow's stage-boundary snapshots).
 	MagicDesign = "H3DB"
-	// MagicJournal opens an evaluation journal (cmd/ppac -checkpoint,
-	// the shard farm's shard, coordination and merged journals).
+	// MagicJournal opens an evaluation journal (cmd/ppac -checkpoint).
 	MagicJournal = "H3CK"
 	// FormatVersion is the current wire-format version; bumped on any
 	// incompatible layout change. Readers refuse other versions with
 	// ErrVersion.
 	FormatVersion = 1
-	// TagLease frames one shard-coordination lease record inside an
-	// evaluation journal: the grant/renew/release/expire/quarantine
-	// lifecycle internal/shard's supervisor appends around the worker
-	// processes' fmax/flow records. Defined here with the file kinds so
-	// inspection tooling can name the frame without importing the
-	// evaluation layer; internal/eval owns the payload codec.
+	// TagLease is the frame tag of the lease records the removed
+	// sharded evaluation farm wrote into evaluation journals. No writer
+	// emits it; journal readers refuse a file that holds one
+	// (eval.ErrFarmJournal).
 	TagLease = "LEAS"
 )
 

@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 
@@ -16,10 +17,9 @@ import (
 // The evaluation checkpoint is an append-only journal over internal/db's
 // length-prefixed, CRC-checked framing under the "H3CK" magic: a header
 // frame binding the file to the suite options that produced it, then one
-// frame per completed unit of work (an f_max search or a finished flow)
-// or shard-coordination lease. RunSuite appends records as flows finish
-// and, on resume, serves completed work from the journal instead of
-// re-running it.
+// frame per completed unit of work (an f_max search or a finished flow).
+// RunSuite appends records as flows finish and, on resume, serves
+// completed work from the journal instead of re-running it.
 //
 // Only what the tables consume is persisted: the PPAC record (with the
 // non-serializable clock-tree pointer dropped), the per-stage metrics,
@@ -32,9 +32,11 @@ import (
 // restored results and says so instead of failing.
 //
 // A record is one frame, written with O_APPEND in a single Write call; a
-// run killed mid-write leaves at most one truncated final frame, which
-// loading tolerates (the half-written record's work re-runs) and
-// OpenCheckpoint cuts off before it appends again.
+// run killed mid-write — SIGKILL included — leaves at most one truncated
+// final frame, which loading tolerates (the half-written record's work
+// re-runs) and OpenCheckpoint cuts off before it appends again. Rerunning
+// a killed `ppac -checkpoint` with the same options is therefore the
+// whole recovery procedure.
 
 // ckptVersion is bumped whenever the record schema changes shape
 // incompatibly.
@@ -66,39 +68,6 @@ type ckptFlow struct {
 	Checks   []*check.Report
 }
 
-// Lease actions, in lifecycle order. A shard's lease history reads
-// grant → renew* → (release | expire | quarantine); expire and
-// quarantine return the shard to the pool for a fresh grant.
-const (
-	LeaseGrant      = "grant"      // shard claimed by an owner for one attempt
-	LeaseRenew      = "renew"      // liveness: the owner's journal made progress
-	LeaseRelease    = "release"    // the shard completed; the lease retires
-	LeaseExpire     = "expire"     // the owner died or stalled; work returns to the pool
-	LeaseQuarantine = "quarantine" // the shard's journal failed validation and was set aside
-)
-
-// Lease is one shard-coordination record of the journal: the supervisor
-// (internal/shard) appends the full lease lifecycle of every shard so a
-// killed-and-restarted supervisor can reconstruct ownership, and so the
-// farm's restarts/expiries/quarantines are auditable after the fact.
-// Owner tokens make the single-writer-per-shard discipline visible: every
-// grant names a fresh token, and no two grants of one shard are ever
-// live at once (the supervisor kills and reaps the old process before
-// appending the expiry that frees the shard).
-type Lease struct {
-	Shard   int
-	Action  string
-	Owner   string
-	Attempt int
-	// Reason qualifies expire ("stalled", "signal: killed", "exit 2") and
-	// quarantine ("crc mismatch", "option mismatch") records.
-	Reason string
-	// Units is the shard's work set, recorded on the grant so the journal
-	// is self-describing and a resumed supervisor can verify the sharding
-	// still matches.
-	Units []Unit
-}
-
 type flowKey struct {
 	design designs.Name
 	config core.ConfigName
@@ -107,9 +76,8 @@ type flowKey struct {
 // ckptRecord is one journal entry in file order — exactly one of its
 // fields is set.
 type ckptRecord struct {
-	fmax  *ckptFmax
-	flow  *ckptFlow
-	lease *Lease
+	fmax *ckptFmax
+	flow *ckptFlow
 }
 
 // Checkpoint is an open evaluation journal: the completed work loaded
@@ -118,11 +86,10 @@ type ckptRecord struct {
 type Checkpoint struct {
 	path string
 
-	mu     sync.Mutex
-	f      *os.File
-	fmax   map[designs.Name]ckptFmax
-	flows  map[flowKey]*ckptFlow
-	leases []Lease
+	mu    sync.Mutex
+	f     *os.File
+	fmax  map[designs.Name]ckptFmax
+	flows map[flowKey]*ckptFlow
 }
 
 // headerFor derives the journal header binding a checkpoint to the
@@ -168,10 +135,10 @@ func headerDiff(file, run ckptHeader) []string {
 	if fc, rc := orOff(file.Check), orOff(run.Check); fc != rc {
 		add("check mode", fc, rc)
 	}
-	if !sameStrings(file.Designs, run.Designs) {
+	if !slices.Equal(file.Designs, run.Designs) {
 		add("design set", strings.Join(file.Designs, ","), strings.Join(run.Designs, ","))
 	}
-	if !sameStrings(file.Configs, run.Configs) {
+	if !slices.Equal(file.Configs, run.Configs) {
 		add("config set", strings.Join(file.Configs, ","), strings.Join(run.Configs, ","))
 	}
 	return diffs
@@ -184,22 +151,9 @@ func orOff(check string) string {
 	return check
 }
 
-func sameStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // errDifferentOptions builds the option-mismatch refusal, naming exactly
 // which header fields differ so the operator can tell a wrong flag from a
-// wrong file. Shared by resume, status probes and merge so callers see
-// one message.
+// wrong file.
 func errDifferentOptions(diffs []string) error {
 	return fmt.Errorf("journal was written under different suite options — %s — delete it or rerun with the original options",
 		strings.Join(diffs, "; "))
@@ -208,9 +162,11 @@ func errDifferentOptions(diffs []string) error {
 // OpenCheckpoint opens (or creates) the journal at path for the given
 // suite options. An existing journal written under different options is
 // refused — resuming it would silently mix incompatible results — and so
-// is a file that is not an evaluation journal at all. A truncated final
-// frame left by a killed append is cut off before the first new append,
-// so the journal stays resumable however often it is interrupted.
+// is a file that is not an evaluation journal at all, or one that holds
+// lease frames (ErrFarmJournal); a refused file is left as it was. A
+// truncated final frame left by a killed append is cut off before the
+// first new append, so the journal stays resumable however often it is
+// interrupted.
 func OpenCheckpoint(path string, opt SuiteOptions) (*Checkpoint, error) {
 	opt = opt.withDefaults()
 	c := &Checkpoint{
@@ -275,8 +231,6 @@ func (c *Checkpoint) index(recs []ckptRecord) {
 			c.fmax[designs.Name(rec.fmax.Design)] = *rec.fmax
 		case rec.flow != nil:
 			c.flows[flowKey{designs.Name(rec.flow.Design), core.ConfigName(rec.flow.Config)}] = rec.flow
-		case rec.lease != nil:
-			c.leases = append(c.leases, *rec.lease)
 		}
 	}
 }
@@ -372,45 +326,6 @@ func (c *Checkpoint) PutFlow(design designs.Name, cfg core.ConfigName, r *core.R
 	c.flows[flowKey{design, cfg}] = rec
 	c.mu.Unlock()
 	return nil
-}
-
-// validLeaseAction gates the lease-action vocabulary on parse so a
-// corrupted action string is caught at load, not at supervisor-resume.
-func validLeaseAction(a string) bool {
-	switch a {
-	case LeaseGrant, LeaseRenew, LeaseRelease, LeaseExpire, LeaseQuarantine:
-		return true
-	}
-	return false
-}
-
-// PutLease appends one shard-coordination record.
-func (c *Checkpoint) PutLease(l Lease) error {
-	if !validLeaseAction(l.Action) {
-		return fmt.Errorf("eval: checkpoint %s: invalid lease action %q", c.path, l.Action)
-	}
-	if err := c.append(&l); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.leases = append(c.leases, l)
-	c.mu.Unlock()
-	return nil
-}
-
-// Leases returns every lease record in append order (loaded and newly
-// written alike).
-func (c *Checkpoint) Leases() []Lease {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Lease{}, c.leases...)
-}
-
-// Completed reports how many f_max searches and flows the journal holds.
-func (c *Checkpoint) Completed() (fmax, flows int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.fmax), len(c.flows)
 }
 
 // Close closes the append handle; the loaded records stay readable.

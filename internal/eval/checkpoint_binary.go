@@ -8,26 +8,25 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/db"
-	"repro/internal/designs"
 )
 
 // Frame codecs of the evaluation journal (see checkpoint.go for its
 // semantics). Records are written with the same explicit per-field
 // encoders the design database uses — no reflection, and floats survive
-// exactly by construction. The encoders are deterministic, so two records
-// are equal exactly when their frames are byte-equal; the merge relies on
-// that to refuse divergent duplicates.
+// exactly by construction.
 
 // Frame tags of the binary journal.
 const (
 	tagCkptHeader = "EHDR"
 	tagCkptFmax   = "FMAX"
 	tagCkptFlow   = "FLOW"
-	// tagCkptLease frames shard-coordination records (db.TagLease): the
-	// lease lifecycle internal/shard's supervisor appends around the
-	// worker processes' own fmax/flow records.
-	tagCkptLease = db.TagLease
 )
+
+// ErrFarmJournal refuses a journal that holds lease frames (db.TagLease).
+// Only the sharded evaluation farm (cmd/evalfarm, internal/shard) wrote
+// them, and it has been removed: resume, verify and inspect refuse such
+// a file rather than skip its frames, and leave it as it is.
+var ErrFarmJournal = errors.New("journal holds lease frames of the removed evalfarm shard farm; start a new ppac -checkpoint journal")
 
 func appendHeaderFrame(dst []byte, h ckptHeader) ([]byte, error) {
 	w := db.NewWriter()
@@ -60,7 +59,7 @@ func readHeaderFrame(r *db.Reader) ckptHeader {
 	return h
 }
 
-// appendRecordFrame encodes one fmax, flow or lease record as a frame.
+// appendRecordFrame encodes one fmax or flow record as a frame.
 func appendRecordFrame(dst []byte, rec any) ([]byte, error) {
 	w := db.NewWriter()
 	switch r := rec.(type) {
@@ -90,32 +89,9 @@ func appendRecordFrame(dst []byte, rec any) ([]byte, error) {
 			db.PutCheckReport(w, rep)
 		}
 		return db.AppendFrame(dst, tagCkptFlow, w.Bytes())
-	case *Lease:
-		w.PutI32(int32(r.Shard))
-		w.PutString(r.Action)
-		w.PutString(r.Owner)
-		w.PutI32(int32(r.Attempt))
-		w.PutString(r.Reason)
-		w.PutU32(uint32(len(r.Units)))
-		for _, u := range r.Units {
-			w.PutString(string(u.Design))
-			w.PutString(string(u.Config))
-		}
-		return db.AppendFrame(dst, tagCkptLease, w.Bytes())
 	default:
 		return nil, fmt.Errorf("unsupported journal record %T", rec)
 	}
-}
-
-func readLeaseFrame(r *db.Reader) *Lease {
-	rec := &Lease{Shard: int(r.I32()), Action: r.String(), Owner: r.String(), Attempt: int(r.I32()), Reason: r.String()}
-	if !validLeaseAction(rec.Action) {
-		r.Corruptf("lease frame: invalid action %q", rec.Action)
-	}
-	for i, n := 0, r.Count(8); r.More(i, n); i++ {
-		rec.Units = append(rec.Units, Unit{Design: designs.Name(r.String()), Config: core.ConfigName(r.String())})
-	}
-	return rec
 }
 
 func readFmaxFrame(r *db.Reader) *ckptFmax {
@@ -140,7 +116,8 @@ func readFlowFrame(r *db.Reader) *ckptFlow {
 }
 
 // parseCheckpoint walks the framed journal: the header frame must come
-// first and exactly once, unknown tags are skipped, and a truncated final
+// first and exactly once, unknown tags are skipped (except the farm's
+// lease frames, refused with ErrFarmJournal), and a truncated final
 // frame is tolerated (the run was killed mid-append; that record's work
 // re-runs). end is the offset just past the last complete frame. A CRC
 // failure on a complete frame is corruption and refuses the journal, as
@@ -173,8 +150,8 @@ func parseCheckpoint(data []byte) (hdr ckptHeader, recs []ckptRecord, end int, e
 			rec.fmax = readFmaxFrame(r)
 		case tagCkptFlow:
 			rec.flow = readFlowFrame(r)
-		case tagCkptLease:
-			rec.lease = readLeaseFrame(r)
+		case db.TagLease:
+			return hdr, nil, 0, ErrFarmJournal
 		default:
 			continue // unknown frame: a future record kind; skip it
 		}
@@ -201,8 +178,8 @@ func VerifyJournal(data []byte) error {
 }
 
 // JournalLines renders an evaluation journal as text, one line per
-// record in file order: the header's suite options, then each fmax, flow
-// (with its PPAC headline) and lease record, and a last line noting a
+// record in file order: the header's suite options, then each fmax and
+// flow (with its PPAC headline) record, and a last line noting a
 // truncated final frame if one is present. It parses exactly as resume
 // does, so it refuses what resume refuses.
 func JournalLines(data []byte) ([]string, error) {
@@ -222,11 +199,8 @@ func JournalLines(data []byte) ([]string, error) {
 			p := rec.flow.PPAC
 			line = fmt.Sprintf("flow %s %s  %.4g GHz  %.4g mW  WNS %.4g ns  %.4g mm2  cost %.4g  PPC %.4g",
 				rec.flow.Design, rec.flow.Config, p.FreqGHz, p.PowerMW, p.WNS, p.SiAreaMM2, p.DieCostMicroC, p.PPC)
-		case rec.lease != nil:
-			l := rec.lease
-			line = fmt.Sprintf("lease %d %s %s %d %s", l.Shard, l.Action, l.Owner, l.Attempt, l.Reason)
 		}
-		lines = append(lines, strings.TrimRight(line, " "))
+		lines = append(lines, line)
 	}
 	if end < len(data) {
 		lines = append(lines, fmt.Sprintf("truncated final frame (%d bytes), dropped on the next resume", len(data)-end))

@@ -180,9 +180,6 @@ func TestJournalLines(t *testing.T) {
 	if err := ck.PutFmax(designs.CPU, 1234, 0.4375); err != nil {
 		t.Fatal(err)
 	}
-	if err := ck.PutLease(Lease{Shard: 3, Action: LeaseExpire, Owner: "s3-a1", Attempt: 1, Reason: "stalled"}); err != nil {
-		t.Fatal(err)
-	}
 	if err := ck.PutFlow(designs.CPU, core.ConfigHetero, binaryFlowResult()); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +196,6 @@ func TestJournalLines(t *testing.T) {
 	want := []string{
 		"header v1 scale 0.05 seed 1 fmax-iters 3 check off designs netcard,aes,ldpc,cpu configs ",
 		"fmax cpu 1234 cells 0.4375 GHz",
-		"lease 3 expire s3-a1 1 stalled",
 		"flow cpu Hetero-M3D  0.4375 GHz  12.5 mW  WNS -0.03125 ns",
 	}
 	if len(lines) != len(want) {
@@ -215,14 +211,14 @@ func TestJournalLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(lines); n != 4 || !strings.HasPrefix(lines[3], "truncated final frame") {
+	if n := len(lines); n != 3 || !strings.HasPrefix(lines[2], "truncated final frame") {
 		t.Errorf("truncated journal lines:\n%s", strings.Join(lines, "\n"))
 	}
 }
 
 // testJournal writes a journal holding one record of every kind — a
-// header, an fmax, a lease with units and a flow with every optional
-// field — and returns its bytes.
+// header, an fmax and a flow with every optional field — and returns its
+// bytes.
 func testJournal(t testing.TB) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "ckpt.db")
@@ -232,10 +228,6 @@ func testJournal(t testing.TB) []byte {
 	}
 	defer ck.Close()
 	if err := ck.PutFmax(designs.CPU, 1234, 0.4375); err != nil {
-		t.Fatal(err)
-	}
-	units := []Unit{{Design: designs.CPU, Config: core.ConfigHetero}, {Design: designs.AES, Config: core.Config2D12T}}
-	if err := ck.PutLease(Lease{Shard: 3, Action: LeaseGrant, Owner: "s3-a1", Attempt: 1, Reason: "start", Units: units}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ck.PutFlow(designs.CPU, core.ConfigHetero, binaryFlowResult()); err != nil {
@@ -299,7 +291,7 @@ func TestJournalRefusesTrailingBytes(t *testing.T) {
 }
 
 // TestJournalTruncationMatrix decodes every strict prefix of every
-// record payload (EHDR, FMAX, LEAS, FLOW), and each payload plus one
+// record payload (EHDR, FMAX, FLOW), and each payload plus one
 // trailing byte, as a complete CRC-valid frame: each must be refused
 // with ErrCorrupt, never panic and never decode to zero values.
 func TestJournalTruncationMatrix(t *testing.T) {
@@ -325,7 +317,7 @@ func TestJournalTruncationMatrix(t *testing.T) {
 			}
 		}
 	}
-	for _, tag := range []string{tagCkptHeader, tagCkptFmax, tagCkptLease, tagCkptFlow} {
+	for _, tag := range []string{tagCkptHeader, tagCkptFmax, tagCkptFlow} {
 		if !seen[tag] {
 			t.Errorf("test journal has no %s record", tag)
 		}

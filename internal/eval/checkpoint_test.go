@@ -3,13 +3,18 @@ package eval
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/db"
 	"repro/internal/designs"
 	"repro/internal/flow"
 )
@@ -18,6 +23,17 @@ func ckptOpts() SuiteOptions {
 	opt := DefaultSuiteOptions(0.05)
 	opt.FmaxIterations = 3
 	return opt
+}
+
+// testFlowResult builds a small but fully populated flow result for
+// journal tests; vary freq to make two results provably different.
+func testFlowResult(design string, cfg core.ConfigName, freq float64) *core.Result {
+	return &core.Result{
+		PPAC: &core.PPAC{Design: design, Config: cfg, FreqGHz: freq,
+			PowerMW: 12.5, WNS: -0.031, WLm: 0.25},
+		Stages: []flow.StageMetric{{Name: "place", Cells: 1234,
+			Stats: map[string]int64{flow.StatCongestionRetries: 1}}},
+	}
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -94,6 +110,51 @@ func TestCheckpointRefusesOptionMismatch(t *testing.T) {
 	narrower.Designs = []designs.Name{designs.CPU}
 	if _, err := OpenCheckpoint(path, narrower); err == nil {
 		t.Error("design-list mismatch must be refused")
+	}
+}
+
+// TestOptionMismatchNamesFields pins the satellite contract: the
+// option-mismatch refusal reports exactly which header fields differ,
+// with both values, and nothing about fields that agree.
+func TestOptionMismatchNamesFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.db")
+	opt := ckptOpts()
+	ck, err := OpenCheckpoint(path, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Close()
+
+	other := opt
+	other.Scale = 0.25
+	other.Seed = 7
+	other.Check = core.CheckFull
+	_, err = OpenCheckpoint(path, other)
+	if err == nil {
+		t.Fatal("mismatched options accepted")
+	}
+	msg := err.Error()
+	for _, want := range []string{
+		"scale: file 0.05, run 0.25",
+		"seed: file 1, run 7",
+		"check mode: file off, run full",
+	} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("error %q missing clause %q", msg, want)
+		}
+	}
+	for _, stray := range []string{"design set", "config set", "fmax iterations", "format version"} {
+		if strings.Contains(msg, stray) {
+			t.Errorf("error %q names agreeing field %q", msg, stray)
+		}
+	}
+
+	// A design-set difference is named with both sets.
+	narrowed := opt
+	narrowed.Designs = []designs.Name{designs.CPU}
+	_, err = OpenCheckpoint(path, narrowed)
+	if err == nil || !strings.Contains(err.Error(), "design set") {
+		t.Errorf("design-set mismatch not named: %v", err)
 	}
 }
 
@@ -263,32 +324,52 @@ const jsonJournal = `{"kind":"header","version":1,"scale":0.05,"seed":1,"designs
 {"kind":"flow","design":"cpu","config":"Hetero-M3D","ppac":{"Design":"cpu","Config":"Hetero-M3D","FreqGHz":0.4375,"FootprintMM2":0.0125,"SiAreaMM2":0.025,"ChipWidthUM":111.8,"Density":0.68,"WLm":0.25,"MIVs":210,"PowerMW":12.5,"LeakageMW":0.8,"ClockPowerMW":1.9,"WNS":-0.031,"TNS":-1.25,"EffDelayNS":2.3167,"PDPpJ":28.96,"DieCostMicroC":4.2,"CostPerCm2":168,"PPC":8.33,"Cells":4321,"Clock":null,"CutSize":140,"Refinement":"hetero flow, cut=140, preassigned=12"},"stages":[{"Name":"place","Wall":1000000,"Cells":4321,"Stats":{"congestion_retries":1}}],"degraded":["full-sta"]}
 `
 
-// TestJSONJournalRefused pins that every journal reader refuses a
-// line-oriented JSON journal as not an evaluation journal and leaves it
-// untouched, rather than restarting over it.
+// TestJSONJournalRefused pins that every journal reader — resume,
+// verify and inspect — refuses a journal it cannot resume and leaves it
+// untouched, rather than restarting or skipping over it: a line-oriented
+// JSON journal, and a binary journal holding the lease frames the removed
+// shard farm wrote.
 func TestJSONJournalRefused(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "suite.ckpt")
-	if err := os.WriteFile(path, []byte(jsonJournal), 0o644); err != nil {
+	lease, err := db.AppendFrame(testJournal(t), db.TagLease, []byte("s0-a1 grant"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	opt := ckptOpts()
-	check := func(what string, err error) {
-		t.Helper()
-		if err == nil || !strings.Contains(err.Error(), "not an evaluation journal") {
-			t.Errorf("%s: want a not-an-evaluation-journal refusal, got %v", what, err)
-		}
-		if data, rerr := os.ReadFile(path); rerr != nil || string(data) != jsonJournal {
-			t.Errorf("%s: JSON journal was modified (%v)", what, rerr)
-		}
+	for _, tc := range []struct {
+		name    string
+		journal []byte
+		refused func(error) bool
+	}{
+		{"json", []byte(jsonJournal), func(err error) bool {
+			return err != nil && strings.Contains(err.Error(), "not an evaluation journal")
+		}},
+		{"lease", lease, func(err error) bool {
+			return errors.Is(err, ErrFarmJournal) && strings.Contains(err.Error(), "evalfarm")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "suite.ckpt")
+			if err := os.WriteFile(path, tc.journal, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			check := func(what string, err error) {
+				t.Helper()
+				if !tc.refused(err) {
+					t.Errorf("%s: want the %s journal refused, got %v", what, tc.name, err)
+				}
+				if data, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(data, tc.journal) {
+					t.Errorf("%s: refused journal was modified (%v)", what, rerr)
+				}
+			}
+			ck, err := OpenCheckpoint(path, ckptOpts())
+			if ck != nil {
+				ck.Close()
+			}
+			check("OpenCheckpoint", err)
+			check("VerifyJournal", VerifyJournal(tc.journal))
+			_, err = JournalLines(tc.journal)
+			check("JournalLines", err)
+		})
 	}
-	ck, err := OpenCheckpoint(path, opt)
-	if ck != nil {
-		ck.Close()
-	}
-	check("OpenCheckpoint", err)
-	_, _, _, err = JournalStatus(path, opt)
-	check("JournalStatus", err)
-	check("MergeCheckpoints", MergeCheckpoints(path, opt, path))
 }
 
 // killSink cancels the suite's context after n config completions — the
@@ -311,105 +392,175 @@ func (k *killSink) ConfigDone(design string, config core.ConfigName, p *core.PPA
 	}
 }
 
-// TestKillAndResume is the tentpole acceptance test: a suite interrupted
-// mid-run and resumed from its checkpoint renders Tables I–VIII
-// byte-identical to an uninterrupted run.
-func TestKillAndResume(t *testing.T) {
-	ref := testSuite(t) // the uninterrupted reference (no checkpoint at all)
-	path := filepath.Join(t.TempDir(), "suite.ckpt")
+// killChildEnv carries the journal path to the child process of
+// TestKillAndResume/sigkill: set, the test runs the suite into that
+// journal until the parent SIGKILLs it.
+const killChildEnv = "EVAL_KILL_CHILD_JOURNAL"
 
-	// Phase 1: run with a checkpoint and kill after three flows finish.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+// TestKillAndResume proves that a suite which dies mid-run and is rerun
+// from its checkpoint renders Tables I–VIII byte-identical to an
+// uninterrupted run. The first run dies either by context cancellation
+// in this process or by SIGKILL of a child process running the suite —
+// the death of `ppac -checkpoint` that rerunning it recovers from.
+func TestKillAndResume(t *testing.T) {
+	if path := os.Getenv(killChildEnv); path != "" {
+		opt := killOpts(t, path)
+		_, err := RunSuite(context.Background(), opt)
+		t.Fatalf("child suite ended (%v) before the parent killed it", err)
+	}
+	ref := testSuite(t) // the uninterrupted reference (no checkpoint at all)
+	for _, tc := range []struct {
+		name string
+		kill func(t *testing.T, path string)
+	}{
+		{"cancel", killByCancel},
+		{"sigkill", killBySignal},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "suite.ckpt")
+			tc.kill(t, path) // phase 1: run with a checkpoint and die after three flows finish
+			if flows := journalFlows(path); flows < 3 {
+				t.Fatalf("checkpoint holds %d flows after the kill, want >= 3", flows)
+			}
+
+			// Phase 2: resume with the same options.
+			s, err := RunSuite(context.Background(), killOpts(t, path))
+			if err != nil {
+				t.Fatalf("resume failed: %v", err)
+			}
+			restored := 0
+			for _, cfgs := range s.Results {
+				for _, r := range cfgs {
+					if r != nil && r.Restored {
+						restored++
+					}
+				}
+			}
+			if restored < 3 {
+				t.Errorf("resume restored %d flows, want >= 3", restored)
+			}
+
+			// The proof: every table is byte-identical.
+			got, want := tableRenders(t, s), tableRenders(t, ref)
+			for _, name := range []string{"table_i.txt", "table_ii.txt", "table_iii.txt", "table_iv.txt",
+				"table_v.txt", "table_vi.txt", "table_vii.txt", "table_viii.txt"} {
+				if got[name] != want[name] {
+					t.Errorf("%s diverged after resume:\n%s", name, renderDiff(want[name], got[name]))
+				}
+			}
+
+			// Figures degrade gracefully on restored results instead of failing.
+			if f3, err := s.Fig3(""); err != nil {
+				t.Errorf("Fig3 on resumed suite: %v", err)
+			} else if !strings.Contains(f3, "restored from checkpoint") && !strings.Contains(f3, "tier-1") {
+				t.Errorf("Fig3 output unexpected:\n%s", f3)
+			}
+
+			// A third run with everything checkpointed runs zero flows and
+			// still matches.
+			s3, err := RunSuite(context.Background(), killOpts(t, path))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := s3.TableVII().String(); got != ref.TableVII().String() {
+				t.Error("fully-restored suite diverged")
+			}
+			for _, cfgs := range s3.Results {
+				for _, r := range cfgs {
+					if r == nil || !r.Restored {
+						t.Fatal("fully-checkpointed suite should restore every flow")
+					}
+				}
+			}
+			if s3.ResilienceReport() == nil {
+				t.Error("resilience report missing")
+			}
+		})
+	}
+}
+
+// killOpts are the checkpointed suite options of TestKillAndResume, at
+// the FLOW_WORKERS intra-flow parallelism when it is set.
+func killOpts(t *testing.T, path string) SuiteOptions {
+	t.Helper()
 	opt := ckptOpts()
 	opt.Checkpoint = path
+	fw, err := envFlowWorkers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.FlowWorkers = fw
+	return opt
+}
+
+// killByCancel runs the suite in this process and cancels its context
+// once three flows have finished.
+func killByCancel(t *testing.T, path string) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opt := killOpts(t, path)
 	opt.Events = &killSink{n: 3, cancel: cancel}
 	if _, err := RunSuite(ctx, opt); err == nil {
 		t.Fatal("killed run should report an error")
 	}
-	probe, err := OpenCheckpoint(path, ckptOpts())
-	if err != nil {
+}
+
+// killBySignal re-executes the test binary as a child that runs the
+// suite into the journal, polls the journal until it holds three
+// complete flow frames, and SIGKILLs the child: no deferred function,
+// no flush and no close runs in it.
+func killBySignal(t *testing.T, path string) {
+	cmd := exec.Command(os.Args[0], "-test.run=^TestKillAndResume$", "-test.count=1")
+	cmd.Env = append(os.Environ(), killChildEnv+"="+path)
+	var stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stderr, &stderr
+	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	_, flows := probe.Completed()
-	probe.Close()
-	if flows < 3 {
-		t.Fatalf("checkpoint holds %d flows after the kill, want >= 3", flows)
-	}
-
-	// Phase 2: resume with the same options.
-	opt2 := ckptOpts()
-	opt2.Checkpoint = path
-	s, err := RunSuite(context.Background(), opt2)
-	if err != nil {
-		t.Fatalf("resume failed: %v", err)
-	}
-
-	restored := 0
-	for _, cfgs := range s.Results {
-		for _, r := range cfgs {
-			if r != nil && r.Restored {
-				restored++
-			}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	defer func() {
+		cmd.Process.Kill()
+		<-exited
+	}()
+	deadline := time.After(5 * time.Minute)
+	for flows := 0; flows < 3; flows = journalFlows(path) {
+		select {
+		case err := <-exited:
+			exited <- err
+			t.Fatalf("child exited (%v) with %d flows journaled:\n%s", err, flows, stderr.Bytes())
+		case <-deadline:
+			t.Fatalf("child journaled %d flows in 5m", flows)
+		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	if restored < 3 {
-		t.Errorf("resume restored %d flows, want >= 3", restored)
-	}
-
-	// The proof: every suite-derived table is byte-identical.
-	if got, want := s.TableI().String(), ref.TableI().String(); got != want {
-		t.Errorf("Table I diverged after resume:\n--- resumed ---\n%s\n--- reference ---\n%s", got, want)
-	}
-	if got, want := s.TableVI().String(), ref.TableVI().String(); got != want {
-		t.Errorf("Table VI diverged after resume:\n--- resumed ---\n%s\n--- reference ---\n%s", got, want)
-	}
-	if got, want := s.TableVII().String(), ref.TableVII().String(); got != want {
-		t.Errorf("Table VII diverged after resume:\n--- resumed ---\n%s\n--- reference ---\n%s", got, want)
-	}
-	rt, err := s.TableVIII()
-	if err != nil {
-		t.Fatalf("Table VIII on resumed suite: %v", err)
-	}
-	wt, err := ref.TableVIII()
-	if err != nil {
+	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatal(err)
 	}
-	if rt.String() != wt.String() {
-		t.Errorf("Table VIII diverged after resume:\n--- resumed ---\n%s\n--- reference ---\n%s", rt.String(), wt.String())
+	err := <-exited
+	exited <- err
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.Sys().(syscall.WaitStatus).Signal() != syscall.SIGKILL {
+		t.Fatalf("child did not die by SIGKILL: %v\n%s", err, stderr.Bytes())
 	}
+}
 
-	// Tables II–V are suite-independent; spot-check one renders.
-	if tb := TableIV(); !strings.Contains(tb.String(), "Die cost") {
-		t.Error("Table IV broken on resumed process")
-	}
-
-	// Figures degrade gracefully on restored results instead of failing.
-	if f3, err := s.Fig3(""); err != nil {
-		t.Errorf("Fig3 on resumed suite: %v", err)
-	} else if !strings.Contains(f3, "restored from checkpoint") && !strings.Contains(f3, "tier-1") {
-		t.Errorf("Fig3 output unexpected:\n%s", f3)
-	}
-
-	// A third run with everything checkpointed runs zero flows and still
-	// matches.
-	opt3 := ckptOpts()
-	opt3.Checkpoint = path
-	s3, err := RunSuite(context.Background(), opt3)
+// journalFlows counts the complete flow frames in the journal at path,
+// as resume would load them (0 while the file does not parse yet).
+func journalFlows(path string) int {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatal(err)
+		return 0
 	}
-	if got := s3.TableVII().String(); got != ref.TableVII().String() {
-		t.Error("fully-restored suite diverged")
+	_, recs, _, err := parseCheckpoint(data)
+	if err != nil {
+		return 0
 	}
-	for _, cfgs := range s3.Results {
-		for _, r := range cfgs {
-			if r == nil || !r.Restored {
-				t.Fatal("fully-checkpointed suite should restore every flow")
-			}
+	n := 0
+	for _, r := range recs {
+		if r.flow != nil {
+			n++
 		}
 	}
-	if s3.ResilienceReport() == nil {
-		t.Error("resilience report missing")
-	}
+	return n
 }

@@ -9,8 +9,8 @@ import (
 
 // FuzzJournal feeds arbitrary bytes to the journal verifier and its
 // text renderer. The contract: neither panics, every failure is typed
-// ErrCorrupt or ErrVersion, and the two agree on what they refuse —
-// they parse exactly as resume does.
+// ErrCorrupt, ErrVersion or ErrFarmJournal, and the two agree on what
+// they refuse — they parse exactly as resume does.
 func FuzzJournal(f *testing.F) {
 	data := testJournal(f)
 	f.Add(data)
@@ -20,7 +20,7 @@ func FuzzJournal(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		verr := VerifyJournal(data)
-		if verr != nil && !errors.Is(verr, db.ErrCorrupt) && !errors.Is(verr, db.ErrVersion) {
+		if verr != nil && !errors.Is(verr, db.ErrCorrupt) && !errors.Is(verr, db.ErrVersion) && !errors.Is(verr, ErrFarmJournal) {
 			t.Fatalf("VerifyJournal: untyped error %v", verr)
 		}
 		if _, err := JournalLines(data); (err == nil) != (verr == nil) {

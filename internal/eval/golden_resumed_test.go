@@ -5,7 +5,6 @@ import (
 	"context"
 	"os"
 	"path/filepath"
-	"strconv"
 	"testing"
 )
 
@@ -23,12 +22,9 @@ func TestGoldenTablesResumed(t *testing.T) {
 	opt := DefaultSuiteOptions(0.1)
 	opt.FmaxIterations = 3
 	opt.ResumeFromPlace = t.TempDir()
-	if v := os.Getenv("FLOW_WORKERS"); v != "" {
-		fw, err := strconv.Atoi(v)
-		if err != nil {
-			t.Fatalf("bad FLOW_WORKERS %q: %v", v, err)
-		}
-		opt.FlowWorkers = fw
+	var err error
+	if opt.FlowWorkers, err = envFlowWorkers(); err != nil {
+		t.Fatal(err)
 	}
 	s, err := RunSuite(context.Background(), opt)
 	if err != nil {

@@ -37,13 +37,8 @@ func goldenSuite(t *testing.T) *Suite {
 		opt.FmaxIterations = 3
 		// The goldens are the same bytes at any intra-flow parallelism;
 		// CI proves it by running this test at FLOW_WORKERS=1 and 8.
-		if v := os.Getenv("FLOW_WORKERS"); v != "" {
-			fw, err := strconv.Atoi(v)
-			if err != nil {
-				goldenErr = fmt.Errorf("bad FLOW_WORKERS %q: %v", v, err)
-				return
-			}
-			opt.FlowWorkers = fw
+		if opt.FlowWorkers, goldenErr = envFlowWorkers(); goldenErr != nil {
+			return
 		}
 		goldenVal, goldenErr = RunSuite(context.Background(), opt)
 	})
@@ -53,16 +48,23 @@ func goldenSuite(t *testing.T) *Suite {
 	return goldenVal
 }
 
-// TestGoldenTables regression-pins the rendered Tables I–VIII against
-// committed golden files, byte for byte. Any change to the flow that
-// shifts a paper number — placement, partitioning, timing, power, cost —
-// shows up as a readable table diff here rather than as silent drift.
-func TestGoldenTables(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full scale-0.1 evaluation suite")
+// envFlowWorkers reads the FLOW_WORKERS intra-flow parallelism the
+// determinism tests run at (0, the automatic budget, when unset).
+func envFlowWorkers() (int, error) {
+	v := os.Getenv("FLOW_WORKERS")
+	if v == "" {
+		return 0, nil
 	}
-	s := goldenSuite(t)
+	fw, err := strconv.Atoi(v)
+	if err != nil {
+		return 0, fmt.Errorf("bad FLOW_WORKERS %q: %v", v, err)
+	}
+	return fw, nil
+}
 
+// tableRenders renders Tables I–VIII of s under their golden filenames.
+func tableRenders(t *testing.T, s *Suite) map[string]string {
+	t.Helper()
 	t2, err := TableII()
 	if err != nil {
 		t.Fatal(err)
@@ -79,8 +81,7 @@ func TestGoldenTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	renders := map[string]string{
+	return map[string]string{
 		"table_i.txt":    s.TableI().String(),
 		"table_ii.txt":   t2.String(),
 		"table_iii.txt":  t3.String(),
@@ -90,6 +91,17 @@ func TestGoldenTables(t *testing.T) {
 		"table_vii.txt":  s.TableVII().String(),
 		"table_viii.txt": t8.String(),
 	}
+}
+
+// TestGoldenTables regression-pins the rendered Tables I–VIII against
+// committed golden files, byte for byte. Any change to the flow that
+// shifts a paper number — placement, partitioning, timing, power, cost —
+// shows up as a readable table diff here rather than as silent drift.
+func TestGoldenTables(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full scale-0.1 evaluation suite")
+	}
+	renders := tableRenders(t, goldenSuite(t))
 
 	dir := filepath.Join("testdata", "golden")
 	if *update {

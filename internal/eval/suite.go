@@ -15,8 +15,9 @@
 // panic-shielded (one crashed flow fails the suite with attribution, it
 // never takes the process down), transient failures re-attempt under
 // SuiteOptions.Retry with fresh derived seeds, and SuiteOptions.Checkpoint
-// journals every completed flow so an interrupted run resumes without
-// repeating finished work — with byte-identical tables.
+// journals every completed flow so an interrupted run — cancelled or
+// SIGKILLed — resumes when rerun with the same options, without
+// repeating finished work and with byte-identical tables.
 package eval
 
 import (
@@ -107,68 +108,6 @@ type SuiteOptions struct {
 	// feature. Excluded from the checkpoint header: it changes how
 	// results are computed, never what they are.
 	ResumeFromPlace string
-	// Units restricts the run to a subset of the design×config matrix —
-	// the shard filter of the distributed evaluation (internal/shard).
-	// Empty means the full matrix. Designs with no unit are skipped
-	// entirely (no generation, no f_max search); designs with any unit
-	// still run their f_max search, since it is every configuration's
-	// iso-performance target. Excluded from the checkpoint header:
-	// Designs/Configs there stay the suite-wide matrix, so every shard's
-	// journal carries the identical header and MergeCheckpoints can prove
-	// the shards belong together. Each flow is a pure function of
-	// (design, config, scale, seed), so a unit computes the same bytes
-	// whichever shard runs it.
-	Units []Unit
-}
-
-// Unit names one cell of the design×config evaluation matrix.
-type Unit struct {
-	Design designs.Name    `json:"design"`
-	Config core.ConfigName `json:"config"`
-}
-
-func (u Unit) String() string { return string(u.Design) + "/" + string(u.Config) }
-
-// wantUnit reports whether the (design, config) cell is in the run's
-// shard filter (everything is, when no filter is set).
-func (opt SuiteOptions) wantUnit(d designs.Name, c core.ConfigName) bool {
-	if len(opt.Units) == 0 {
-		return true
-	}
-	for _, u := range opt.Units {
-		if u.Design == d && u.Config == c {
-			return true
-		}
-	}
-	return false
-}
-
-// wantDesign reports whether any of the design's configurations are in
-// the shard filter.
-func (opt SuiteOptions) wantDesign(d designs.Name) bool {
-	if len(opt.Units) == 0 {
-		return true
-	}
-	for _, u := range opt.Units {
-		if u.Design == d {
-			return true
-		}
-	}
-	return false
-}
-
-// MatrixUnits expands the options' full design×config matrix in
-// canonical (design-major, config order) — the shard planner's input and
-// the merge's canonical record order.
-func (opt SuiteOptions) MatrixUnits() []Unit {
-	opt = opt.withDefaults()
-	units := make([]Unit, 0, len(opt.Designs)*len(opt.Configs))
-	for _, d := range opt.Designs {
-		for _, c := range opt.Configs {
-			units = append(units, Unit{Design: d, Config: c})
-		}
-	}
-	return units
 }
 
 // withDefaults fills the defaulted design/config lists (the checkpoint
@@ -283,9 +222,6 @@ func RunSuite(ctx context.Context, opt SuiteOptions) (*Suite, error) {
 
 	for _, name := range opt.Designs {
 		name := name
-		if !opt.wantDesign(name) {
-			continue // no unit of this design is in the shard filter
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -303,9 +239,6 @@ func RunSuite(ctx context.Context, opt SuiteOptions) (*Suite, error) {
 			needSrc := !haveFmax
 			if ck != nil && !needSrc {
 				for _, cfg := range opt.Configs {
-					if !opt.wantUnit(name, cfg) {
-						continue
-					}
 					if _, ok := ck.Flow(name, cfg); !ok {
 						needSrc = true
 						break
@@ -362,9 +295,6 @@ func RunSuite(ctx context.Context, opt SuiteOptions) (*Suite, error) {
 			// The design's configurations fan out as independent jobs.
 			for _, cfg := range opt.Configs {
 				cfg := cfg
-				if !opt.wantUnit(name, cfg) {
-					continue
-				}
 				wg.Add(1)
 				go func() {
 					defer wg.Done()

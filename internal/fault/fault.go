@@ -8,7 +8,7 @@
 // across attempts, which is what makes an injected fault transient: the
 // retry does not re-hit it unless armed again at a later occurrence).
 //
-// Six fault classes cover the failure taxonomy (DESIGN.md §6.5):
+// Five fault classes cover the failure taxonomy (DESIGN.md §6.5):
 //
 //   - panic:   the stage panics with the injection record — exercises
 //     the runner's panic barrier and worker-pool isolation.
@@ -20,9 +20,6 @@
 //   - corrupt: a flow-owned engine structure is corrupted through the
 //     Target's Corrupt method ("extraction-cache", "journal") —
 //     exercises divergence detection and degraded-mode recovery.
-//   - stall:   the stage hangs forever at its boundary — the silent
-//     wedge only an external watchdog (internal/shard's supervisor)
-//     can detect and kill.
 //
 // Tests build Plans directly; the cmds parse them from a -fault spec
 // string (ParseSpec).
@@ -32,7 +29,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/flow"
 )
@@ -46,19 +42,10 @@ const (
 	ClassCancel  Class = "cancel"
 	ClassTimeout Class = "timeout"
 	ClassCorrupt Class = "corrupt"
-	// ClassStall hangs the stage indefinitely at its boundary: the hook
-	// blocks forever, so the flow makes no further progress and no error
-	// ever surfaces — the silent-wedge failure mode only an external
-	// watchdog can detect. In-process runs can only abandon the wedged
-	// goroutine (it blocks until process exit); the distributed
-	// evaluation's supervisor (internal/shard) detects the stalled
-	// journal and SIGKILLs the worker process, which is exactly the path
-	// this class exists to exercise.
-	ClassStall Class = "stall"
 )
 
 // Classes lists every fault class, in spec order.
-var Classes = []Class{ClassPanic, ClassError, ClassCancel, ClassTimeout, ClassCorrupt, ClassStall}
+var Classes = []Class{ClassPanic, ClassError, ClassCancel, ClassTimeout, ClassCorrupt}
 
 // Injection is one armed fault: where it fires (wildcards "" or "*"
 // match any design/config/stage), on which visit of that site
@@ -233,8 +220,8 @@ type Target interface {
 }
 
 // Fire delivers the injection due at this visit of stage, if any: it
-// returns the injected error, panics, cancels or corrupts through t, or
-// stalls, per the injection's class. A nil *Plan fires nothing, so the
+// returns the injected error, panics, or cancels or corrupts through t,
+// per the injection's class. A nil *Plan fires nothing, so the
 // flow calls it unconditionally before every stage body. A nil t turns
 // the cancel class into a canceled-shaped error and fails the corrupt
 // class.
@@ -270,19 +257,6 @@ func (p *Plan) Fire(c *flow.Context, stage string, t Target) error {
 	case ClassTimeout:
 		inj.wrapped = context.DeadlineExceeded
 		return inj
-	case ClassStall:
-		// A hard hang: no return, no error, no cancellation poll. The
-		// occurrence counter has already advanced and the injection is
-		// recorded in Fired, so a supervisor restarting the process after
-		// the watchdog kill re-arms a fresh Plan (or none) — the stall is
-		// deterministic per armed plan, not sticky. Sleeping (rather than
-		// select{}) keeps the wedge silent even when it blocks every
-		// goroutine in the process: the runtime's deadlock detector would
-		// turn a bare select into a crash, which is a different, noisier
-		// failure than the one this class exists to model.
-		for {
-			time.Sleep(time.Hour)
-		}
 	case ClassCorrupt:
 		if t == nil {
 			inj.wrapped = fmt.Errorf("no corruption targets registered")

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/flow"
 )
@@ -39,6 +38,7 @@ func TestParseSpec(t *testing.T) {
 		{spec: "*/*/place", err: true},
 		{spec: "*/place=panic", err: true},
 		{spec: "*/*/place=explode", err: true},
+		{spec: "*/*/cts=stall", err: true}, // no hang class: nothing in-process could end it
 		{spec: "*/*/place@0=panic", err: true},
 		{spec: "*/*/place@x=panic", err: true},
 		{spec: "*/*/place=error:journal", err: true},
@@ -231,37 +231,12 @@ func TestNilPlanHook(t *testing.T) {
 	}
 }
 
-// TestStallClass proves the stall class is a true wedge: the hook
-// records the firing but never returns — the shape the shard
-// supervisor's watchdog exists to kill. The wedged goroutine stays
-// blocked until the test process exits, exactly like a wedged worker
-// process stays blocked until SIGKILL.
-func TestStallClass(t *testing.T) {
-	p := NewPlan(Injection{Stage: "cts", Class: ClassStall})
-	c := flow.NewContext(context.Background(), "aes", "2D", 1)
-	returned := make(chan error, 1)
-	go func() { returned <- p.Fire(c, "cts", nil) }()
-	select {
-	case err := <-returned:
-		t.Fatalf("stall hook returned (%v); it must hang forever", err)
-	case <-time.After(100 * time.Millisecond):
-	}
-	f := p.Fired()
-	if len(f) != 1 || f[0].Class != ClassStall || f[0].At != "cts" {
-		t.Fatalf("Fired() = %+v, want one stall firing at cts", f)
-	}
-	if len(p.Pending()) != 0 {
-		t.Fatal("stalled injection still pending")
-	}
-}
-
 // TestSpecRoundTrip pins ParseSpec/FormatSpec as exact inverses over the
 // canonical form: parse → format → parse yields identical injections,
 // for every class and modifier combination.
 func TestSpecRoundTrip(t *testing.T) {
 	specs := []string{
 		"*/*/place=panic",
-		"*/*/cts=stall",
 		"cpu/Hetero-M3D/timing-repair@2=error:retryable",
 		"*/*/eco=corrupt:journal,*/*/cts=cancel",
 		"aes/*/route@3=corrupt:journal:retryable",
