@@ -38,6 +38,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -136,13 +137,7 @@ func main() {
 	fmt.Println(s.TableVI())
 	fmt.Println(s.TableVII())
 
-	hasCPU := false
-	for _, n := range opt.Designs {
-		if n == designs.CPU {
-			hasCPU = true
-		}
-	}
-	if hasCPU {
+	if slices.Contains(opt.Designs, designs.CPU) {
 		t8, err := s.TableVIII()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ppac: Table VIII:", err)

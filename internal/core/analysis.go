@@ -53,22 +53,9 @@ type DeepDive struct {
 }
 
 // DeepAnalyze extracts the Table VIII metrics from a finished flow
-// result. The dive is cached on the result: a second call returns the
-// same record, and a result restored from an evaluation checkpoint (no
-// live design state) serves its persisted dive.
+// result. It reads the result's live timing, clock tree, power and
+// extraction, and changes nothing.
 func DeepAnalyze(r *Result) (*DeepDive, error) {
-	if r.Dive != nil {
-		return r.Dive, nil
-	}
-	dd, err := deepAnalyze(r)
-	if err != nil {
-		return nil, err
-	}
-	r.Dive = dd
-	return dd, nil
-}
-
-func deepAnalyze(r *Result) (*DeepDive, error) {
 	if r.Timing == nil || r.Clock == nil || r.Power == nil {
 		return nil, fmt.Errorf("core: result lacks timing/clock/power data")
 	}

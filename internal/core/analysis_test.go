@@ -26,6 +26,16 @@ func TestDeepAnalyzeCPU(t *testing.T) {
 		if dd.PathCells == 0 || dd.PathDelayNS <= 0 {
 			t.Errorf("%s: critical path empty", cfg)
 		}
+		if again, err := DeepAnalyze(r); err != nil || *again != *dd {
+			t.Errorf("%s: a second DeepAnalyze differs (%v):\n%+v\n%+v", cfg, err, *dd, again)
+		}
+		// Fig. 4 prints the worst path from the dive, whose path 0 comes
+		// from CriticalPaths(100): it must be CriticalPaths(1)'s path.
+		if p := r.Timing.CriticalPaths(1)[0]; dd.PathCells != len(p.Stages) ||
+			dd.SlackNS != p.Slack || dd.PathWLum != p.Wirelength() {
+			t.Errorf("%s: dive's worst path (%d cells, slack %v, %v µm) is not CriticalPaths(1)'s (%d, %v, %v)",
+				cfg, dd.PathCells, dd.SlackNS, dd.PathWLum, len(p.Stages), p.Slack, p.Wirelength())
+		}
 		if dd.TopCells+dd.BottomCells != dd.PathCells {
 			t.Errorf("%s: tier cells don't sum", cfg)
 		}

@@ -182,7 +182,6 @@ type PPAC struct {
 	PPC float64
 
 	Cells      int
-	Clock      *cts.Result
 	CutSize    int
 	Refinement string // free-form flow notes (ECO iterations etc.)
 }
@@ -222,17 +221,8 @@ type Result struct {
 	Degraded []string
 	// Attempts counts the runs RunWithRetry made to produce this result
 	// (1 = clean first try; 0 when the result did not come from
-	// RunWithRetry, e.g. one restored from an evaluation checkpoint).
+	// RunWithRetry).
 	Attempts int
-	// Dive caches the Table VIII deep-dive metrics. DeepAnalyze fills it
-	// on first call; a result restored from an evaluation checkpoint
-	// carries it pre-computed because the live Design/Timing/Power state
-	// it derives from is not persisted.
-	Dive *DeepDive
-	// Restored marks a result rehydrated from an evaluation checkpoint:
-	// the table-facing fields above are present but the live design state
-	// (Design, Timing, Power, Clock, Router) is not.
-	Restored bool
 }
 
 // libFor returns the library pair of a configuration.

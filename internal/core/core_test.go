@@ -68,7 +68,7 @@ func TestRunAllConfigsValid(t *testing.T) {
 		if cfg.Tiers() == 1 && p.MIVs != 0 {
 			t.Errorf("%s: MIVs in a 2-D design", cfg)
 		}
-		if p.Clock == nil || len(p.Clock.Buffers) == 0 {
+		if r.Clock == nil || len(r.Clock.Buffers) == 0 {
 			t.Errorf("%s: no clock tree", cfg)
 		}
 	}

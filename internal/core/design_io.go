@@ -270,10 +270,9 @@ func readStages(r *db.Reader, dd *designDB) {
 	}
 }
 
-// PutPPAC writes a PPAC record (minus its Clock pointer, which the CTSR
-// section round-trips; the loader re-points it). Exported because the
-// binary evaluation journal and the save/load parity tests byte-compare
-// PPAC records through this exact encoding.
+// PutPPAC writes a PPAC record. Exported so that records outside the
+// design database carry a PPAC in this exact encoding, and tests
+// byte-compare PPAC records through it.
 func PutPPAC(w *db.Writer, p *PPAC) {
 	w.PutString(p.Design)
 	w.PutString(string(p.Config))
@@ -600,10 +599,7 @@ func (s *flowState) loadDesign(fc *flow.Context, path string, stages []flow.Stag
 	s.tres = dd.tres
 	s.notes = dd.notes
 	s.notesExtra = dd.notesExtra
-	if dd.ppac != nil {
-		dd.ppac.Clock = s.ct
-		s.ppac = dd.ppac
-	}
+	s.ppac = dd.ppac
 	s.pw = dd.pw
 	fc.SeedMetrics(dd.metrics)
 	for _, reason := range dd.degraded {

@@ -346,7 +346,7 @@ func (s *flowState) stageSignoff(fc *flow.Context) error {
 	if s.cache != nil {
 		ex = s.cache
 	}
-	ppac, pw, err := collect(s.d, s.cfg, s.opt, s.fp, s.ct, s.st, s.router, ex, s.notes, cut)
+	ppac, pw, err := collect(s.d, s.cfg, s.opt, s.fp, s.st, s.router, ex, s.notes, cut)
 	if err != nil {
 		return err
 	}

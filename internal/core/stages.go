@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cell"
 	"repro/internal/cost"
-	"repro/internal/cts"
 	"repro/internal/flow"
 	"repro/internal/netlist"
 	"repro/internal/par"
@@ -547,7 +546,7 @@ func recoverPower(e *timingEnv, fp *place.Floorplan, res *sta.Result) (*sta.Resu
 // the flow's shared cache, so sign-off power reuses the timing engine's
 // warm entries.
 func collect(d *netlist.Design, cfg ConfigName, opt Options, fp *place.Floorplan,
-	ct *cts.Result, st *sta.Result, router *route.Router, ex route.Extractor, notes string, cut int) (*PPAC, *power.Breakdown, error) {
+	st *sta.Result, router *route.Router, ex route.Extractor, notes string, cut int) (*PPAC, *power.Breakdown, error) {
 
 	pcfg := power.DefaultConfig(opt.ClockGHz)
 	pcfg.Router = ex
@@ -578,7 +577,6 @@ func collect(d *netlist.Design, cfg ConfigName, opt Options, fp *place.Floorplan
 		WNS:          st.WNS,
 		TNS:          st.TNS,
 		EffDelayNS:   st.EffectiveDelay(),
-		Clock:        ct,
 		CutSize:      cut,
 		Refinement:   notes,
 		Cells:        d.ComputeStats().Cells,

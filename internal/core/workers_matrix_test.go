@@ -14,17 +14,14 @@ import (
 )
 
 // flowSnapshot renders everything about a completed flow that must be
-// invariant under FlowWorkers: the full PPAC (clock tree included), the
+// invariant under FlowWorkers: the full PPAC, the clock tree, the
 // design-integrity check report, and every per-stage engine counter.
 // Wall-clock stats are excluded — they are the only metric allowed to
 // change with the worker count.
 func flowSnapshot(r *Result) string {
 	var b strings.Builder
-	p := *r.PPAC
-	ct := p.Clock
-	p.Clock = nil // a pointer would render as an address; dumped below
-	fmt.Fprintf(&b, "ppac %+v\n", p)
-	if ct != nil {
+	fmt.Fprintf(&b, "ppac %+v\n", *r.PPAC)
+	if ct := r.Clock; ct != nil {
 		fmt.Fprintf(&b, "clock buffers=%d maxLatency=%.9f skew=%.9f\n",
 			len(ct.Buffers), ct.MaxLatency, ct.MaxSkew)
 		for _, buf := range ct.Buffers {
@@ -70,9 +67,7 @@ func TestFlowWorkersMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatalf("FlowWorkers=%d: %v", w, err)
 		}
-		p := *r.PPAC
-		p.Clock = nil // compared via the snapshot render
-		runs = append(runs, run{w, flowSnapshot(r), p})
+		runs = append(runs, run{w, flowSnapshot(r), *r.PPAC})
 	}
 	for _, r := range runs[1:] {
 		if !reflect.DeepEqual(r.ppac, runs[0].ppac) {

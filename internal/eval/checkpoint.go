@@ -7,11 +7,9 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/designs"
-	"repro/internal/flow"
 )
 
 // The evaluation checkpoint is an append-only journal over internal/db's
@@ -21,15 +19,14 @@ import (
 // RunSuite appends records as flows finish and, on resume, serves
 // completed work from the journal instead of re-running it.
 //
-// Only what the tables consume is persisted: the PPAC record (with the
-// non-serializable clock-tree pointer dropped), the per-stage metrics,
-// the degraded-mode flags, the stage-boundary check reports, and the
-// precomputed Table VIII deep dive. Records are written with the same
-// explicit per-field encoders the design database uses, so floats
+// A flow frame is the suite's FlowRecord as it is: the PPAC record, the
+// per-stage metrics, the degraded-mode flags, the stage-boundary check
+// reports, and the Table VIII deep dive. Records are written with the
+// same explicit per-field encoders the design database uses, so floats
 // survive bit-exactly — which is what makes a resumed suite's Tables
-// I–VIII byte-identical to an uninterrupted run. The live
-// Design/Timing/Power state is not persisted; figure rendering detects
-// restored results and says so instead of failing.
+// I–VIII byte-identical to an uninterrupted run. A figure flow's layout
+// is not persisted; figure rendering detects restored records and says
+// so instead of failing.
 //
 // A record is one frame, written with O_APPEND in a single Write call; a
 // run killed mid-write — SIGKILL included — leaves at most one truncated
@@ -58,16 +55,6 @@ type ckptFmax struct {
 	FmaxGHz float64
 }
 
-type ckptFlow struct {
-	Design   string
-	Config   string
-	PPAC     *core.PPAC
-	Stages   []flow.StageMetric
-	Degraded []string
-	Dive     *core.DeepDive
-	Checks   []*check.Report
-}
-
 type flowKey struct {
 	design designs.Name
 	config core.ConfigName
@@ -77,7 +64,7 @@ type flowKey struct {
 // fields is set.
 type ckptRecord struct {
 	fmax *ckptFmax
-	flow *ckptFlow
+	flow *FlowRecord
 }
 
 // Checkpoint is an open evaluation journal: the completed work loaded
@@ -89,7 +76,7 @@ type Checkpoint struct {
 	mu    sync.Mutex
 	f     *os.File
 	fmax  map[designs.Name]ckptFmax
-	flows map[flowKey]*ckptFlow
+	flows map[flowKey]*FlowRecord
 }
 
 // headerFor derives the journal header binding a checkpoint to the
@@ -172,7 +159,7 @@ func OpenCheckpoint(path string, opt SuiteOptions) (*Checkpoint, error) {
 	c := &Checkpoint{
 		path:  path,
 		fmax:  make(map[designs.Name]ckptFmax),
-		flows: make(map[flowKey]*ckptFlow),
+		flows: make(map[flowKey]*FlowRecord),
 	}
 	want := headerFor(opt)
 
@@ -230,7 +217,7 @@ func (c *Checkpoint) index(recs []ckptRecord) {
 		case rec.fmax != nil:
 			c.fmax[designs.Name(rec.fmax.Design)] = *rec.fmax
 		case rec.flow != nil:
-			c.flows[flowKey{designs.Name(rec.flow.Design), core.ConfigName(rec.flow.Config)}] = rec.flow
+			c.flows[flowKey{rec.flow.Design, rec.flow.Config}] = rec.flow
 		}
 	}
 }
@@ -277,53 +264,22 @@ func (c *Checkpoint) PutFmax(n designs.Name, cells int, fmaxGHz float64) error {
 	return nil
 }
 
-// Flow rehydrates a checkpointed flow result, if present. The restored
-// result carries everything the tables consume (PPAC, stage metrics,
-// check reports, degraded flags, the precomputed deep dive) but no live
-// design state: Result.Design, Timing, Power, Clock, and Router are nil,
-// and Restored reports true for it.
-func (c *Checkpoint) Flow(design designs.Name, cfg core.ConfigName) (*core.Result, bool) {
+// Flow returns a checkpointed flow record, if present. A record loaded
+// from the file is marked Restored and has no layout.
+func (c *Checkpoint) Flow(design designs.Name, cfg core.ConfigName) (*FlowRecord, bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	rec, ok := c.flows[flowKey{design, cfg}]
-	c.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	p := *rec.PPAC
-	return &core.Result{
-		PPAC:     &p,
-		Stages:   append([]flow.StageMetric{}, rec.Stages...),
-		Degraded: append([]string{}, rec.Degraded...),
-		Dive:     rec.Dive,
-		Checks:   rec.Checks,
-		Restored: true,
-	}, true
+	return rec, ok
 }
 
-// PutFlow records a completed flow. The deep dive is computed here,
-// while the live timing/clock/power state still exists, so a restored
-// result can serve Table VIII without it.
-func (c *Checkpoint) PutFlow(design designs.Name, cfg core.ConfigName, r *core.Result) error {
-	// Best-effort: 2-D and 3-D results alike carry the state DeepAnalyze
-	// needs right after a run; if a caller checkpoints a partial result,
-	// the dive is simply absent and Table VIII will say so on resume.
-	dive, _ := core.DeepAnalyze(r)
-	p := *r.PPAC
-	p.Clock = nil // pointer-rich clock tree is not serializable
-	rec := &ckptFlow{
-		Design:   string(design),
-		Config:   string(cfg),
-		PPAC:     &p,
-		Stages:   r.Stages,
-		Degraded: r.Degraded,
-		Dive:     dive,
-		Checks:   r.Checks,
-	}
+// PutFlow journals a finished flow's record.
+func (c *Checkpoint) PutFlow(rec *FlowRecord) error {
 	if err := c.append(rec); err != nil {
 		return err
 	}
 	c.mu.Lock()
-	c.flows[flowKey{design, cfg}] = rec
+	c.flows[flowKey{rec.Design, rec.Config}] = rec
 	c.mu.Unlock()
 	return nil
 }

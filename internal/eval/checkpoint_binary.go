@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/db"
+	"repro/internal/designs"
 )
 
 // Frame codecs of the evaluation journal (see checkpoint.go for its
@@ -68,9 +69,9 @@ func appendRecordFrame(dst []byte, rec any) ([]byte, error) {
 		w.PutI32(int32(r.Cells))
 		w.PutF64(r.FmaxGHz)
 		return db.AppendFrame(dst, tagCkptFmax, w.Bytes())
-	case *ckptFlow:
-		w.PutString(r.Design)
-		w.PutString(r.Config)
+	case *FlowRecord:
+		w.PutString(string(r.Design))
+		w.PutString(string(r.Config))
 		core.PutPPAC(w, r.PPAC)
 		w.PutU32(uint32(len(r.Stages)))
 		for _, m := range r.Stages {
@@ -82,7 +83,7 @@ func appendRecordFrame(dst []byte, rec any) ([]byte, error) {
 		}
 		w.PutBool(r.Dive != nil)
 		if r.Dive != nil {
-			core.PutDeepDive(w, r.Dive)
+			putDeepDive(w, r.Dive)
 		}
 		w.PutU32(uint32(len(r.Checks)))
 		for _, rep := range r.Checks {
@@ -98,8 +99,10 @@ func readFmaxFrame(r *db.Reader) *ckptFmax {
 	return &ckptFmax{Design: r.String(), Cells: int(r.I32()), FmaxGHz: r.F64()}
 }
 
-func readFlowFrame(r *db.Reader) *ckptFlow {
-	rec := &ckptFlow{Design: r.String(), Config: r.String(), PPAC: core.ReadPPAC(r)}
+// readFlowFrame decodes a flow frame into a record marked Restored.
+func readFlowFrame(r *db.Reader) *FlowRecord {
+	rec := &FlowRecord{Design: designs.Name(r.String()), Config: core.ConfigName(r.String()),
+		PPAC: core.ReadPPAC(r), Restored: true}
 	for i, n := 0, r.Count(13); r.More(i, n); i++ {
 		rec.Stages = append(rec.Stages, db.ReadStageMetric(r))
 	}
@@ -107,12 +110,82 @@ func readFlowFrame(r *db.Reader) *ckptFlow {
 		rec.Degraded = append(rec.Degraded, r.String())
 	}
 	if r.Bool() {
-		rec.Dive = core.ReadDeepDive(r)
+		rec.Dive = readDeepDive(r)
 	}
 	for i, n := 0, r.Count(16); r.More(i, n); i++ {
 		rec.Checks = append(rec.Checks, db.ReadCheckReport(r))
 	}
 	return rec
+}
+
+// putDeepDive writes a Table VIII deep-dive record in field order.
+func putDeepDive(w *db.Writer, d *core.DeepDive) {
+	w.PutF64(d.MemInLatencyPS)
+	w.PutF64(d.MemOutLatencyPS)
+	w.PutF64(d.MemNetSwitchUW)
+	w.PutBool(d.HasMacros)
+	w.PutI32(int32(d.ClockBuffers))
+	w.PutI32(int32(d.TopBuffers))
+	w.PutI32(int32(d.BottomBuffers))
+	w.PutF64(d.ClockBufferAreaUM2)
+	w.PutF64(d.ClockWLmm)
+	w.PutF64(d.ClockMaxLatencyNS)
+	w.PutF64(d.ClockMaxSkewNS)
+	w.PutF64(d.AvgSkew100NS)
+	w.PutF64(d.ClockPeriodNS)
+	w.PutF64(d.SlackNS)
+	w.PutF64(d.CritSkewNS)
+	w.PutF64(d.SetupNS)
+	w.PutF64(d.PathDelayNS)
+	w.PutF64(d.WireDelayNS)
+	w.PutF64(d.CellDelayNS)
+	w.PutF64(d.PathWLum)
+	w.PutF64(d.TopWLum)
+	w.PutF64(d.BottomWLum)
+	w.PutI32(int32(d.PathCells))
+	w.PutI32(int32(d.PathMIVs))
+	w.PutI32(int32(d.TopCells))
+	w.PutI32(int32(d.BottomCells))
+	w.PutF64(d.TopCellDelayNS)
+	w.PutF64(d.BotCellDelayNS)
+	w.PutF64(d.AvgTopDelayNS)
+	w.PutF64(d.AvgBotDelayNS)
+}
+
+// readDeepDive reads a record written by putDeepDive.
+func readDeepDive(r *db.Reader) *core.DeepDive {
+	return &core.DeepDive{
+		MemInLatencyPS:     r.F64(),
+		MemOutLatencyPS:    r.F64(),
+		MemNetSwitchUW:     r.F64(),
+		HasMacros:          r.Bool(),
+		ClockBuffers:       int(r.I32()),
+		TopBuffers:         int(r.I32()),
+		BottomBuffers:      int(r.I32()),
+		ClockBufferAreaUM2: r.F64(),
+		ClockWLmm:          r.F64(),
+		ClockMaxLatencyNS:  r.F64(),
+		ClockMaxSkewNS:     r.F64(),
+		AvgSkew100NS:       r.F64(),
+		ClockPeriodNS:      r.F64(),
+		SlackNS:            r.F64(),
+		CritSkewNS:         r.F64(),
+		SetupNS:            r.F64(),
+		PathDelayNS:        r.F64(),
+		WireDelayNS:        r.F64(),
+		CellDelayNS:        r.F64(),
+		PathWLum:           r.F64(),
+		TopWLum:            r.F64(),
+		BottomWLum:         r.F64(),
+		PathCells:          int(r.I32()),
+		PathMIVs:           int(r.I32()),
+		TopCells:           int(r.I32()),
+		BottomCells:        int(r.I32()),
+		TopCellDelayNS:     r.F64(),
+		BotCellDelayNS:     r.F64(),
+		AvgTopDelayNS:      r.F64(),
+		AvgBotDelayNS:      r.F64(),
+	}
 }
 
 // parseCheckpoint walks the framed journal: the header frame must come

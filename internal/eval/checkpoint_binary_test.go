@@ -1,7 +1,9 @@
 package eval
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,10 +16,11 @@ import (
 	"repro/internal/flow"
 )
 
-// binaryFlowResult builds a result exercising every optional field of a
-// flow record: stage stats, degradations, a deep dive, check reports.
-func binaryFlowResult() *core.Result {
-	return &core.Result{
+// binaryFlowRecord builds a flow record exercising every optional
+// field: stage stats, degradations, a deep dive, check reports.
+func binaryFlowRecord() *FlowRecord {
+	return &FlowRecord{
+		Design: designs.CPU, Config: core.ConfigHetero,
 		PPAC: &core.PPAC{Design: "cpu", Config: core.ConfigHetero, FreqGHz: 0.4375,
 			PowerMW: 12.5, WNS: -0.03125, WLm: 0.25, MIVs: 210, Refinement: "hetero flow, cut=140"},
 		Stages: []flow.StageMetric{
@@ -45,8 +48,8 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 	if err := ck.PutFmax(designs.CPU, 1234, 0.4375); err != nil {
 		t.Fatal(err)
 	}
-	want := binaryFlowResult()
-	if err := ck.PutFlow(designs.CPU, core.ConfigHetero, want); err != nil {
+	want := binaryFlowRecord()
+	if err := ck.PutFlow(want); err != nil {
 		t.Fatal(err)
 	}
 	ck.Close()
@@ -72,8 +75,8 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("flow record missing after reopen")
 	}
-	if !got.Restored {
-		t.Error("rehydrated result must be marked Restored")
+	if !got.Restored || got.Design != designs.CPU || got.Config != core.ConfigHetero {
+		t.Errorf("reloaded record: restored %v, key %s/%s", got.Restored, got.Design, got.Config)
 	}
 	if got.PPAC.WNS != want.PPAC.WNS || got.PPAC.Refinement != want.PPAC.Refinement {
 		t.Errorf("PPAC did not round-trip: %+v", got.PPAC)
@@ -117,7 +120,7 @@ func TestBinaryCheckpointToleratesTruncatedFinalFrame(t *testing.T) {
 	if err := ck.PutFmax(designs.AES, 99, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if err := ck.PutFlow(designs.CPU, core.ConfigHetero, binaryFlowResult()); err != nil {
+	if err := ck.PutFlow(binaryFlowRecord()); err != nil {
 		t.Fatal(err)
 	}
 	ck.Close()
@@ -180,7 +183,7 @@ func TestJournalLines(t *testing.T) {
 	if err := ck.PutFmax(designs.CPU, 1234, 0.4375); err != nil {
 		t.Fatal(err)
 	}
-	if err := ck.PutFlow(designs.CPU, core.ConfigHetero, binaryFlowResult()); err != nil {
+	if err := ck.PutFlow(binaryFlowRecord()); err != nil {
 		t.Fatal(err)
 	}
 	ck.Close()
@@ -230,7 +233,7 @@ func testJournal(t testing.TB) []byte {
 	if err := ck.PutFmax(designs.CPU, 1234, 0.4375); err != nil {
 		t.Fatal(err)
 	}
-	if err := ck.PutFlow(designs.CPU, core.ConfigHetero, binaryFlowResult()); err != nil {
+	if err := ck.PutFlow(binaryFlowRecord()); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -321,5 +324,56 @@ func TestJournalTruncationMatrix(t *testing.T) {
 		if !seen[tag] {
 			t.Errorf("test journal has no %s record", tag)
 		}
+	}
+}
+
+// TestJournalBytesPinned pins the journal's bytes: the file header, a
+// header frame, an FMAX frame and a FLOW frame with every optional field,
+// encoded from fixed values, hash to a pinned SHA-256. Bytes that move
+// break resume of every journal already on disk.
+func TestJournalBytesPinned(t *testing.T) {
+	const (
+		wantLen    = 837
+		wantSHA256 = "4bca9a253ae6e72a3385718bf6f1cd1d0b0ee0ad1d8cc41f2e93872d7707e0bb"
+	)
+	opt := ckptOpts()
+	opt.Check = core.CheckFast
+	b, err := appendHeaderFrame(db.Header(db.MagicJournal), headerFor(opt.withDefaults()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err = appendRecordFrame(b, &ckptFmax{Design: "cpu", Cells: 1234, FmaxGHz: 0.4375}); err != nil {
+		t.Fatal(err)
+	}
+	b, err = appendRecordFrame(b, &FlowRecord{
+		Design: designs.CPU, Config: core.ConfigHetero,
+		PPAC: &core.PPAC{Design: "cpu", Config: core.ConfigHetero, FreqGHz: 0.4375,
+			FootprintMM2: 0.0125, SiAreaMM2: 0.025, ChipWidthUM: 111.8, Density: 0.68, WLm: 0.25,
+			MIVs: 210, PowerMW: 12.5, LeakageMW: 0.8, ClockPowerMW: 1.9, WNS: -0.03125, TNS: -1.25,
+			EffDelayNS: 2.3167, PDPpJ: 28.96, DieCostMicroC: 4.2, CostPerCm2: 168, PPC: 8.33,
+			Cells: 4321, CutSize: 140, Refinement: "hetero flow, cut=140"},
+		Stages: []flow.StageMetric{
+			{Name: "place", Wall: 1e6, Cells: 1234, Stats: map[string]int64{flow.StatCongestionRetries: 1, flow.StatSTAFull: 3}},
+			{Name: "cts", Cells: 1290},
+		},
+		Degraded: []string{flow.DegradeFullSTA},
+		Dive: &core.DeepDive{MemInLatencyPS: 1.5, ClockBuffers: 56, TopBuffers: 20, BottomBuffers: 36,
+			ClockPeriodNS: 2.2857142857142856, SlackNS: -0.03125, PathCells: 17, PathWLum: 123.25,
+			AvgBotDelayNS: 0.0625, HasMacros: true},
+		Checks: []*check.Report{{
+			Design: "cpu", Stage: "signoff",
+			Stats:      []check.RuleStat{{ID: "ENG-003", Title: "journal monotonicity", Severity: check.Error, Checked: 10, Violations: 1}},
+			Violations: []check.Violation{{Rule: "ENG-003", Severity: check.Error, Obj: "topo", Msg: "rev moved backwards"}},
+		}},
+		// Not journaled: these must not reach the bytes.
+		Attempts: 3,
+		Restored: true,
+		Layout:   &Layout{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); len(b) != wantLen || got != wantSHA256 {
+		t.Errorf("journal bytes moved: %d bytes, sha256 %s; want %d bytes, sha256 %s", len(b), got, wantLen, wantSHA256)
 	}
 }

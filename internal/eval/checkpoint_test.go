@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -25,11 +26,12 @@ func ckptOpts() SuiteOptions {
 	return opt
 }
 
-// testFlowResult builds a small but fully populated flow result for
-// journal tests; vary freq to make two results provably different.
-func testFlowResult(design string, cfg core.ConfigName, freq float64) *core.Result {
-	return &core.Result{
-		PPAC: &core.PPAC{Design: design, Config: cfg, FreqGHz: freq,
+// testFlowRecord builds a small but fully populated flow record for
+// journal tests; vary freq to make two records provably different.
+func testFlowRecord(design designs.Name, cfg core.ConfigName, freq float64) *FlowRecord {
+	return &FlowRecord{
+		Design: design, Config: cfg,
+		PPAC: &core.PPAC{Design: string(design), Config: cfg, FreqGHz: freq,
 			PowerMW: 12.5, WNS: -0.031, WLm: 0.25},
 		Stages: []flow.StageMetric{{Name: "place", Cells: 1234,
 			Stats: map[string]int64{flow.StatCongestionRetries: 1}}},
@@ -47,13 +49,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := ck.PutFmax(designs.CPU, 1234, 0.4375); err != nil {
 		t.Fatal(err)
 	}
-	r := &core.Result{
-		PPAC: &core.PPAC{Design: "cpu", Config: core.ConfigHetero, FreqGHz: 0.4375,
-			PowerMW: 12.5, WNS: -0.031, WLm: 0.25},
-		Stages:   []flow.StageMetric{{Name: "place", Cells: 1234, Stats: map[string]int64{flow.StatCongestionRetries: 1}}},
-		Degraded: []string{flow.DegradeFullSTA},
-	}
-	if err := ck.PutFlow(designs.CPU, core.ConfigHetero, r); err != nil {
+	r := testFlowRecord(designs.CPU, core.ConfigHetero, 0.4375)
+	r.Degraded = []string{flow.DegradeFullSTA}
+	if err := ck.PutFlow(r); err != nil {
 		t.Fatal(err)
 	}
 	if err := ck.Close(); err != nil {
@@ -74,7 +72,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal("flow record missing after reopen")
 	}
 	if !got.Restored {
-		t.Error("rehydrated result must be marked Restored")
+		t.Error("a record loaded from the journal must be marked Restored")
 	}
 	if got.PPAC.PowerMW != 12.5 || got.PPAC.WNS != -0.031 {
 		t.Errorf("PPAC floats did not round-trip: %+v", got.PPAC)
@@ -85,8 +83,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if len(got.Degraded) != 1 || got.Degraded[0] != flow.DegradeFullSTA {
 		t.Errorf("degraded flags lost: %v", got.Degraded)
 	}
-	if got.Design != nil || got.Timing != nil {
-		t.Error("restored result must not claim live design state")
+	if got.Layout != nil {
+		t.Error("a restored record must not claim a layout")
 	}
 	if _, ok := ck2.Flow(designs.AES, core.ConfigHetero); ok {
 		t.Error("phantom flow record")
@@ -236,7 +234,7 @@ func TestCheckpointToleratesTruncatedFinalLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ck.PutFlow(designs.CPU, core.ConfigHetero, testFlowResult("cpu", core.ConfigHetero, 0.4375)); err != nil {
+	if err := ck.PutFlow(testFlowRecord(designs.CPU, core.ConfigHetero, 0.4375)); err != nil {
 		t.Fatal(err)
 	}
 	ck.Close()
@@ -449,11 +447,19 @@ func TestKillAndResume(t *testing.T) {
 				}
 			}
 
-			// Figures degrade gracefully on restored results instead of failing.
+			// Figures degrade gracefully on restored records instead of
+			// failing, and Fig. 4's critical-path lines survive the resume.
 			if f3, err := s.Fig3(""); err != nil {
 				t.Errorf("Fig3 on resumed suite: %v", err)
 			} else if !strings.Contains(f3, "restored from checkpoint") && !strings.Contains(f3, "tier-1") {
 				t.Errorf("Fig3 output unexpected:\n%s", f3)
+			}
+			wantPaths := criticalPathLines(t, ref)
+			if len(wantPaths) != 2 {
+				t.Fatalf("reference Fig. 4 has %d critical-path lines, want 2", len(wantPaths))
+			}
+			if got := criticalPathLines(t, s); !slices.Equal(got, wantPaths) {
+				t.Errorf("resumed Fig. 4 critical paths:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(wantPaths, "\n"))
 			}
 
 			// A third run with everything checkpointed runs zero flows and
@@ -472,11 +478,30 @@ func TestKillAndResume(t *testing.T) {
 					}
 				}
 			}
+			if got := criticalPathLines(t, s3); !slices.Equal(got, wantPaths) {
+				t.Errorf("fully-restored Fig. 4 critical paths:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(wantPaths, "\n"))
+			}
 			if s3.ResilienceReport() == nil {
 				t.Error("resilience report missing")
 			}
 		})
 	}
+}
+
+// criticalPathLines returns the critical-path lines of s's Fig. 4.
+func criticalPathLines(t *testing.T, s *Suite) []string {
+	t.Helper()
+	f4, err := s.Fig4("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, l := range strings.Split(f4, "\n") {
+		if strings.Contains(l, "critical path:") {
+			lines = append(lines, l)
+		}
+	}
+	return lines
 }
 
 // killOpts are the checkpointed suite options of TestKillAndResume, at

@@ -31,15 +31,6 @@ func (c *countingSink) ConfigDone(design string, config core.ConfigName, p *core
 	c.configs.Add(1)
 }
 
-// stripPPAC returns a PPAC value safe for direct comparison: everything
-// but the clock-tree pointer (a deep instance graph whose identity differs
-// between runs even when the tree itself is identical).
-func stripPPAC(p *core.PPAC) core.PPAC {
-	c := *p
-	c.Clock = nil
-	return c
-}
-
 // The tentpole determinism guarantee: a suite run on one worker and a
 // suite run on eight workers produce byte-identical PPAC records and f_max
 // values.
@@ -69,7 +60,7 @@ func TestRunSuiteDeterministicAcrossWorkers(t *testing.T) {
 				t.Errorf("%s/%s: missing from parallel run", dn, cfg)
 				continue
 			}
-			if sp, pp := stripPPAC(sr.PPAC), stripPPAC(pr.PPAC); sp != pp {
+			if sp, pp := *sr.PPAC, *pr.PPAC; sp != pp {
 				t.Errorf("%s/%s: PPAC diverges across worker counts:\nserial:   %+v\nparallel: %+v", dn, cfg, sp, pp)
 			}
 		}
@@ -136,8 +127,12 @@ func TestRunSuiteEvents(t *testing.T) {
 	opt.FmaxIterations = 2
 	opt.Designs = []designs.Name{designs.AES}
 	opt.Events = sink
-	if _, err := RunSuite(context.Background(), opt); err != nil {
+	s, err := RunSuite(context.Background(), opt)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if got := layoutFlows(s); len(got) != 0 {
+		t.Errorf("an AES-only suite kept layouts for %v; no figure draws AES", got)
 	}
 	if got := sink.fmax.Load(); got != 1 {
 		t.Errorf("FmaxDone called %d times, want 1", got)

@@ -2,6 +2,10 @@ package eval
 
 import (
 	"context"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -48,14 +52,74 @@ func TestRunSuiteComplete(t *testing.T) {
 	if len(order) != 4 || order[0] != designs.Netcard {
 		t.Errorf("order = %v", order)
 	}
-	if s.Hetero(designs.CPU) == nil {
-		t.Error("hetero accessor broken")
-	}
 }
 
 func TestRunSuiteErrors(t *testing.T) {
 	if _, err := RunSuite(context.Background(), SuiteOptions{Scale: 0}); err == nil {
 		t.Error("zero scale should fail")
+	}
+}
+
+// TestRunSuiteRefusesBadNames: a repeated or unknown design name is
+// refused with one error naming it, before any flow reports an event
+// and before the journal file exists.
+func TestRunSuiteRefusesBadNames(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		designs []designs.Name
+		want    string
+	}{
+		{"repeated", []designs.Name{designs.CPU, designs.AES, designs.CPU}, `repeated design "cpu"`},
+		{"unknown", []designs.Name{designs.AES, "riscv"}, `unknown design "riscv"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := &countingSink{}
+			opt := DefaultSuiteOptions(0.02)
+			opt.Designs = tc.designs
+			opt.Events = sink
+			opt.Checkpoint = filepath.Join(t.TempDir(), "suite.ckpt")
+			_, err := RunSuite(context.Background(), opt)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RunSuite error %v, want one naming %s", err, tc.want)
+			}
+			if n := sink.stageStarts.Load() + sink.fmax.Load() + sink.configs.Load(); n != 0 {
+				t.Errorf("%d events before the refusal", n)
+			}
+			if _, err := os.Stat(opt.Checkpoint); !os.IsNotExist(err) {
+				t.Errorf("journal written before the refusal (stat: %v)", err)
+			}
+		})
+	}
+}
+
+// layoutFlows lists the flows of s whose records keep a layout.
+func layoutFlows(s *Suite) []string {
+	var out []string
+	for _, dn := range s.DesignsInOrder() {
+		for _, cfg := range core.AllConfigs {
+			if r := s.Results[dn][cfg]; r != nil && r.Layout != nil {
+				out = append(out, fmt.Sprintf("%s/%s", dn, cfg))
+			}
+		}
+	}
+	return out
+}
+
+// TestOnlyFigureFlowsKeepLayouts: of a full suite's twenty flows, only
+// the three CPU flows the figures draw keep a layout; every record has
+// its deep dive.
+func TestOnlyFigureFlowsKeepLayouts(t *testing.T) {
+	s := testSuite(t)
+	want := []string{"cpu/2D-9T", "cpu/2D-12T", "cpu/Hetero-M3D"}
+	if got := layoutFlows(s); !slices.Equal(got, want) {
+		t.Errorf("flows with a layout: %v, want %v", got, want)
+	}
+	for _, dn := range s.DesignsInOrder() {
+		for cfg, r := range s.Results[dn] {
+			if r.Dive == nil {
+				t.Errorf("%s/%s: record has no deep dive", dn, cfg)
+			}
+		}
 	}
 }
 
@@ -105,6 +169,47 @@ func TestTableV(t *testing.T) {
 	for _, want := range []string{"Pin-3D", "Hetero-Pin-3D", "WNS", "Total Power"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table V missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestTableVSeed: Table V runs its f_max search and both flows at the
+// seed it is given, so its Hetero-Pin-3D column is the suite's CPU
+// Hetero-M3D flow at that seed.
+func TestTableVSeed(t *testing.T) {
+	const scale, seed = 0.02, 2
+	tb, err := TableV(scale, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultSuiteOptions(scale)
+	opt.Seed = seed
+	opt.Designs = []designs.Name{designs.CPU}
+	opt.Configs = []core.ConfigName{core.ConfigHetero}
+	s, err := RunSuite(context.Background(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := s.Results[designs.CPU][core.ConfigHetero].PPAC
+	want := map[string]string{
+		"Frequency":   fmt.Sprintf("%.3f", s.Fmax[designs.CPU]),
+		"WL":          fmt.Sprintf("%.3f", p.WLm),
+		"WNS":         fmt.Sprintf("%+.3f", p.WNS),
+		"Total Power": fmt.Sprintf("%.1f", p.PowerMW),
+	}
+	out := tb.String()
+	for metric, v := range want {
+		found := false
+		for _, line := range strings.Split(out, "\n") {
+			if f := strings.Fields(line); strings.HasPrefix(line, metric+" ") && len(f) > 0 {
+				found = true
+				if got := f[len(f)-1]; got != v {
+					t.Errorf("Table V %s: Hetero-Pin-3D %s, suite at seed %d %s", metric, got, seed, v)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("Table V has no %s row:\n%s", metric, out)
 		}
 	}
 }

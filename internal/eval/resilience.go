@@ -45,18 +45,3 @@ func (s *Suite) ResilienceReport() *report.Table {
 	}
 	return report.ResilienceTable("Suite resilience — faults, retries, degradations", rows)
 }
-
-// Degradations totals the degraded-mode entries across the suite (the CI
-// fault-injection smoke asserts this is positive under injection and zero
-// without).
-func (s *Suite) Degradations() int {
-	n := 0
-	for _, cfgs := range s.Results {
-		for _, r := range cfgs {
-			if r != nil {
-				n += len(r.Degraded)
-			}
-		}
-	}
-	return n
-}

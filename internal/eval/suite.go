@@ -26,10 +26,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/cell"
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/designs"
 	"repro/internal/fault"
@@ -139,8 +141,55 @@ type Suite struct {
 	// Fmax is each design's 2D-12T maximum frequency (GHz), the
 	// iso-performance target for every configuration.
 	Fmax map[designs.Name]float64
-	// Results[design][config] is the full flow result.
-	Results map[designs.Name]map[core.ConfigName]*core.Result
+	// Results[design][config] is the record of that finished flow.
+	Results map[designs.Name]map[core.ConfigName]*FlowRecord
+}
+
+// FlowRecord is the one form in which a suite holds a finished flow,
+// whether it ran in this process or was served from the checkpoint
+// journal, which persists every field above Attempts.
+type FlowRecord struct {
+	Design   designs.Name
+	Config   core.ConfigName
+	PPAC     *core.PPAC
+	Stages   []flow.StageMetric
+	Degraded []string
+	Checks   []*check.Report
+	// Dive is the Table VIII deep dive, computed while the live flow
+	// state existed.
+	Dive *core.DeepDive
+
+	// Attempts counts the runs the retry policy made (0 when Restored).
+	Attempts int
+	// Restored marks a record served from the journal.
+	Restored bool
+	// Layout is what the figures draw; only the figure flows
+	// (figureConfigs) computed in this run keep one.
+	Layout *Layout
+}
+
+// newFlowRecord builds the record of a finished flow, computing its deep
+// dive while the live state exists.
+func newFlowRecord(design designs.Name, cfg core.ConfigName, r *core.Result) (*FlowRecord, error) {
+	dive, err := core.DeepAnalyze(r)
+	if err != nil {
+		return nil, fmt.Errorf("deep dive %s/%s: %w", design, cfg, err)
+	}
+	return &FlowRecord{Design: design, Config: cfg, PPAC: r.PPAC, Stages: r.Stages,
+		Degraded: r.Degraded, Checks: r.Checks, Dive: dive, Attempts: r.Attempts,
+		Layout: layoutOf(design, cfg, r)}, nil
+}
+
+// badNames appends to bad a note for each repeated or unknown name.
+func badNames[T ~string](bad []string, kind string, names, known []T) []string {
+	for i, n := range names {
+		if slices.Contains(names[:i], n) {
+			bad = append(bad, fmt.Sprintf("repeated %s %q", kind, n))
+		} else if !slices.Contains(known, n) {
+			bad = append(bad, fmt.Sprintf("unknown %s %q", kind, n))
+		}
+	}
+	return bad
 }
 
 // shield runs fn behind a panic barrier: a panicking job surfaces as a
@@ -165,6 +214,11 @@ func RunSuite(ctx context.Context, opt SuiteOptions) (*Suite, error) {
 		ctx = context.Background()
 	}
 	opt = opt.withDefaults()
+	// Refuse bad names before any flow runs or any journal byte is written.
+	bad := badNames(nil, "design", opt.Designs, designs.All)
+	if bad = badNames(bad, "config", opt.Configs, core.AllConfigs); len(bad) > 0 {
+		return nil, fmt.Errorf("eval: %s", strings.Join(bad, "; "))
+	}
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -195,10 +249,10 @@ func RunSuite(ctx context.Context, opt SuiteOptions) (*Suite, error) {
 	s := &Suite{
 		Opt:     opt,
 		Fmax:    make(map[designs.Name]float64),
-		Results: make(map[designs.Name]map[core.ConfigName]*core.Result),
+		Results: make(map[designs.Name]map[core.ConfigName]*FlowRecord),
 	}
 	for _, name := range opt.Designs {
-		s.Results[name] = make(map[core.ConfigName]*core.Result, len(opt.Configs))
+		s.Results[name] = make(map[core.ConfigName]*FlowRecord, len(opt.Configs))
 	}
 
 	// The pool: a limiter bounds concurrently executing jobs; the first
@@ -299,12 +353,12 @@ func RunSuite(ctx context.Context, opt SuiteOptions) (*Suite, error) {
 				go func() {
 					defer wg.Done()
 					if ck != nil {
-						if r, ok := ck.Flow(name, cfg); ok {
+						if rec, ok := ck.Flow(name, cfg); ok {
 							mu.Lock()
-							s.Results[name][cfg] = r
+							s.Results[name][cfg] = rec
 							mu.Unlock()
 							if opt.Events != nil {
-								opt.Events.ConfigDone(string(name), cfg, r.PPAC)
+								opt.Events.ConfigDone(string(name), cfg, rec.PPAC)
 							}
 							return
 						}
@@ -313,7 +367,7 @@ func RunSuite(ctx context.Context, opt SuiteOptions) (*Suite, error) {
 						return
 					}
 					defer slots.Release()
-					var r *core.Result
+					var rec *FlowRecord
 					err := shield(string(name), string(cfg), func() error {
 						o := core.DefaultOptions(fmax)
 						o.Seed = opt.Seed
@@ -335,25 +389,28 @@ func RunSuite(ctx context.Context, opt SuiteOptions) (*Suite, error) {
 							}
 							o.LoadDesign = dbPath
 						}
-						var rerr error
-						r, _, rerr = core.RunWithRetry(jctx, src, cfg, o, opt.Retry)
-						return rerr
+						r, _, err := core.RunWithRetry(jctx, src, cfg, o, opt.Retry)
+						if err != nil {
+							return err
+						}
+						rec, err = newFlowRecord(name, cfg, r)
+						return err
 					})
 					if err != nil {
 						fail(fmt.Errorf("eval: %w", err))
 						return
 					}
 					if ck != nil {
-						if err := ck.PutFlow(name, cfg, r); err != nil {
+						if err := ck.PutFlow(rec); err != nil {
 							fail(err)
 							return
 						}
 					}
 					mu.Lock()
-					s.Results[name][cfg] = r
+					s.Results[name][cfg] = rec
 					mu.Unlock()
 					if opt.Events != nil {
-						opt.Events.ConfigDone(string(name), cfg, r.PPAC)
+						opt.Events.ConfigDone(string(name), cfg, rec.PPAC)
 					}
 				}()
 			}
@@ -369,29 +426,14 @@ func RunSuite(ctx context.Context, opt SuiteOptions) (*Suite, error) {
 	return s, nil
 }
 
-// Hetero returns the heterogeneous result for a design (nil if absent).
-func (s *Suite) Hetero(n designs.Name) *core.Result {
-	return s.Results[n][core.ConfigHetero]
-}
-
 // DesignsInOrder returns the evaluated designs in the paper's column
 // order (netcard, aes, ldpc, cpu), restricted to those actually run.
 func (s *Suite) DesignsInOrder() []designs.Name {
-	seen := make(map[designs.Name]bool, len(s.Results))
 	var out []designs.Name
 	for _, n := range designs.All {
 		if _, ok := s.Results[n]; ok {
 			out = append(out, n)
-			seen[n] = true
 		}
 	}
-	// Any extras (shouldn't happen) appended deterministically.
-	var rest []designs.Name
-	for n := range s.Results { //maporder:ok collection loop; rest is sorted immediately below
-		if !seen[n] {
-			rest = append(rest, n)
-		}
-	}
-	sort.Slice(rest, func(i, j int) bool { return rest[i] < rest[j] })
-	return append(out, rest...)
+	return out
 }

@@ -158,12 +158,15 @@ func TableV(scale float64, seed int64) (*report.Table, error) {
 	}
 	fopt := core.DefaultFmaxOptions()
 	fopt.Iterations = 5
+	fopt.Flow.Seed = seed
 	ctx := context.Background()
 	fmax, err := core.FindFmax(ctx, src, core.Config2D12T, fopt)
 	if err != nil {
 		return nil, err
 	}
-	plain := core.DefaultOptions(fmax)
+	full := core.DefaultOptions(fmax)
+	full.Seed = seed
+	plain := full
 	plain.EnableTimingPartition = false
 	plain.Enable3DCTS = false
 	plain.EnableRepartition = false
@@ -171,7 +174,7 @@ func TableV(scale float64, seed int64) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	rh, err := core.Run(ctx, src, core.ConfigHetero, core.DefaultOptions(fmax))
+	rh, err := core.Run(ctx, src, core.ConfigHetero, full)
 	if err != nil {
 		return nil, err
 	}
@@ -281,11 +284,10 @@ func (s *Suite) TableVIII() (*report.Table, error) {
 		if !ok {
 			return nil, fmt.Errorf("eval: Table VIII needs the CPU in %s", cfg)
 		}
-		dd, err := core.DeepAnalyze(r)
-		if err != nil {
-			return nil, err
+		if r.Dive == nil {
+			return nil, fmt.Errorf("eval: Table VIII: the CPU's %s record has no deep dive", cfg)
 		}
-		dives[cfg] = dd
+		dives[cfg] = r.Dive
 	}
 	d2, m3, het := dives[core.Config2D12T], dives[core.ConfigM3D12T], dives[core.ConfigHetero]
 
