@@ -96,8 +96,8 @@ type Options struct {
 	CheckReportOnly bool
 	// Fault is the fault-injection plan fired before every stage body
 	// (nil = no injection). Arming one also arms the extraction audit,
-	// which verifies the RC-extraction cache against fresh extraction
-	// before every timing analysis (O(nets) each), so injected cache
+	// which verifies the timer's RC store against fresh extraction
+	// before every timing analysis (O(nets) each), so injected store
 	// corruption is caught at the next analysis.
 	Fault *fault.Plan
 	// FlowWorkers bounds the intra-flow parallelism of the place, route,

@@ -162,10 +162,9 @@ type designDB struct {
 	snap *netlist.Snapshot
 	d    *netlist.Design // materialized from snap during decode
 
-	fp     *place.Floorplan
-	ct     *cts.Result
-	st     *sta.Snapshot
-	routes []route.CacheEntry
+	fp *place.Floorplan
+	ct *cts.Result
+	st *sta.Snapshot
 
 	hasChecks bool
 	chkState  check.SessionState
@@ -380,9 +379,6 @@ func encodeDesignDB(dd *designDB) ([]byte, error) {
 	if dd.st != nil {
 		frame(db.TagSTA, func(w *db.Writer) { db.PutSTA(w, dd.st) })
 	}
-	if dd.routes != nil {
-		frame(db.TagRoute, func(w *db.Writer) { db.PutRoutes(w, dd.routes) })
-	}
 	if dd.hasChecks {
 		frame(db.TagChecks, func(w *db.Writer) { db.PutChecks(w, dd.chkState, dd.chkReps) })
 	}
@@ -439,8 +435,6 @@ func (dd *designDB) readSection(tag string, r *db.Reader) bool {
 		dd.ct = db.ReadCTS(r, dd.d)
 	case db.TagSTA:
 		dd.st = db.ReadSTA(r)
-	case db.TagRoute:
-		dd.routes = db.ReadRoutes(r)
 	case db.TagChecks:
 		dd.hasChecks = true
 		dd.chkState, dd.chkReps = db.ReadChecks(r)
@@ -485,9 +479,6 @@ func (s *flowState) buildDB(fc *flow.Context, stage string) *designDB {
 	if s.st != nil {
 		dd.st = s.st.Snapshot()
 	}
-	if s.cache != nil {
-		dd.routes = s.cache.Export()
-	}
 	if s.checks != nil {
 		dd.hasChecks = true
 		dd.chkState = s.checks.State()
@@ -524,8 +515,10 @@ func (s *flowState) Commit(fc *flow.Context, stage string) error {
 // the stages remaining after the saved boundary. The restored flow's
 // first act is exactly what the uninterrupted flow's next stage would
 // have seen: same design object graph (dense IDs, iteration orders,
-// journal revisions), same floorplan/clock/timing/cache state, same
-// check-session baseline.
+// journal revisions), same floorplan/clock/timing state, same
+// check-session baseline. No extraction state is saved: the RC store
+// exists only from timing-repair on, and signoff, the one boundary past
+// it, leaves no stage to run.
 func (s *flowState) loadDesign(fc *flow.Context, path string, stages []flow.Stage) ([]flow.Stage, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -575,16 +568,6 @@ func (s *flowState) loadDesign(fc *flow.Context, path string, stages []flow.Stag
 			return nil, fmt.Errorf("core: load design %s: %w", path, db.Corruptf("%v", err))
 		}
 		s.st = st
-	}
-	if dd.routes != nil {
-		if s.router == nil {
-			return nil, fmt.Errorf("core: load design %s: %w", path,
-				db.Corruptf("routing section without a floorplan section"))
-		}
-		s.cache = route.NewCache(s.router, s.d)
-		if err := s.cache.Restore(dd.routes); err != nil {
-			return nil, fmt.Errorf("core: load design %s: %w", path, db.Corruptf("%v", err))
-		}
 	}
 	if dd.hasChecks {
 		s.checks = &check.Session{}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/flow"
 	"repro/internal/netlist"
+	"repro/internal/route"
 )
 
 // ppacBytes is the canonical byte form of a PPAC record, the
@@ -368,8 +369,8 @@ var signoffDB struct {
 
 // signoffDBBytes saves the smallest ldpc netlist, run through the
 // Hetero-M3D flow with checks on, at the signoff boundary, so the file
-// carries every section kind: META, NETL, PLAC, CTSR, STAR, ROUT, CHKS,
-// STGS, PPAC and POWR.
+// carries every section kind: META, NETL, PLAC, CTSR, STAR, CHKS, STGS,
+// PPAC and POWR.
 func signoffDBBytes(tb testing.TB) []byte {
 	tb.Helper()
 	signoffDB.Do(func() {
@@ -394,6 +395,112 @@ func signoffDBBytes(tb testing.TB) []byte {
 		tb.Fatal(signoffDB.err)
 	}
 	return signoffDB.data
+}
+
+// TestLoadSkipsRetiredRouteSection splices a ROUT frame, in the layout
+// earlier builds wrote (every net's extraction-cache entry, between STAR
+// and CHKS), into a signoff database. Readers skip the retired section
+// as an unknown tag: the file loads and resumes to the same PPAC bytes
+// as the file without it. It is no longer canonical, because a
+// re-encode drops the section.
+func TestLoadSkipsRetiredRouteSection(t *testing.T) {
+	data := signoffDBBytes(t)
+	dd, err := decodeDesignDB(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := db.NewWriter()
+	w.PutU32(uint32(len(dd.d.Nets)))
+	r := route.New()
+	for _, n := range dd.d.Nets {
+		rc := r.Extract(n)
+		w.PutI32(int32(n.ID))
+		w.PutU64(dd.d.NetRev(n))
+		w.PutF64(rc.WireLen)
+		w.PutF64(rc.WireCap)
+		w.PutF64s(rc.SinkR)
+		w.PutF64s(rc.SinkCapShare)
+		w.PutI32(int32(rc.MIVs))
+	}
+	frame, err := db.AppendFrame(nil, "ROUT", w.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, infos, err := db.List(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := -1
+	for _, info := range infos {
+		if info.Tag == db.TagChecks {
+			at = info.Offset - 8 // the frame's tag and length precede its payload
+		}
+	}
+	if at < 0 {
+		t.Fatal("signoff database has no CHKS section")
+	}
+	spliced := slices.Concat(data[:at], frame, data[at:])
+
+	if err := VerifyDesignFile(spliced); !errors.Is(err, db.ErrCorrupt) {
+		t.Errorf("verify of a file holding ROUT: got %v, want a non-canonical ErrCorrupt", err)
+	}
+	src, err := designs.Generate(designs.LDPC, lib12, designs.Params{Scale: 0.001, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resume := func(file []byte) []byte {
+		path := filepath.Join(t.TempDir(), "ldpc.db")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		opt := DefaultOptions(testClock)
+		opt.Check = CheckFast
+		opt.CheckReportOnly = true
+		opt.LoadDesign = path
+		res, err := Run(context.Background(), src, ConfigHetero, opt)
+		if err != nil {
+			t.Fatalf("resume: %v", err)
+		}
+		return ppacBytes(t, res.PPAC)
+	}
+	want := resume(data)
+	if want == nil {
+		t.Fatal("resumed signoff file has no PPAC")
+	}
+	if got := resume(spliced); !bytes.Equal(got, want) {
+		t.Error("a signoff file holding ROUT resumed to different PPAC bytes")
+	}
+}
+
+// TestSignoffPowerReadsTimerStore pins the flow's sign-off wiring:
+// power analysis reads the RC store the timing session filled, so the
+// signoff stage hits once per instance-driven signal net and misses
+// once per instance-driven clock net, which timing leaves unextracted.
+// Sign-off power with an extraction source of its own leaves both
+// counters at zero.
+func TestSignoffPowerReadsTimerStore(t *testing.T) {
+	dd, err := decodeDesignDB(signoffDBBytes(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var signal, clock int64
+	for _, inst := range dd.d.Instances {
+		if out := dd.d.OutputNet(inst); out != nil && out.IsClock {
+			clock++
+		} else if out != nil {
+			signal++
+		}
+	}
+	last := dd.metrics[len(dd.metrics)-1]
+	if last.Name != StageSignoff {
+		t.Fatalf("last stage metric is %s, want %s", last.Name, StageSignoff)
+	}
+	if got := last.Stats[flow.StatRCHits]; got != signal {
+		t.Errorf("signoff rc_hits = %d, want %d (instance-driven signal nets)", got, signal)
+	}
+	if got := last.Stats[flow.StatRCMisses]; got != clock || clock == 0 {
+		t.Errorf("signoff rc_misses = %d, want %d (instance-driven clock nets, at least one)", got, clock)
+	}
 }
 
 // TestDesignDBTruncationMatrix decodes every strict prefix of every
@@ -431,7 +538,7 @@ func TestDesignDBTruncationMatrix(t *testing.T) {
 		}
 	}
 	for _, tag := range []string{tagMeta, db.TagNetlist, db.TagFloorplan, db.TagCTS, db.TagSTA,
-		db.TagRoute, db.TagChecks, tagStages, tagPPAC, tagPower} {
+		db.TagChecks, tagStages, tagPPAC, tagPower} {
 		if !seen[tag] {
 			t.Errorf("signoff database has no %s section", tag)
 		}

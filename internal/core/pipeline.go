@@ -294,8 +294,9 @@ func (s *flowState) stageCTS(mode cts.Mode) func(*flow.Context) error {
 
 // bindTimingEnv assembles the timing environment used by the repair and
 // recovery stages (requires the router and clock tree): one persistent
-// timing session over one shared extraction cache, serving every
-// analysis from here to sign-off.
+// timing session over the flow's one RC store (s.cache), serving every
+// analysis from here to sign-off, whose power analysis reads the same
+// store.
 func (s *flowState) bindTimingEnv(fc *flow.Context) {
 	if s.cache == nil {
 		s.cache = route.NewCache(s.router, s.d)
@@ -305,7 +306,6 @@ func (s *flowState) bindTimingEnv(fc *flow.Context) {
 		d:         s.d,
 		libs:      s.libs,
 		ex:        s.cache,
-		cache:     s.cache,
 		period:    1 / s.opt.ClockGHz,
 		latency:   s.ct.LatencyFunc(),
 		forceFull: s.forceFullSTA,

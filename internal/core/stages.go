@@ -220,8 +220,8 @@ func STAConfig(period float64, ex route.Extractor, latency func(*netlist.Instanc
 
 // timingEnv bundles everything needed to (re-)analyze a design's timing
 // during optimization. It owns one persistent sta.Timer per flow: every
-// analyze call is an incremental update of the same session, sharing one
-// revision-keyed extraction cache with the power analysis.
+// analyze call is an incremental update of the same session, reading the
+// RC store that sign-off power reads too.
 type timingEnv struct {
 	// fc is the run's pipeline context; the repair loops poll it so a
 	// cancelled run aborts between optimization rounds, not only at
@@ -231,14 +231,14 @@ type timingEnv struct {
 	d       *netlist.Design
 	libs    [2]*cell.Library
 	ex      route.Extractor
-	cache   *route.Cache // ex when extraction is cached, nil otherwise
 	period  float64
 	latency func(*netlist.Instance) float64
 	// forceFull pins the timer to full recomputes (set by the
 	// degradation path once a retained view has diverged).
 	forceFull bool
-	// audit verifies the extraction cache against fresh extraction before
-	// every analysis — the detection side of cache-corruption faults.
+	// audit verifies the timer's RC store against fresh extraction
+	// before every analysis — the detection side of cache-corruption
+	// faults.
 	audit bool
 	// workers bounds the full pass's intra-analysis parallelism
 	// (Options.FlowWorkers); results are identical at any value.
@@ -253,14 +253,6 @@ type timingEnv struct {
 }
 
 func (e *timingEnv) analyze() (*sta.Result, error) {
-	if e.audit && e.cache != nil {
-		// Audit before the timer consumes the cache: divergence is caught
-		// ahead of any sizing decision, so the degraded re-run starts from
-		// an untainted design state.
-		if err := e.cache.Audit(); err != nil {
-			return nil, fmt.Errorf("%w: %w", sta.ErrDiverged, err)
-		}
-	}
 	if e.timer == nil {
 		cfg := STAConfig(e.period, e.ex, e.latency, e.workers)
 		cfg.ForceFull = e.forceFull
@@ -269,6 +261,14 @@ func (e *timingEnv) analyze() (*sta.Result, error) {
 			return nil, err
 		}
 		e.timer = t
+	}
+	if e.audit {
+		// Audit before the timer reads the store: divergence is caught
+		// ahead of any sizing decision, so the degraded re-run starts from
+		// an untainted design state.
+		if err := e.timer.Extraction().Audit(); err != nil {
+			return nil, fmt.Errorf("%w: %w", sta.ErrDiverged, err)
+		}
 	}
 	res, err := e.timer.Update()
 	if err != nil {
@@ -291,12 +291,10 @@ func (e *timingEnv) reportStats() {
 	e.fc.AddStat(flow.StatParBatches, ts.ParBatches-e.lastTS.ParBatches)
 	e.fc.AddStat(flow.StatParTasks, ts.ParTasks-e.lastTS.ParTasks)
 	e.lastTS = ts
-	if e.cache != nil {
-		cs := e.cache.Stats()
-		e.fc.AddStat(flow.StatRCHits, cs.Hits-e.lastCS.Hits)
-		e.fc.AddStat(flow.StatRCMisses, cs.Misses-e.lastCS.Misses)
-		e.lastCS = cs
-	}
+	cs := e.timer.Extraction().Stats()
+	e.fc.AddStat(flow.StatRCHits, cs.Hits-e.lastCS.Hits)
+	e.fc.AddStat(flow.StatRCMisses, cs.Misses-e.lastCS.Misses)
+	e.lastCS = cs
 }
 
 // libOf returns the library an instance sizes within (by its tier for
@@ -321,8 +319,7 @@ func preSizeForClock(fc *flow.Context, d *netlist.Design, libs [2]*cell.Library,
 	// the sizes baked into the floorplan survive real extraction.
 	wlmRouter := route.New()
 	wlmRouter.WLMPerSinkFF = 2.5
-	cache := route.NewCache(wlmRouter, d)
-	e := &timingEnv{fc: fc, d: d, libs: libs, ex: cache, cache: cache, period: period, forceFull: forceFull, workers: workers}
+	e := &timingEnv{fc: fc, d: d, libs: libs, ex: wlmRouter, period: period, forceFull: forceFull, workers: workers}
 	// Synthesis aims for margin, not bare closure: cells within 3 % of
 	// the period get upsized too, which is what makes a slow library
 	// chasing a fast target balloon in area.

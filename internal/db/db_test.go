@@ -254,8 +254,6 @@ func TestCountLoopsStopAtFirstError(t *testing.T) {
 			func(r *Reader) { ReadNetlist(r) }},
 		{"nldm rows", payload(4, func(w *Writer) { w.PutBool(true); w.PutF64s(nil); w.PutF64s(nil) }),
 			func(r *Reader) { readNLDM(r) }},
-		{"route entries", payload(40, func(*Writer) {}),
-			func(r *Reader) { ReadRoutes(r) }},
 		{"check reports", payload(16, func(w *Writer) { w.PutBool(false); w.PutString(""); w.PutU64(0); w.PutI32(0); w.PutI32(0) }),
 			func(r *Reader) { ReadChecks(r) }},
 		{"check rule stats", payload(17, func(w *Writer) { w.PutString("d"); w.PutString("s") }),

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cts"
 	"repro/internal/netlist"
 	"repro/internal/place"
-	"repro/internal/route"
 	"repro/internal/sta"
 )
 
@@ -18,7 +17,6 @@ const (
 	TagFloorplan = "PLAC"
 	TagCTS       = "CTSR"
 	TagSTA       = "STAR"
-	TagRoute     = "ROUT"
 	TagChecks    = "CHKS"
 )
 
@@ -154,37 +152,6 @@ func ReadSTA(r *Reader) *sta.Snapshot {
 		})
 	}
 	return sn
-}
-
-// PutRoutes writes the ROUT section: the valid extraction-cache entries
-// in net-ID order, each keyed on the journal revision it was extracted
-// at. A resumed flow installs them into a fresh cache; any entry whose
-// net has since moved simply misses and re-extracts — determinism rests
-// on the extraction being a pure function of the design, the entries
-// only keep the cache warm.
-func PutRoutes(w *Writer, entries []route.CacheEntry) {
-	w.PutU32(uint32(len(entries)))
-	for _, e := range entries {
-		w.PutI32(int32(e.Net))
-		w.PutU64(e.Rev)
-		w.PutF64(e.RC.WireLen)
-		w.PutF64(e.RC.WireCap)
-		w.PutF64s(e.RC.SinkR)
-		w.PutF64s(e.RC.SinkCapShare)
-		w.PutI32(int32(e.RC.MIVs))
-	}
-}
-
-// ReadRoutes reads a ROUT payload.
-func ReadRoutes(r *Reader) []route.CacheEntry {
-	var entries []route.CacheEntry
-	for i, n := 0, r.Count(40); r.More(i, n); i++ {
-		e := route.CacheEntry{Net: int(r.I32()), Rev: r.U64()}
-		rc := &route.NetRC{WireLen: r.F64(), WireCap: r.F64(), SinkR: r.F64s(), SinkCapShare: r.F64s(), MIVs: int(r.I32())}
-		e.RC = rc //poolescape:ignore deserialization builds a fresh heap shell, never drawn from the pool
-		entries = append(entries, e)
-	}
-	return entries
 }
 
 // PutCheckReport writes one design-integrity report.

@@ -24,8 +24,10 @@ type Config struct {
 	// InputActivity is the toggle rate (transitions per cycle) assumed at
 	// primary inputs.
 	InputActivity float64
-	// Router supplies wire-cap extraction; nil uses route.New(). A
-	// route.Cache here shares extraction with the timing engine.
+	// Router supplies wire-cap extraction; nil uses route.New(). The
+	// route.Cache a Timer reads (sta.Timer.Extraction) serves power from
+	// the slots timing already filled; clock nets, which timing does not
+	// extract, fill on first use.
 	Router route.Extractor
 	// Hetero enables boundary-cell power derates.
 	Hetero bool

@@ -9,6 +9,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/netlist"
 	"repro/internal/route"
+	"repro/internal/sta"
 	"repro/internal/tech"
 )
 
@@ -108,9 +109,10 @@ func Test9TrackBurnsLess(t *testing.T) {
 	}
 }
 
-func TestClockCellsCounted(t *testing.T) {
-	d := genPlaced(t, designs.AES, lib12)
-	// Insert a clock buffer on the clock net path.
+// bufferClock moves every clock sink of d behind one clock buffer, so
+// the design has an instance-driven clock net.
+func bufferClock(t *testing.T, d *netlist.Design) {
+	t.Helper()
 	clk := d.Net("clk")
 	cb, err := d.AddInstance("ckbuf0", lib12.Smallest(cell.FuncClkBuf))
 	if err != nil {
@@ -142,6 +144,11 @@ func TestClockCellsCounted(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestClockCellsCounted(t *testing.T) {
+	d := genPlaced(t, designs.AES, lib12)
+	bufferClock(t, d)
 	b, err := Analyze(d, DefaultConfig(1.0))
 	if err != nil {
 		t.Fatal(err)
@@ -151,6 +158,47 @@ func TestClockCellsCounted(t *testing.T) {
 	}
 	if b.Clock >= b.Total {
 		t.Error("clock power exceeds total")
+	}
+}
+
+// TestAnalyzeSharesTimerStore pins sign-off's wiring: power analysis on
+// the RC store a Timer has just filled is served every signal net from
+// the timer's slots and extracts only the clock nets timing leaves to
+// it. Given a store of its own, power would miss on every net it reads.
+func TestAnalyzeSharesTimerStore(t *testing.T) {
+	d := genPlaced(t, designs.AES, lib12)
+	bufferClock(t, d)
+	tm, err := sta.NewTimer(d, sta.DefaultConfig(1.0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tm.Update(); err != nil {
+		t.Fatal(err)
+	}
+	var signal, clock int64
+	for _, inst := range d.Instances {
+		if out := d.OutputNet(inst); out != nil && out.IsClock {
+			clock++
+		} else if out != nil {
+			signal++
+		}
+	}
+	if clock == 0 {
+		t.Fatal("design has no instance-driven clock net")
+	}
+	store := tm.Extraction()
+	before := store.Stats()
+	cfg := DefaultConfig(1.0)
+	cfg.Router = store
+	if _, err := Analyze(d, cfg); err != nil {
+		t.Fatal(err)
+	}
+	after := store.Stats()
+	if got := after.Misses - before.Misses; got != clock {
+		t.Errorf("power missed %d times on the timer's store, want %d (its clock nets)", got, clock)
+	}
+	if got := after.Hits - before.Hits; got != signal {
+		t.Errorf("power hit %d times on the timer's store, want %d (its signal nets)", got, signal)
 	}
 }
 

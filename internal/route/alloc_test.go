@@ -69,10 +69,9 @@ func TestPerNetKernelAllocs(t *testing.T) {
 // while a reintroduced per-net slice or map still lands far above it.
 const maxPerNetBytes = 512
 
-// TestCacheMissAllocs pins the singleflight's price: the flight lives in
-// the net's own cache entry, so a miss through an extractor that
-// allocates nothing allocates nothing either — no flight record, no
-// channel, no map insert.
+// TestCacheMissAllocs pins the store's price: a hit allocates nothing,
+// and a miss through an extractor that allocates nothing allocates
+// nothing either — the slot is the whole bookkeeping.
 func TestCacheMissAllocs(t *testing.T) {
 	d, mid := cacheDesign(t)
 	shared := &NetRC{}
@@ -81,15 +80,23 @@ func TestCacheMissAllocs(t *testing.T) {
 		c.Invalidate()
 		c.Extract(mid)
 	}
-	miss() // size the entry table
+	hit := func() { c.Extract(mid) }
+	miss() // size the slots
 	if raceEnabled {
 		t.Skip("race detector: instrumentation allocates; the budget holds in non-race builds")
 	}
-	before := c.Stats().Misses
+	before := c.Stats()
+	if allocs := testing.AllocsPerRun(100, hit); allocs != 0 {
+		t.Errorf("a cache hit allocates %v per run, want 0", allocs)
+	}
 	if allocs := testing.AllocsPerRun(100, miss); allocs != 0 {
 		t.Errorf("a cache miss allocates %v per run, want 0", allocs)
 	}
-	if got := c.Stats().Misses - before; got < 100 {
-		t.Errorf("%d misses measured, want every run to miss", got)
+	after := c.Stats()
+	if got := after.Hits - before.Hits; got < 100 {
+		t.Errorf("%d hits measured, want every hit run to hit", got)
+	}
+	if got := after.Misses - before.Misses; got < 100 {
+		t.Errorf("%d misses measured, want every miss run to miss", got)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"repro/internal/netlist"
 )
@@ -15,7 +14,7 @@ import (
 type Extractor interface {
 	// Extract returns the lumped RC view of a net. Callers must treat the
 	// result as immutable — a caching implementation hands the same
-	// pointer to every caller.
+	// pointer to every caller until the net's next re-extraction.
 	Extract(n *netlist.Net) *NetRC
 }
 
@@ -23,170 +22,127 @@ type Extractor interface {
 // report.
 type CacheStats struct {
 	Hits, Misses int64
-	// Coalesced counts lookups that found an extraction of the same net
-	// revision already in flight on another goroutine and waited for its
-	// result instead of extracting again — the singleflight path. It is
-	// always 0 in a serial flow.
-	Coalesced int64
 }
 
-// HitRate returns the fraction of lookups served without a fresh
-// extraction (0 when the cache was never queried). Coalesced lookups
-// count as served: they returned a shared result, not new work.
-func (s CacheStats) HitRate() float64 {
-	served := s.Hits + s.Coalesced
-	if served+s.Misses == 0 {
-		return 0
-	}
-	return float64(served) / float64(served+s.Misses)
-}
-
-// Cache memoizes per-net extraction keyed on the design's change journal:
-// an entry is valid exactly while netlist.Design.NetRev is unchanged, which
-// the journal guarantees moves whenever the net's pin membership or any
-// connected instance's location or tier changes. Gate resizes do not move
-// net revisions, so the whole timing-repair sizing loop runs on warm
-// entries.
+// Cache is a flow's one per-net RC store, keyed on the design's change
+// journal: a net's slot is valid exactly while netlist.Design.NetRev is
+// unchanged, which the journal guarantees moves whenever the net's pin
+// membership or any connected instance's location or tier changes. Gate
+// resizes do not move net revisions, so the whole timing-repair sizing
+// loop runs on warm slots.
 //
-// A Cache belongs to one flow but is safe for concurrent use within it:
-// the parallel extraction fan-outs (the timer's full pass, concurrent
-// timing+power analysis) may call Extract from many goroutines. Fills
-// are per-revision singleflight — when several goroutines miss on the
-// same net at the same revision, exactly one runs the underlying
-// extraction and the rest wait for (and share) its result. The flight
-// lives in the net's own entry and the rare waiters sleep on one
-// condition variable, so a miss allocates nothing beyond the extraction
-// itself. The design itself must be quiescent while extractions run
-// concurrently; mutating the netlist is only legal with no Extract in
-// flight, which the flow's phase structure guarantees.
+// The timing engine reads the slots directly (WireCap, Sink); power
+// analysis reads them through Extract. The store takes no lock. Serial
+// callers may Extract any net; a parallel fan-out sizes the slots first
+// (Grow, serially) and then extracts each net from exactly one work
+// item, so every goroutine writes only its own nets' slots. The design
+// must be quiescent while a fan-out runs, which the flow's phase
+// structure guarantees.
 type Cache struct {
 	inner Extractor
 	d     *netlist.Design
-
-	mu sync.Mutex
-	// landed wakes the goroutines waiting on any flight (over mu); each
-	// re-checks its own entry.
-	landed sync.Cond
-	// entries is indexed by net ID and grows lazily as nets are added.
-	entries []cacheEntry
-	// gen invalidation generation: a flight started before an Invalidate
-	// must not re-validate its entry afterwards.
-	gen   uint64
-	stats CacheStats
+	// pooled marks an inner bare *Router, whose results are private to
+	// the store: the RC a re-extraction replaces goes back to the free
+	// list. Other extractors may hand out shared storage, so their
+	// results are never recycled.
+	pooled bool
+	// slots is indexed by net ID.
+	slots []slot
 }
 
-// cacheEntry is one net's slot: the last extraction stored (valid while
-// its revision is current and no Invalidate dropped it) and the
-// extraction in flight, if any.
-type cacheEntry struct {
-	rc    *NetRC
-	rev   uint64
-	valid bool
-	// flying marks an extraction of revision flightRev in progress,
-	// started at generation flightGen.
-	flying    bool
-	flightRev uint64
-	flightGen uint64
+// slot is one net's extraction, the journal revision it was taken at,
+// and the net's own lookup counters (summed by Stats, so a fan-out's
+// work items never share a counter).
+type slot struct {
+	rc           *NetRC
+	rev          uint64
+	hits, misses uint32
+	valid        bool
 }
 
 // NewCache wraps an extractor (usually a *Router) with revision-keyed
 // memoization over d's nets.
 func NewCache(inner Extractor, d *netlist.Design) *Cache {
-	c := &Cache{inner: inner, d: d}
-	c.landed.L = &c.mu
-	return c
+	_, pooled := inner.(*Router)
+	return &Cache{inner: inner, d: d, pooled: pooled}
+}
+
+// Grow sizes the slots to the design's nets. A fan-out of Extract calls
+// must run it first, serially; serial callers need not, since Extract
+// grows on demand.
+func (c *Cache) Grow() {
+	if len(c.slots) < len(c.d.Nets) {
+		grown := make([]slot, len(c.d.Nets))
+		copy(grown, c.slots)
+		c.slots = grown
+	}
 }
 
 // Extract implements Extractor: a journal-validated hit returns the
-// stored RC, a lookup that races an in-flight extraction of the same
-// revision waits for it, and anything else re-extracts and stores.
+// stored RC; anything else re-extracts, stores the result and recycles
+// the RC it replaced.
 //
-//pool:boundary the cache owns publication of NetRC results
+//pool:boundary the store owns publication of NetRC results
 func (c *Cache) Extract(n *netlist.Net) *NetRC {
-	c.mu.Lock()
-	if n.ID >= len(c.entries) {
-		grown := make([]cacheEntry, len(c.d.Nets))
-		copy(grown, c.entries)
-		c.entries = grown
+	if n.ID >= len(c.slots) {
+		c.Grow()
 	}
+	s := &c.slots[n.ID]
 	rev := c.d.NetRev(n)
-	e := &c.entries[n.ID]
-	if e.valid && e.rev == rev {
-		c.stats.Hits++
-		rc := e.rc
-		c.mu.Unlock()
-		return rc
+	if s.valid && s.rev == rev {
+		s.hits++
+		return s.rc
 	}
-	if e.flying && e.flightRev == rev {
-		for e.flying && e.flightRev == rev {
-			c.landed.Wait()
-			e = &c.entries[n.ID] // the slice may have grown meanwhile
-		}
-		// The flight stored its result, validated or not.
-		if e.rev == rev && e.rc != nil {
-			c.stats.Coalesced++
-			rc := e.rc
-			c.mu.Unlock()
-			return rc
-		}
-	}
-	e.flying, e.flightRev, e.flightGen = true, rev, c.gen
-	c.stats.Misses++
-	c.mu.Unlock()
-
-	rc := c.inner.Extract(n)
-
-	c.mu.Lock()
-	e = &c.entries[n.ID]
-	// Store the result even when an Invalidate landed meanwhile: waiters
-	// read it from here, and Recycle must see it as published. It only
-	// serves later lookups if the generation still matches.
-	e.rc, e.rev, e.valid = rc, rev, e.flightGen == c.gen
-	e.flying = false
-	c.mu.Unlock()
-	c.landed.Broadcast()
-	return rc
+	s.misses++
+	old := s.rc
+	s.rc, s.rev, s.valid = c.inner.Extract(n), rev, true
+	c.recycle(old)
+	return s.rc
 }
 
-// Recycle offers rc back to the extraction free list on behalf of a
-// caller that received it from Extract and has since replaced it (the
-// incremental timing engine, after a revision moved). The cache refuses
-// when the pointer is still published — stored in the current entry or
-// held by an in-flight extraction — so a stale Recycle is safe: at
-// worst the storage is not reused.
-func (c *Cache) Recycle(n *netlist.Net, rc *NetRC) {
-	if rc == nil {
-		return
+// Refresh re-extracts n when its slot is stale. Unlike Extract it counts
+// nothing for a current slot: it is the incremental timer's check on
+// each net a changed instance touches.
+func (c *Cache) Refresh(n *netlist.Net) {
+	if n.ID >= len(c.slots) || !c.slots[n.ID].valid || c.slots[n.ID].rev != c.d.NetRev(n) {
+		c.Extract(n)
 	}
-	c.mu.Lock()
-	live := false
-	if n.ID < len(c.entries) {
-		e := &c.entries[n.ID]
-		// A flight's result may be this pointer; don't race the fill.
-		live = e.rc == rc || e.flying
-	}
-	c.mu.Unlock()
-	if !live {
+}
+
+// WireCap returns the wire capacitance stored for net id. The slot must
+// hold an extraction.
+func (c *Cache) WireCap(id int) float64 { return c.slots[id].rc.WireCap }
+
+// Sink returns the wire resistance stored for sink i of net id and the
+// wire capacitance charged through it. The slot must hold an extraction.
+func (c *Cache) Sink(id, i int) (r, capShare float64) {
+	rc := c.slots[id].rc
+	return rc.SinkR[i], rc.SinkCapShare[i]
+}
+
+// recycle returns an RC the store no longer references to the free list
+// when the inner extractor is pool-backed.
+func (c *Cache) recycle(rc *NetRC) {
+	if c.pooled {
 		RecycleRC(rc)
 	}
 }
 
-// Stats returns the cumulative hit/miss/coalesce counters.
+// Stats returns the cumulative hit/miss counters.
 func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	var s CacheStats
+	for i := range c.slots {
+		s.Hits += int64(c.slots[i].hits)
+		s.Misses += int64(c.slots[i].misses)
+	}
+	return s
 }
 
-// Invalidate drops every entry; the next lookups re-extract. Extractions
-// already in flight complete but do not re-validate their entries.
-// Useful after mutations that bypassed the journal.
+// Invalidate drops every slot; the next lookups re-extract. Useful after
+// mutations that bypassed the journal.
 func (c *Cache) Invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gen++
-	for i := range c.entries {
-		c.entries[i].valid = false
+	for i := range c.slots {
+		c.slots[i].valid = false
 	}
 }
 
@@ -201,29 +157,25 @@ func (e *ErrCorrupted) Error() string {
 	return fmt.Sprintf("route: extraction cache corrupted: net %s diverges from fresh extraction at its cached revision", e.Net)
 }
 
-// Audit re-extracts every valid, revision-current entry and compares it to
-// the cached RC, returning an *ErrCorrupted for the first divergence. It is
-// the detection side of fault injection's extraction-cache corruption: the
-// revision key guarantees freshness only if the stored values were right
-// when stored. Audit is O(nets) per call, so the timing env enables it only
-// when a fault plan is armed. It snapshots the entries and runs the fresh
-// extractions unlocked; audit a quiescent cache (no concurrent fills).
+// Audit re-extracts every valid, revision-current slot and compares it to
+// the stored RC, returning an *ErrCorrupted for the first divergence. It
+// is the detection side of fault injection's extraction-cache corruption:
+// the revision key guarantees freshness only if the stored values were
+// right when stored. Audit is O(nets) per call, so the timing env enables
+// it only when a fault plan is armed.
 func (c *Cache) Audit() error {
-	c.mu.Lock()
-	snap := append([]cacheEntry(nil), c.entries...)
-	c.mu.Unlock()
-	for i := range snap {
-		e := &snap[i]
-		if !e.valid || i >= len(c.d.Nets) {
+	for i := range c.slots {
+		s := &c.slots[i]
+		if !s.valid || i >= len(c.d.Nets) {
 			continue
 		}
 		n := c.d.Nets[i]
-		if n == nil || c.d.NetRev(n) != e.rev {
+		if n == nil || c.d.NetRev(n) != s.rev {
 			continue
 		}
 		fresh := c.inner.Extract(n)
-		bad := !rcEqual(e.rc, fresh)
-		RecycleRC(fresh) // audit-private comparison copy, never published
+		bad := !rcEqual(s.rc, fresh)
+		c.recycle(fresh) // audit-private comparison copy, never published
 		if bad {
 			return &ErrCorrupted{Net: n.Name}
 		}
@@ -252,29 +204,27 @@ func rcEqual(a, b *NetRC) bool {
 	return true
 }
 
-// Poison corrupts the cache in place for fault injection: every valid
-// entry is replaced by a perturbed copy that keeps its journal revision,
+// Poison corrupts the store in place for fault injection: every valid
+// slot is replaced by a perturbed copy that keeps its journal revision,
 // so ordinary revision-keyed lookups keep serving the wrong values. The
 // perturbation is seeded for reproducibility and never exactly zero, so
-// Audit always detects it. Returns how many entries were poisoned.
+// Audit always detects it. Returns how many slots were poisoned.
 //
 //pool:boundary fault injection rewrites cache slots by design
 func (c *Cache) Poison(seed int64) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	rng := rand.New(rand.NewSource(seed))
 	poisoned := 0
-	for i := range c.entries {
-		e := &c.entries[i]
-		if !e.valid || e.rc == nil {
+	for i := range c.slots {
+		s := &c.slots[i]
+		if !s.valid || s.rc == nil {
 			continue
 		}
-		bad := *e.rc
+		bad := *s.rc
 		bad.WireCap = bad.WireCap*(1+0.25*rng.Float64()) + 1e-15
 		bad.WireLen = math.Nextafter(bad.WireLen, math.MaxFloat64) + 1e-9
-		bad.SinkR = append([]float64(nil), e.rc.SinkR...)
-		bad.SinkCapShare = append([]float64(nil), e.rc.SinkCapShare...)
-		e.rc = &bad
+		bad.SinkR = append([]float64(nil), s.rc.SinkR...)
+		bad.SinkCapShare = append([]float64(nil), s.rc.SinkCapShare...)
+		s.rc = &bad
 		poisoned++
 	}
 	return poisoned

@@ -1,187 +1,120 @@
 package route
 
 import (
-	"sync"
+	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
+	"repro/internal/cell"
 	"repro/internal/geom"
 	"repro/internal/netlist"
+	"repro/internal/par"
 )
 
-// slowExtractor wraps an Extractor, counting underlying extractions and
-// widening the race window so concurrent misses on the same revision
-// reliably overlap — the singleflight path must collapse them to one.
-type slowExtractor struct {
+// countingExtractor wraps an Extractor and counts underlying
+// extractions; the fan-outs below call it from many goroutines at once.
+type countingExtractor struct {
 	inner Extractor
 	calls atomic.Int64
-	delay time.Duration
 }
 
-func (s *slowExtractor) Extract(n *netlist.Net) *NetRC {
+func (s *countingExtractor) Extract(n *netlist.Net) *NetRC {
 	s.calls.Add(1)
-	time.Sleep(s.delay)
 	return s.inner.Extract(n)
 }
 
-// TestCacheConcurrentSameRevision hammers one net at one revision from
-// many goroutines: exactly one underlying extraction may run, every
-// caller must receive the same *NetRC, and the remaining lookups must be
-// accounted as hits or coalesced waits. Run under -race this is also the
-// data-race check for the fill path.
-func TestCacheConcurrentSameRevision(t *testing.T) {
-	d, mid := cacheDesign(t)
-	slow := &slowExtractor{inner: New(), delay: 2 * time.Millisecond}
-	c := NewCache(slow, d)
-
-	const goroutines = 32
-	rcs := make([]*NetRC, goroutines)
-	var start, done sync.WaitGroup
-	start.Add(1)
-	done.Add(goroutines)
-	for g := 0; g < goroutines; g++ {
-		g := g
-		go func() {
-			defer done.Done()
-			start.Wait()
-			rcs[g] = c.Extract(mid)
-		}()
+// chainDesign builds a placed chain of n inverters, in → i0 → … → out:
+// n+1 nets, enough for a fan-out to split across workers.
+func chainDesign(t *testing.T, n int) *netlist.Design {
+	t.Helper()
+	d := netlist.New("chain")
+	prev, _ := d.AddNet("in")
+	if _, err := d.AddPort("in", cell.DirIn, prev); err != nil {
+		t.Fatal(err)
 	}
-	start.Done()
-	done.Wait()
-
-	if n := slow.calls.Load(); n != 1 {
-		t.Errorf("underlying extractor ran %d times, want exactly 1 (singleflight)", n)
-	}
-	for g := 1; g < goroutines; g++ {
-		if rcs[g] != rcs[0] {
-			t.Fatalf("goroutine %d received a different *NetRC", g)
+	for i := 0; i < n; i++ {
+		inst, err := d.AddInstance(fmt.Sprintf("i%d", i), lib.Smallest(cell.FuncInv))
+		if err != nil {
+			t.Fatal(err)
 		}
+		next, _ := d.AddNet(fmt.Sprintf("n%d", i))
+		if err := d.Connect(inst, "A", prev); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Connect(inst, "Y", next); err != nil {
+			t.Fatal(err)
+		}
+		inst.Loc = geom.Pt(float64(7*i), float64(3*(i%5)))
+		prev = next
 	}
-	s := c.Stats()
-	if s.Misses != 1 {
-		t.Errorf("Misses = %d, want 1", s.Misses)
+	if _, err := d.AddPort("out", cell.DirOut, prev); err != nil {
+		t.Fatal(err)
 	}
-	if s.Hits+s.Coalesced != goroutines-1 {
-		t.Errorf("Hits+Coalesced = %d+%d, want %d", s.Hits, s.Coalesced, goroutines-1)
+	return d
+}
+
+// fill is the timing engine's fan-out shape: size the slots serially,
+// then extract every net from exactly one work item.
+func fill(c *Cache, d *netlist.Design) {
+	c.Grow()
+	par.ParallelFor(4, len(d.Nets), func(i int) { c.Extract(d.Nets[i]) })
+}
+
+// TestCacheConcurrentDistinctNets fans out over every net at once — the
+// timing engine's parallel fill — round after round: each net extracts
+// exactly once, later rounds are all hits, and every slot serves what a
+// serial extraction would. Run under -race this is the data-race check
+// for the lock-free slots.
+func TestCacheConcurrentDistinctNets(t *testing.T) {
+	d := chainDesign(t, 64)
+	ce := &countingExtractor{inner: New()}
+	c := NewCache(ce, d)
+
+	const rounds = 8
+	for r := 0; r < rounds; r++ {
+		fill(c, d)
+	}
+	nets := int64(len(d.Nets))
+	if n := ce.calls.Load(); n != nets {
+		t.Errorf("underlying extractions = %d, want one per net (%d)", n, nets)
+	}
+	if s := c.Stats(); s.Misses != nets || s.Hits != (rounds-1)*nets {
+		t.Errorf("stats = %+v, want %d misses and %d hits", s, nets, (rounds-1)*nets)
+	}
+	r := New()
+	for _, n := range d.Nets {
+		if !rcEqual(c.Extract(n), r.Extract(n)) {
+			t.Fatalf("net %s: filled slot differs from a serial extraction", n.Name)
+		}
 	}
 }
 
-// TestCacheConcurrentAcrossRevisions interleaves hammer rounds with
-// journaled moves: each revision must trigger exactly one underlying
-// extraction no matter how many goroutines race the fill.
+// TestCacheConcurrentAcrossRevisions interleaves fan-out fills with
+// journaled moves: each fill re-extracts exactly the nets whose revision
+// moved, once each, and serves every other net from its slot.
 func TestCacheConcurrentAcrossRevisions(t *testing.T) {
-	d, mid := cacheDesign(t)
-	slow := &slowExtractor{inner: New(), delay: time.Millisecond}
-	c := NewCache(slow, d)
+	d := chainDesign(t, 64)
+	ce := &countingExtractor{inner: New()}
+	c := NewCache(ce, d)
+	fill(c, d)
 
-	const goroutines = 16
 	const revisions = 5
 	for rev := 0; rev < revisions; rev++ {
-		var start, done sync.WaitGroup
-		start.Add(1)
-		done.Add(goroutines)
-		rcs := make([]*NetRC, goroutines)
-		for g := 0; g < goroutines; g++ {
-			g := g
-			go func() {
-				defer done.Done()
-				start.Wait()
-				rcs[g] = c.Extract(mid)
-			}()
+		// Moving one inverter moves its input and output nets.
+		inst := d.Instance(fmt.Sprintf("i%d", 10*rev))
+		inst.SetLoc(geom.Pt(inst.Loc.X+5, inst.Loc.Y+2))
+		before, calls := c.Stats(), ce.calls.Load()
+		fill(c, d)
+		after := c.Stats()
+		if got := ce.calls.Load() - calls; got != 2 {
+			t.Fatalf("revision %d: %d underlying extractions, want 2", rev, got)
 		}
-		start.Done()
-		done.Wait()
-		for g := 1; g < goroutines; g++ {
-			if rcs[g] != rcs[0] {
-				t.Fatalf("revision %d: goroutine %d received a different *NetRC", rev, g)
-			}
+		if got := after.Misses - before.Misses; got != 2 {
+			t.Errorf("revision %d: %d misses, want 2", rev, got)
 		}
-		if n := slow.calls.Load(); n != int64(rev+1) {
-			t.Fatalf("after revision %d: %d underlying extractions, want %d", rev, n, rev+1)
+		if got, want := after.Hits-before.Hits, int64(len(d.Nets)-2); got != want {
+			t.Errorf("revision %d: %d hits, want %d", rev, got, want)
 		}
-		// Journaled move: the next round extracts at a fresh revision.
-		d.Instance("i2").SetLoc(geom.Pt(float64(25+5*rev), float64(5*rev)))
-	}
-	s := c.Stats()
-	if s.Misses != revisions {
-		t.Errorf("Misses = %d, want %d", s.Misses, revisions)
-	}
-	if got, want := s.Hits+s.Coalesced, int64(revisions*(goroutines-1)); got != want {
-		t.Errorf("Hits+Coalesced = %d, want %d", got, want)
-	}
-}
-
-// TestCacheConcurrentDistinctNets fans out over different nets at once —
-// the common shape of the timing engine's parallel extraction — and
-// checks every net extracts exactly once.
-func TestCacheConcurrentDistinctNets(t *testing.T) {
-	d, _ := cacheDesign(t)
-	slow := &slowExtractor{inner: New(), delay: time.Millisecond}
-	c := NewCache(slow, d)
-
-	nets := d.Nets
-	const rounds = 8
-	var done sync.WaitGroup
-	for r := 0; r < rounds; r++ {
-		for _, n := range nets {
-			n := n
-			done.Add(1)
-			go func() {
-				defer done.Done()
-				if rc := c.Extract(n); rc == nil {
-					t.Error("nil RC from concurrent extract")
-				}
-			}()
-		}
-	}
-	done.Wait()
-	if n := slow.calls.Load(); n != int64(len(nets)) {
-		t.Errorf("underlying extractions = %d, want one per net (%d)", n, len(nets))
-	}
-}
-
-// TestCacheInvalidateDuringFlight pins the generation contract: an
-// extraction in flight when Invalidate lands completes and serves its
-// waiters, but must not re-validate its entry — the next lookup
-// re-extracts.
-func TestCacheInvalidateDuringFlight(t *testing.T) {
-	d, mid := cacheDesign(t)
-	gate := make(chan struct{})
-	entered := make(chan struct{})
-	inner := New()
-	var first sync.Once
-	c := NewCache(extractFunc(func(n *netlist.Net) *NetRC {
-		// Only the first fill is gated; the post-Invalidate refill runs
-		// straight through.
-		first.Do(func() {
-			close(entered)
-			<-gate
-		})
-		return inner.Extract(n)
-	}), d)
-
-	var flightRC *NetRC
-	var done sync.WaitGroup
-	done.Add(1)
-	go func() {
-		defer done.Done()
-		flightRC = c.Extract(mid)
-	}()
-	<-entered
-	c.Invalidate() // lands while the fill is in flight
-	close(gate)
-	done.Wait()
-
-	if flightRC == nil {
-		t.Fatal("in-flight extraction returned nil")
-	}
-	if got := c.Extract(mid); got == flightRC {
-		t.Error("entry filled by a pre-Invalidate flight was served after Invalidate")
-	}
-	if s := c.Stats(); s.Misses != 2 {
-		t.Errorf("Misses = %d, want 2 (flight + post-Invalidate refill)", s.Misses)
 	}
 }
 

@@ -150,9 +150,9 @@ func (r *Router) TotalMIVs(d *netlist.Design) int {
 // NetRC is the lumped extraction of one net for timing and power.
 //
 // NetRC shells are pool-recycled: a value is owned by the caller of
-// Extract until recycled (RecycleRC / Cache.Recycle) or published
-// through one of the lifecycle functions below, and must not be stored
-// past that point — the poolescape pass enforces this statically.
+// Extract until recycled (RecycleRC) or published through one of the
+// lifecycle functions below, and must not be stored past that point —
+// the poolescape pass enforces this statically.
 //
 //pool:scoped
 type NetRC struct {
@@ -195,8 +195,8 @@ func newNetRC(sinks int) *NetRC {
 // the only live reference: recycled storage is reused by later
 // extractions, so recycling a NetRC that a cache entry, analysis result,
 // or another goroutine can still read corrupts their view. The safe
-// call sites are owners of provably private results — see Cache.Recycle
-// for the guarded variant the timing engine uses.
+// call sites are owners of provably private results, such as a Cache
+// replacing its own stored extraction.
 //
 //pool:boundary the recycler half of the NetRC lifecycle
 func RecycleRC(rc *NetRC) {

@@ -17,7 +17,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/netlist"
 	"repro/internal/par"
-	"repro/internal/route"
 	"repro/internal/sta"
 	"repro/internal/tech"
 )
@@ -26,10 +25,10 @@ import (
 // session: core.STAConfig, the one constructor behind the flow's own
 // sign-off analysis, at the session's target frequency. clock is the
 // synthesized tree when the session opened at or past the CTS boundary,
-// nil for the ideal clock of earlier boundaries. The Router is left nil
-// (sta defaults to a fresh extractor); sessions install a revision-keyed
-// route.Cache on top, which is result-identical. cfg does not shape the
-// configuration: every flow configuration signs off with the same model.
+// nil for the ideal clock of earlier boundaries. The Router is left nil:
+// sta defaults to a fresh extractor, and the session's Timer keeps it
+// in its revision-keyed RC store. cfg does not shape the configuration:
+// every flow configuration signs off with the same model.
 //
 // Exporting the recipe is what makes "byte-identical to offline"
 // testable: a client can rebuild the same netlist state offline, run
@@ -376,7 +375,6 @@ func (c *serverConn) handleOpen(ctx context.Context, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	scfg.Router = route.NewCache(route.New(), res.Design)
 	timer, err := sta.NewTimer(res.Design, scfg)
 	if err != nil {
 		return fmt.Errorf("serve: attach timer: %w", err)

@@ -12,8 +12,10 @@ import (
 type Config struct {
 	// Period is the clock period in ns.
 	Period float64
-	// Router supplies the RC extraction; nil uses route.New(). Wrap it in
-	// a route.Cache to share extraction across repeated analyses.
+	// Router supplies the RC extraction; nil uses route.New(). A Timer
+	// keeps its extractions in a route.Cache: Router itself when it is
+	// one (so power analysis or a later Timer can read the same slots),
+	// otherwise a fresh store wrapping it.
 	Router route.Extractor
 	// InputSlew is the transition time assumed at primary inputs and
 	// register clock pins, in ns.

@@ -62,11 +62,13 @@ type Timer struct {
 
 	g       *graph
 	topoRev uint64
-	rc      []*route.NetRC // by net ID, refreshed as the journal dictates
-	rec     *route.Cache   // recycling guard when Router is a Cache
-	pooled  bool           // Router is a bare *route.Router (pool-backed)
-	pos     []int32        // instance ID → topological position
-	minZero []bool         // instance has a port-driven or floating input
+	// ex is the per-net RC store the timer reads wire parasitics from:
+	// Config.Router itself when it is a *route.Cache, a store wrapping it
+	// otherwise. Clock nets carry no RC for timing (their delay comes
+	// from the CTS latency model), so every read tests IsClock first.
+	ex      *route.Cache
+	pos     []int32 // instance ID → topological position
+	minZero []bool  // instance has a port-driven or floating input
 	// fanin holds every instance's timing arcs (rows by instance ID) in
 	// driver position order, as one flat CSR payload.
 	fanin dense.CSR[faninEdge]
@@ -82,7 +84,8 @@ type Timer struct {
 	lvl        []int32 // per-instance level, buildLevels scratch
 	// endScratch holds each driver's endpoint entries from the parallel
 	// backward sweep until the sequential assembly appends them to
-	// res.endSlack in the reference order. Indexed by instance ID.
+	// res.endSlack in the reference order; it is empty for every
+	// instance the sweep does not visit. Indexed by instance ID.
 	endScratch [][]endpoint
 
 	// Forward-pass input-pin state replayEffective rebuilds. Kept
@@ -95,9 +98,10 @@ type Timer struct {
 	dirty, inB []bool
 	incScratch []endpoint
 
-	// instRev/netRev are the journal revisions (by instance and net ID)
-	// the retained state reflects; Update diffs the design against them.
-	instRev, netRev []uint64
+	// instRev holds the journal revisions (by instance ID) the retained
+	// state reflects; Update diffs the design against them. Net
+	// revisions live in the store's slots.
+	instRev []uint64
 
 	fresh bool // no update has run yet
 	stats TimerStats
@@ -119,15 +123,18 @@ func NewTimer(d *netlist.Design, cfg Config) (*Timer, error) {
 	if lat == nil {
 		lat = func(*netlist.Instance) float64 { return 0 }
 	}
+	ex, ok := cfg.Router.(*route.Cache)
+	if !ok {
+		ex = route.NewCache(cfg.Router, d)
+	}
 	t := &Timer{
 		d:     d,
 		cfg:   cfg,
 		res:   &Result{cfg: cfg, d: d},
 		lat:   lat,
+		ex:    ex,
 		fresh: true,
 	}
-	t.rec, _ = cfg.Router.(*route.Cache)
-	_, t.pooled = cfg.Router.(*route.Router)
 	return t, nil
 }
 
@@ -137,6 +144,11 @@ func (t *Timer) Close() {}
 
 // Stats returns cumulative engine counters.
 func (t *Timer) Stats() TimerStats { return t.stats }
+
+// Extraction returns the RC store the timer reads: its Stats count the
+// extraction work, and Audit, Invalidate and Poison act on what the
+// timer will read next.
+func (t *Timer) Extraction() *route.Cache { return t.ex }
 
 // Result returns the retained result of the last Update (zero-valued
 // before the first).
@@ -175,12 +187,12 @@ func timingSource(inst *netlist.Instance) bool {
 
 // resolveSeeds turns the instances whose journal revision moved since
 // the last update into the set of instances whose forward state must be
-// recomputed, and refreshes the extraction of every net whose revision
-// moved. The seed set is deliberately a superset: the changed instance
-// plus every driver and sink of each of its nets — that covers load
-// changes at drivers, wire-delay changes at sibling sinks, and the
-// derate dependencies that reach one net away in both directions. The
-// baselines advance as the changes are consumed.
+// recomputed, and refreshes the stored extraction of every signal net
+// of theirs whose revision moved. The seed set is deliberately a
+// superset: the changed instance plus every driver and sink of each of
+// its nets — that covers load changes at drivers, wire-delay changes at
+// sibling sinks, and the derate dependencies that reach one net away in
+// both directions. The baselines advance as the changes are consumed.
 func (t *Timer) resolveSeeds() []int32 {
 	d := t.d
 	t.seedMarked = dense.Zero(t.seedMarked, len(d.Instances))
@@ -212,11 +224,8 @@ func (t *Timer) resolveSeeds() []int32 {
 			for _, s := range n.Sinks {
 				add(s.Inst.ID)
 			}
-			if nr := d.NetRev(n); !n.IsClock && nr != t.netRev[n.ID] {
-				t.netRev[n.ID] = nr
-				old := t.rc[n.ID]
-				t.rc[n.ID] = t.cfg.Router.Extract(n) //poolescape:ignore timer rc table is the audited epoch store; recycle() below retires the old shell
-				t.recycle(n, old)
+			if !n.IsClock {
+				t.ex.Refresh(n)
 			}
 		}
 	}
@@ -224,32 +233,12 @@ func (t *Timer) resolveSeeds() []int32 {
 	return seeds
 }
 
-// syncRevs records every instance's and net's current journal revision
-// as the baseline the next Update diffs against.
+// syncRevs records every instance's current journal revision as the
+// baseline the next Update diffs against.
 func (t *Timer) syncRevs() {
-	inst, net := t.d.InstRevs(), t.d.NetRevs()
+	inst := t.d.InstRevs()
 	t.instRev = dense.Grow(t.instRev, len(inst))
 	copy(t.instRev, inst)
-	t.netRev = dense.Grow(t.netRev, len(net))
-	copy(t.netRev, net)
-}
-
-// recycle returns a replaced extraction to the route free list. The
-// timer owns the pointers it holds in t.rc once it has replaced them —
-// nothing else retains a per-net RC across calls — but when the
-// extractor is a Cache the entry (or an in-flight fill) may still hold
-// the same pointer, so the guarded Cache.Recycle decides there. Unknown
-// extractor implementations (which may return shared storage) are never
-// recycled.
-func (t *Timer) recycle(n *netlist.Net, old *route.NetRC) {
-	if old == nil || old == t.rc[n.ID] {
-		return
-	}
-	if t.rec != nil {
-		t.rec.Recycle(n, old)
-	} else if t.pooled {
-		route.RecycleRC(old)
-	}
 }
 
 // fullUpdate recomputes everything: graph (when the topology revision
@@ -285,26 +274,15 @@ func (t *Timer) fullUpdate() error {
 	}
 	t.syncRevs()
 	workers := t.cfg.Workers
-	// Extract in place over the retained per-net slots, handing each
-	// replaced extraction back to the route free list. Each net touches
-	// only its own slot, so the fan-out stays deterministic.
+	// Bring every signal net's stored extraction up to date. The store
+	// is sized serially; inside the fan-out each net touches only its
+	// own slot, so the fill stays deterministic.
 	nNets := len(d.Nets)
-	if cap(t.rc) < nNets {
-		grown := make([]*route.NetRC, nNets)
-		copy(grown, t.rc)
-		t.rc = grown
-	} else {
-		t.rc = t.rc[:nNets]
-	}
+	t.ex.Grow()
 	par.ParallelFor(workers, nNets, func(i int) {
-		n := d.Nets[i]
-		old := t.rc[i]
-		if n.IsClock {
-			t.rc[i] = nil // clock timing comes from the CTS latency model
-		} else {
-			t.rc[i] = t.cfg.Router.Extract(n) //poolescape:ignore timer rc table is the audited epoch store; recycle() below retires the old shell
+		if n := d.Nets[i]; !n.IsClock {
+			t.ex.Extract(n)
 		}
-		t.recycle(n, old)
 	})
 	t.noteFanout(nNets)
 
@@ -324,34 +302,27 @@ func (t *Timer) fullUpdate() error {
 		t.minZero = dense.Grow(t.minZero, n)
 		t.endStart = dense.Grow(t.endStart, n)
 		t.endCount = dense.Grow(t.endCount, n)
+		t.endScratch = dense.Grow(t.endScratch, n)
 	}
 	res.endSlack = res.endSlack[:0]
-	for i := 0; i < n; i++ {
+	// Per-instance resets, one index-addressed fan-out. Instances with a
+	// port-driven or floating signal input can switch as early as t=0 on
+	// the min path. ParBatches/ParTasks leave this fan-out out: they keep
+	// counting the extraction and the sweeps, as the stage metrics that
+	// saved databases carry always have.
+	par.ParallelFor(workers, n, func(i int) {
+		t.minZero[i] = earlyInput(d, d.Instances[i])
 		t.arrIn[i] = 0
 		t.arrMinIn[i] = math.Inf(1)
+		if t.minZero[i] {
+			t.arrMinIn[i] = 0
+		}
 		t.slewIn[i] = t.cfg.InputSlew
 		res.pred[i] = -1
 		res.inWire[i] = 0
 		res.reqOut[i] = math.Inf(1)
-		t.minZero[i] = false
-		t.endStart[i] = 0
-		t.endCount[i] = 0
-	}
-	// Instances with a port-driven or floating signal input can switch as
-	// early as t=0 on the min path.
-	for _, inst := range d.Instances {
-		for i, pin := range inst.Master.Pins {
-			if pin.Dir != cell.DirIn {
-				continue
-			}
-			nn := d.NetAt(inst, i)
-			if nn == nil || nn.DriverPort != nil {
-				t.minZero[inst.ID] = true
-				t.arrMinIn[inst.ID] = 0
-				break
-			}
-		}
-	}
+		t.endScratch[i] = t.endScratch[i][:0]
+	})
 
 	// ---------- Forward pass: arrivals and slews ----------
 	// Levels run in order; nodes within a level are independent (their
@@ -370,24 +341,17 @@ func (t *Timer) fullUpdate() error {
 	}
 
 	// ---------- Endpoint checks and backward required pass ----------
-	// Backward levels: a driver's required time depends only on its
-	// combinational sinks that themselves run the backward computation —
-	// all in lower backward levels, final when the driver computes.
-	// Endpoint entries park in per-driver scratch.
-	if len(t.endScratch) != n {
-		t.endScratch = dense.Grow(t.endScratch, n)
-	}
+	// Backward levels hold exactly the drivers of a signal net: a
+	// driver's required time depends only on its combinational sinks
+	// that themselves run the backward computation — all in lower
+	// backward levels, final when the driver computes. Endpoint entries
+	// park in per-driver scratch.
 	for lv := 0; lv < t.blev.Rows(); lv++ {
 		level := t.blev.Row(int32(lv))
 		par.ParallelFor(workers, len(level), func(k int) {
 			inst := t.g.order[level[k]]
-			out := d.OutputNet(inst)
-			if out == nil || t.rc[out.ID] == nil {
-				t.endScratch[inst.ID] = t.endScratch[inst.ID][:0]
-				return
-			}
 			var req float64
-			req, t.endScratch[inst.ID] = t.computeRequired(inst, t.endScratch[inst.ID][:0])
+			req, t.endScratch[inst.ID] = t.computeRequired(inst, t.endScratch[inst.ID])
 			if req < res.reqOut[inst.ID] {
 				res.reqOut[inst.ID] = req
 			}
@@ -396,20 +360,31 @@ func (t *Timer) fullUpdate() error {
 	}
 	// Sequential assembly in the reference order (reverse topological
 	// position), so endSlack bytes match the serial sweep exactly.
+	// Instances the backward sweep skipped contribute empty scratch.
 	for i := len(t.g.order) - 1; i >= 0; i-- {
-		inst := t.g.order[i]
-		out := d.OutputNet(inst)
-		if out == nil || t.rc[out.ID] == nil {
-			continue
-		}
-		scratch := t.endScratch[inst.ID]
-		t.endStart[inst.ID] = int32(len(res.endSlack))
-		t.endCount[inst.ID] = int32(len(scratch))
+		id := t.g.order[i].ID
+		scratch := t.endScratch[id]
+		t.endStart[id] = int32(len(res.endSlack))
+		t.endCount[id] = int32(len(scratch))
 		res.endSlack = append(res.endSlack, scratch...)
 	}
 	t.stats.FullUpdates++
 	t.stats.NodesReevaluated += int64(len(t.g.order))
 	return nil
+}
+
+// earlyInput reports whether inst has a port-driven or floating signal
+// input.
+func earlyInput(d *netlist.Design, inst *netlist.Instance) bool {
+	for i, pin := range inst.Master.Pins {
+		if pin.Dir != cell.DirIn {
+			continue
+		}
+		if nn := d.NetAt(inst, i); nn == nil || nn.DriverPort != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // noteFanout records one scheduled parallel fan-out of n items (counted
@@ -459,9 +434,8 @@ func (t *Timer) buildLevels() {
 		t.flev.Append(level[inst.ID], int32(p))
 	}
 
-	// participates mirrors the runtime rc guard: extraction covers every
-	// non-clock net, so rc[out.ID] == nil exactly when the output net is
-	// a clock (or absent).
+	// participates mirrors the runtime guard: only a signal output net
+	// carries an RC for timing.
 	participates := func(inst *netlist.Instance) *netlist.Net {
 		out := d.OutputNet(inst)
 		if out == nil || out.IsClock {
@@ -549,7 +523,7 @@ func (t *Timer) incremental(seeds []int32) bool {
 			continue
 		}
 		out := d.OutputNet(inst)
-		if out == nil || t.rc[out.ID] == nil {
+		if out == nil || out.IsClock {
 			continue
 		}
 		for _, s := range out.Sinks {
@@ -572,11 +546,7 @@ func (t *Timer) incremental(seeds []int32) bool {
 			continue
 		}
 		inst := t.g.order[p]
-		out := d.OutputNet(inst)
-		if out == nil {
-			continue
-		}
-		if t.rc[out.ID] == nil {
+		if out := d.OutputNet(inst); out == nil || out.IsClock {
 			continue
 		}
 		var req float64
@@ -654,9 +624,8 @@ func (t *Timer) replayEffective(inst *netlist.Instance) {
 	}
 	pred, inw := int32(-1), 0.0
 	for _, e := range t.fanin.Row(int32(id)) {
-		rc := t.rc[e.net.ID]
-		s := e.net.Sinks[e.idx]
-		wd := tech.RCps(rc.SinkR[e.idx], rc.SinkCapShare[e.idx]+s.Spec().Cap)
+		r, cs := t.ex.Sink(e.net.ID, int(e.idx))
+		wd := tech.RCps(r, cs+e.net.Sinks[e.idx].Spec().Cap)
 		if a := t.res.arrOut[e.drv] + wd; a > ai {
 			ai = a
 			pred, inw = e.drv, wd
@@ -683,13 +652,10 @@ func (t *Timer) computeNode(inst *netlist.Instance) bool {
 	out := d.OutputNet(inst)
 
 	var load float64
-	var rc *route.NetRC
 	if out != nil {
-		rc = t.rc[out.ID]
-		if rc != nil {
-			load = rc.WireCap + out.TotalPinCap()
-		} else {
-			load = out.TotalPinCap()
+		load = out.TotalPinCap()
+		if !out.IsClock {
+			load = t.ex.WireCap(out.ID) + load
 		}
 	}
 
@@ -726,7 +692,6 @@ func (t *Timer) computeNode(inst *netlist.Instance) bool {
 func (t *Timer) computeRequired(inst *netlist.Instance, scratch []endpoint) (float64, []endpoint) {
 	res, cfg := t.res, &t.cfg
 	out := t.d.OutputNet(inst)
-	rc := t.rc[out.ID]
 	req := math.Inf(1)
 	si := 0
 	for _, s := range out.Sinks {
@@ -734,7 +699,8 @@ func (t *Timer) computeRequired(inst *netlist.Instance, scratch []endpoint) (flo
 			si++
 			continue
 		}
-		wd := tech.RCps(rc.SinkR[si], rc.SinkCapShare[si]+s.Spec().Cap)
+		r, cs := t.ex.Sink(out.ID, si)
+		wd := tech.RCps(r, cs+s.Spec().Cap)
 		si++
 		sk := s.Inst
 		var cand float64
@@ -757,7 +723,8 @@ func (t *Timer) computeRequired(inst *netlist.Instance, scratch []endpoint) (flo
 	for pi, p := range out.SinkPorts {
 		// Extract appends ports after every instance sink.
 		ri := len(out.Sinks) + pi
-		wd := tech.RCps(rc.SinkR[ri], rc.SinkCapShare[ri]+p.Cap)
+		r, cs := t.ex.Sink(out.ID, ri)
+		wd := tech.RCps(r, cs+p.Cap)
 		arrP := res.arrOut[inst.ID] + wd
 		slack := cfg.Period - arrP
 		scratch = append(scratch, endpoint{port: p, from: int32(inst.ID), slack: slack, hold: math.Inf(1)})

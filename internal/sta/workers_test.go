@@ -42,9 +42,9 @@ func TestAnalyzeWorkersEquivalence(t *testing.T) {
 }
 
 // TestAnalyzeWorkersEquivalenceGenerated runs the same property on a
-// generated benchmark (deeper levels, wider fan-out, shared cache), with
-// the extraction served through a route.Cache so the parallel fan-out
-// exercises the singleflight fill path.
+// generated benchmark (deeper levels, wider fan-out), with a caller-
+// supplied route.Cache as the Timer's RC store, so the eight-worker
+// fill writes the lock-free slots the caller shares.
 func TestAnalyzeWorkersEquivalenceGenerated(t *testing.T) {
 	d, err := designs.Generate(designs.AES, lib12, designs.Params{Scale: 0.05, Seed: 5})
 	if err != nil {
@@ -61,12 +61,22 @@ func TestAnalyzeWorkersEquivalenceGenerated(t *testing.T) {
 	}
 	pcfg := cfg
 	pcfg.Workers = 8
-	pcfg.Router = route.NewCache(route.New(), d)
+	store := route.NewCache(route.New(), d)
+	pcfg.Router = store
 	got, err := Analyze(d, pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireEqualResults(t, "aes/w8", d, got, serial)
+	signal := 0
+	for _, n := range d.Nets {
+		if !n.IsClock {
+			signal++
+		}
+	}
+	if s := store.Stats(); s.Misses != int64(signal) || s.Hits != 0 {
+		t.Errorf("store stats = %+v, want one miss per signal net (%d) and no hits", s, signal)
+	}
 }
 
 // TestTimerWorkersStatsScheduleIndependent pins that the parallel-fanout
