@@ -1,13 +1,13 @@
 // Intra-flow parallelism benchmarks: the bounded worker-pool kernels
 // (internal/par) against their serial selves, on the workloads the flow
-// engine actually fans out — the bisection placement frontier, the
-// per-net RSMT/RC reductions, and one complete implementation flow.
+// engine actually fans out — the bisection placement frontier and one
+// complete implementation flow.
 // Results are byte-identical at any worker count (pinned by the
 // workers-matrix and kernel equivalence tests); only wall-clock may
 // move. bench/'s par.cpu_util and par.tasks measure the pool end to
 // end. Pass -flowworkers to vary the parallel width:
 //
-//	go test -run xxx -bench 'Par|PlaceBisect|RSMTFanout' -benchtime 3x -flowworkers 8 .
+//	go test -run xxx -bench 'Par|PlaceBisect' -benchtime 3x -flowworkers 8 .
 package repro_test
 
 import (
@@ -20,7 +20,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/par"
 	"repro/internal/place"
-	"repro/internal/route"
 )
 
 var benchFlowWorkers = flag.Int("flowworkers", 8, "parallel width for the workers>1 sub-benchmarks")
@@ -56,37 +55,9 @@ func BenchmarkPlaceBisect(b *testing.B) {
 	}
 }
 
-// BenchmarkRSMTFanout measures the whole-design routing reductions —
-// per-net RSMT wirelength and MIV counting — serial vs pooled. Each net
-// is an independent task; this is the flow's most embarrassingly
-// parallel kernel.
-func BenchmarkRSMTFanout(b *testing.B) {
-	for _, tc := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{fmt.Sprintf("workers%d", *benchFlowWorkers), *benchFlowWorkers},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			d, _ := benchDesign(b, *benchScale)
-			r := route.New()
-			r.Workers = tc.workers
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sig, clk := r.Wirelength(d)
-				if sig <= 0 && clk <= 0 {
-					b.Fatal("degenerate wirelength")
-				}
-				_ = r.TotalMIVs(d)
-			}
-		})
-	}
-}
-
 // BenchmarkFlowParallel implements netcard end to end (Hetero-M3D — the
-// flow with every parallel kernel: bisection placement, routing
-// reductions, level-parallel STA, clustered CTS) at FlowWorkers 1 vs N.
+// flow with every parallel kernel: bisection placement, level-parallel
+// RC extraction and STA, clustered CTS) at FlowWorkers 1 vs N.
 // The wall-clock ratio is the intra-flow parallelism payoff; the results
 // themselves are identical by construction.
 func BenchmarkFlowParallel(b *testing.B) {

@@ -79,7 +79,11 @@ func benchResizeTargets(d *netlist.Design, lib *cell.Library, max int) (insts []
 
 // BenchmarkStaIncremental times one placement nudge plus re-analysis:
 // the full path re-times the whole design from scratch each round; the
-// incremental path re-propagates from the moved cell's frontier.
+// incremental path re-propagates from the moved cell's frontier. The
+// whatif and settled sub-benchmarks batch eight nudges per update, read
+// nothing that needs required times, or settle them with SlackMap: their
+// ratio is what deferring the backward sweep saves a reader that never
+// needs it.
 func BenchmarkStaIncremental(b *testing.B) {
 	scale := *benchScale
 	b.Run("full", func(b *testing.B) {
@@ -99,6 +103,8 @@ func BenchmarkStaIncremental(b *testing.B) {
 			}
 		}
 	})
+	b.Run("whatif", benchWhatIf(false))
+	b.Run("settled", benchWhatIf(true))
 	b.Run("incremental", func(b *testing.B) {
 		d, _ := benchDesign(b, scale)
 		moves := benchMoveTargets(d)
@@ -123,6 +129,45 @@ func BenchmarkStaIncremental(b *testing.B) {
 			}
 		}
 	})
+}
+
+// benchWhatIf times one what-if round on a persistent Timer: eight
+// placement nudges, then Update. Without settle it stops there, as a
+// flowd timing query does (it reads only WNS/TNS and the endpoint
+// counts, so no required times settle); with settle it adds the SlackMap
+// read a repair round makes, which settles the required times the update
+// owes.
+func benchWhatIf(settle bool) func(b *testing.B) {
+	return func(b *testing.B) {
+		d, _ := benchDesign(b, *benchScale)
+		moves := benchMoveTargets(d)
+		if len(moves) == 0 {
+			b.Fatal("no movable cells")
+		}
+		cfg := sta.DefaultConfig(benchPeriod)
+		cfg.Router = route.NewCache(route.New(), d)
+		tm, err := sta.NewTimer(d, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := tm.Update(); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < 8; j++ {
+				m := moves[(8*i+j)%len(moves)]
+				m.SetLoc(geom.Pt(m.Loc.X+1, m.Loc.Y))
+			}
+			res, err := tm.Update()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if settle {
+				_ = res.SlackMap()
+			}
+		}
+	}
 }
 
 // BenchmarkStaFull times one full Timer.Update at 1 and 2 workers. The

@@ -15,7 +15,6 @@ import (
 	"repro/internal/db"
 	"repro/internal/flow"
 	"repro/internal/netlist"
-	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/place"
 	"repro/internal/power"
@@ -559,8 +558,6 @@ func (s *flowState) loadDesign(fc *flow.Context, path string, stages []flow.Stag
 		// The router is created by the place stage; a resume past it
 		// recreates the same (stateless, parameter-identical) router.
 		s.router = route.New()
-		s.router.Workers = s.opt.FlowWorkers
-		s.router.Par = &par.Stats{}
 	}
 	if dd.st != nil {
 		st, err := sta.RestoreResult(s.d, dd.st)

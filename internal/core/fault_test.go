@@ -8,6 +8,9 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/flow"
+	"repro/internal/geom"
+	"repro/internal/route"
+	"repro/internal/sta"
 )
 
 // metricSink collects per-stage metrics keyed by stage name (last run
@@ -95,6 +98,13 @@ func TestFaultInjectionMatrix(t *testing.T) {
 		{
 			name:         "corrupt-cache-recovered",
 			spec:         "*/*/eco=corrupt:extraction-cache",
+			wantDegraded: []string{flow.DegradeFullSTA},
+		},
+		{
+			// Sign-off's wirelength and MIV sums read the store's slots:
+			// the audit must catch the poison before they (or power) do.
+			name:         "corrupt-cache-at-signoff-recovered",
+			spec:         "*/*/signoff=corrupt:extraction-cache",
 			wantDegraded: []string{flow.DegradeFullSTA},
 		},
 		{
@@ -261,5 +271,57 @@ func TestCancelInjectionPromptness(t *testing.T) {
 	}
 	if trace.Attempts != 1 {
 		t.Errorf("cancellation retried %d times, want 1 attempt", trace.Attempts)
+	}
+}
+
+// TestCorruptSettlesTimingFirst: a corruption models damage after the
+// last stage finished, so the timing result that stage handed on must
+// answer exactly as it would have without the corruption — also when an
+// incremental update still owed its required times. Without the settle,
+// a rewound journal makes the owed settle panic and a poisoned store
+// feeds it wrong wire delays.
+func TestCorruptSettlesTimingFirst(t *testing.T) {
+	for _, target := range []string{fault.TargetJournal, fault.TargetCache} {
+		d := cpuSrc(t)
+		for i, inst := range d.Instances {
+			inst.SetLoc(geom.Pt(float64(i%83)*2, float64((i*7)%61)*2))
+		}
+		cache := route.NewCache(route.New(), d)
+		tm, err := sta.NewTimer(d, STAConfig(1/testClock, cache, nil, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tm.Update(); err != nil {
+			t.Fatal(err)
+		}
+		d.Instances[len(d.Instances)/2].SetLoc(geom.Pt(40, 40))
+		res, err := tm.Update()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := sta.NewTimer(d, STAConfig(1/testClock, route.New(), nil, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := ref.Update()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fresh.SlackMap()
+		before := tm.Stats().RequiredSweeps
+
+		s := &flowState{d: d, cache: cache, st: res}
+		if err := s.Corrupt(target); err != nil {
+			t.Fatal(err)
+		}
+		if tm.Stats().RequiredSweeps != before+1 {
+			t.Errorf("%s: corruption did not settle the owed required times first", target)
+		}
+		got := res.SlackMap()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: slack of instance %d = %v after the corruption, want %v", target, i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -205,6 +205,7 @@ func (s *flowState) Corrupt(target string) error {
 		if s.cache == nil {
 			return fmt.Errorf("core: extraction cache not built yet (arm the fault at a repair or later stage)")
 		}
+		s.settleTiming()
 		s.cache.Poison(s.opt.Seed)
 		return nil
 	case fault.TargetJournal:
@@ -213,10 +214,25 @@ func (s *flowState) Corrupt(target string) error {
 		}
 		// Rewind all the way: a partial rewind can land above the last
 		// checked boundary's high-water mark and go undetected.
+		s.settleTiming()
 		s.d.CorruptTopoRev(^uint64(0))
 		return nil
 	default:
 		return fmt.Errorf("core: unknown corruption target %q", target)
+	}
+}
+
+// settleTiming pays the required times the flow's timing result still
+// owes, so the result stands on its own. Corrupt calls it before a
+// corruption lands: the corruption models damage after the last stage
+// finished, so those required times must come from the state it
+// finished in, exactly as the next stage's first read would have found
+// them. Sign-off calls it when it retires the timing session: the
+// result outlives the flow, and while it owes required times it keeps
+// the whole Timer and its RC store reachable.
+func (s *flowState) settleTiming() {
+	if s.st != nil {
+		s.st.Settle()
 	}
 }
 
@@ -251,8 +267,6 @@ func (s *flowState) stagePlace(fc *flow.Context) error {
 	}
 	s.fp = fp
 	s.router = route.New()
-	s.router.Workers = s.opt.FlowWorkers
-	s.router.Par = &par.Stats{}
 	return nil
 }
 
@@ -342,22 +356,20 @@ func (s *flowState) stageSignoff(fc *flow.Context) error {
 	if s.tres != nil {
 		cut = s.tres.Cut
 	}
-	var ex route.Extractor
-	if s.cache != nil {
-		ex = s.cache
+	if s.audit && s.cache != nil {
+		// The wirelength and MIV sums read the store's slots, so a
+		// corrupted store must not reach them (or power) unnoticed.
+		if err := s.cache.Audit(); err != nil {
+			return fmt.Errorf("%w: %w", sta.ErrDiverged, err)
+		}
 	}
-	ppac, pw, err := collect(s.d, s.cfg, s.opt, s.fp, s.st, s.router, ex, s.notes, cut)
+	ppac, pw, err := collect(s.d, s.cfg, s.opt, s.fp, s.st, s.router, s.cache, s.notes, cut)
 	if err != nil {
 		return err
 	}
 	s.ppac, s.pw = ppac, pw
-	if s.router != nil && s.router.Par != nil {
-		// Wirelength/MIV reductions fan out through the router; their
-		// counters are drained once, here, where collect runs them.
-		fc.AddStat(flow.StatParBatches, s.router.Par.Batches)
-		fc.AddStat(flow.StatParTasks, s.router.Par.Tasks)
-	}
 	if s.env != nil {
+		s.settleTiming()
 		s.env.reportStats()
 		s.env.timer = nil
 	}

@@ -539,17 +539,18 @@ func recoverPower(e *timingEnv, fp *place.Floorplan, res *sta.Result) (*sta.Resu
 }
 
 // collect assembles the PPAC record from the finished implementation.
-// ex is the extraction the power analysis reads wire loads through —
-// the flow's shared cache, so sign-off power reuses the timing engine's
-// warm entries.
+// store is the flow's RC store (nil for a flow resumed past the stage
+// that builds it): sign-off power reads wire loads through it, reusing
+// the timing engine's warm slots, and the wirelength and MIV sums then
+// read every net it holds current.
 func collect(d *netlist.Design, cfg ConfigName, opt Options, fp *place.Floorplan,
-	st *sta.Result, router *route.Router, ex route.Extractor, notes string, cut int) (*PPAC, *power.Breakdown, error) {
+	st *sta.Result, router *route.Router, store *route.Cache, notes string, cut int) (*PPAC, *power.Breakdown, error) {
 
-	pcfg := power.DefaultConfig(opt.ClockGHz)
-	pcfg.Router = ex
-	if ex == nil {
-		pcfg.Router = router
+	if store == nil {
+		store = route.NewCache(router, d)
 	}
+	pcfg := power.DefaultConfig(opt.ClockGHz)
+	pcfg.Router = store
 	pcfg.Hetero = cfg == ConfigHetero
 	pw, err := power.Analyze(d, pcfg)
 	if err != nil {
@@ -557,7 +558,7 @@ func collect(d *netlist.Design, cfg ConfigName, opt Options, fp *place.Floorplan
 	}
 
 	footprintMM2 := fp.Outline.Area() / 1e6
-	sig, clk := router.Wirelength(d)
+	sig, clk, mivs := wiring(d, router, store)
 
 	p := &PPAC{
 		Design:       d.Name,
@@ -579,7 +580,7 @@ func collect(d *netlist.Design, cfg ConfigName, opt Options, fp *place.Floorplan
 		Cells:        d.ComputeStats().Cells,
 	}
 	if fp.Tiers == 2 {
-		p.MIVs = router.TotalMIVs(d)
+		p.MIVs = mivs
 	}
 
 	var dieCost float64
@@ -603,4 +604,26 @@ func collect(d *netlist.Design, cfg ConfigName, opt Options, fp *place.Floorplan
 	}
 	p.PPC = cost.PPC(achieved, p.PowerMW, p.DieCostMicroC)
 	return p, pw, nil
+}
+
+// wiring sums the Steiner wirelength and the MIV count over the design
+// in net order. Clock wirelength is reported apart (the clock tree owns
+// those nets); clock MIVs count, since the 3-D clock tree crosses tiers
+// too. Power analysis has just extracted every instance-driven net into
+// store; only the nets it holds no current slot for — port-driven ones —
+// are routed here.
+func wiring(d *netlist.Design, router *route.Router, store *route.Cache) (signal, clock float64, mivs int) {
+	for _, n := range d.Nets {
+		wl, m, ok := store.Wiring(n)
+		if !ok {
+			wl, m = router.NetWirelength(n), router.CountMIVs(n)
+		}
+		if n.IsClock {
+			clock += wl
+		} else {
+			signal += wl
+		}
+		mivs += m
+	}
+	return signal, clock, mivs
 }

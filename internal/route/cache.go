@@ -109,6 +109,21 @@ func (c *Cache) Refresh(n *netlist.Net) {
 	}
 }
 
+// Wiring returns the wirelength and MIV count stored for n when its
+// slot holds an extraction at n's current revision. It counts nothing,
+// so whole-design sums read the store without moving its hit/miss
+// statistics.
+func (c *Cache) Wiring(n *netlist.Net) (wireLen float64, mivs int, ok bool) {
+	if n.ID >= len(c.slots) {
+		return 0, 0, false
+	}
+	s := &c.slots[n.ID]
+	if !s.valid || s.rev != c.d.NetRev(n) {
+		return 0, 0, false
+	}
+	return s.rc.WireLen, s.rc.MIVs, true
+}
+
 // WireCap returns the wire capacitance stored for net id. The slot must
 // hold an extraction.
 func (c *Cache) WireCap(id int) float64 { return c.slots[id].rc.WireCap }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/netlist"
-	"repro/internal/par"
 	"repro/internal/tech"
 )
 
@@ -87,9 +86,9 @@ func TestExtractWLM(t *testing.T) {
 	}
 }
 
-// TestTotalMIVs checks the design-wide MIV reduction: the per-net
-// counts summed in net order, the same at any worker count, with its
-// fan-out noted.
+// TestTotalMIVs checks the design-wide MIV reduction sign-off makes from
+// the store: the MIV counts its slots hold, summed in net order, equal
+// the router's per-net counts summed, and only the crossing net adds.
 func TestTotalMIVs(t *testing.T) {
 	d, n := buildNet3D(t,
 		[]geom.Point{geom.Pt(0, 0), geom.Pt(5, 5), geom.Pt(100, 100), geom.Pt(0, 1)},
@@ -102,14 +101,19 @@ func TestTotalMIVs(t *testing.T) {
 	if want != r.CountMIVs(n) || want != 2 {
 		t.Fatalf("fixture: %d MIVs over the design, want the crossing net's 2", want)
 	}
-	for _, w := range []int{1, 4} {
-		r.Workers = w
-		r.Par = &par.Stats{}
-		if got := r.TotalMIVs(d); got != want {
-			t.Errorf("workers %d: TotalMIVs = %d, want %d", w, got, want)
+	c := NewCache(r, d)
+	for _, net := range d.Nets {
+		c.Extract(net)
+	}
+	got := 0
+	for _, net := range d.Nets {
+		_, m, ok := c.Wiring(net)
+		if !ok {
+			t.Fatalf("net %s: no current slot after extraction", net.Name)
 		}
-		if r.Par.Batches != 1 || r.Par.Tasks != int64(len(d.Nets)) {
-			t.Errorf("workers %d: fan-out stats %+v, want one batch of %d", w, *r.Par, len(d.Nets))
-		}
+		got += m
+	}
+	if got != want {
+		t.Errorf("store MIV sum = %d, want %d", got, want)
 	}
 }

@@ -198,3 +198,31 @@ func TestPoisonDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheWiring pins the uncounted read sign-off's wirelength and MIV
+// sums use: a current slot answers with the router's own per-net values
+// (the net spans both tiers, so the MIV count is live), a never-filled
+// or stale slot answers nothing, and no read moves the hit/miss
+// counters.
+func TestCacheWiring(t *testing.T) {
+	d, mid := cacheDesign(t)
+	mid.Sinks[0].Inst.SetTier(tech.TierTop)
+	r := New()
+	c := NewCache(r, d)
+	if _, _, ok := c.Wiring(mid); ok {
+		t.Fatal("an empty store answered")
+	}
+	c.Extract(mid)
+	before := c.Stats()
+	wl, mivs, ok := c.Wiring(mid)
+	if !ok || wl != r.NetWirelength(mid) || mivs != r.CountMIVs(mid) || mivs == 0 {
+		t.Fatalf("Wiring = %v, %d, %v; router says %v, %d", wl, mivs, ok, r.NetWirelength(mid), r.CountMIVs(mid))
+	}
+	mid.Sinks[1].Inst.SetLoc(geom.Pt(30, 30))
+	if _, _, ok := c.Wiring(mid); ok {
+		t.Fatal("a stale slot answered")
+	}
+	if s := c.Stats(); s != before {
+		t.Fatalf("Wiring moved the counters: %+v → %+v", before, s)
+	}
+}

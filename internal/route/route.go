@@ -6,7 +6,6 @@ import (
 	"repro/internal/dense"
 	"repro/internal/geom"
 	"repro/internal/netlist"
-	"repro/internal/par"
 	"repro/internal/tech"
 )
 
@@ -24,15 +23,6 @@ type Router struct {
 	// (and the matching resistance) regardless of geometry. Synthesis-
 	// stage sizing uses it before any placement exists.
 	WLMPerSinkFF float64
-	// Workers bounds the whole-design reductions' per-net fan-out
-	// (Wirelength, TotalMIVs): nets are processed concurrently into
-	// index-addressed slots and reduced in net order, so the sums are
-	// byte-identical at any worker count. <= 1 runs serially.
-	Workers int
-	// Par accumulates fan-out counters when set (drained into the
-	// signoff stage's flow stats). Only the reduction entry points touch
-	// it, from the calling goroutine.
-	Par *par.Stats
 }
 
 // New returns a Router over the standard signal stack and default MIV.
@@ -56,27 +46,6 @@ func (r *Router) NetWirelength(n *netlist.Net) float64 {
 		return 0
 	}
 	return sc.build(false)
-}
-
-// Wirelength sums Steiner wirelength over the design. Clock nets are
-// reported separately: before CTS they are a single star that would
-// dwarf the signal estimate, and after CTS the clock tree owns them.
-// The per-net trees build concurrently (Router.Workers); the sums
-// accumulate in net order, so the result is worker-count independent.
-func (r *Router) Wirelength(d *netlist.Design) (signal, clock float64) {
-	wls := make([]float64, len(d.Nets))
-	par.ParallelFor(r.Workers, len(d.Nets), func(i int) {
-		wls[i] = r.NetWirelength(d.Nets[i])
-	})
-	r.Par.Note(len(d.Nets))
-	for i, n := range d.Nets {
-		if n.IsClock {
-			clock += wls[i]
-		} else {
-			signal += wls[i]
-		}
-	}
-	return signal, clock
 }
 
 // CountMIVs estimates the monolithic inter-tier vias a 3-D net needs: the
@@ -130,21 +99,6 @@ func clusterCount(sc *rsmtScratch, pts []geom.Point, radius float64) int {
 		}
 	}
 	return clusters
-}
-
-// TotalMIVs sums the MIV estimate over all nets (clock included — the 3-D
-// clock tree crosses tiers too). Per-net counts fan out like Wirelength.
-func (r *Router) TotalMIVs(d *netlist.Design) int {
-	counts := make([]int, len(d.Nets))
-	par.ParallelFor(r.Workers, len(d.Nets), func(i int) {
-		counts[i] = r.CountMIVs(d.Nets[i])
-	})
-	r.Par.Note(len(d.Nets))
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	return total
 }
 
 // NetRC is the lumped extraction of one net for timing and power.

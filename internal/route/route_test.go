@@ -205,19 +205,48 @@ func TestExtractCrossTierAddsMIVParasitics(t *testing.T) {
 	}
 }
 
+// TestWirelengthSeparatesClock checks what the signal/clock wirelength
+// split rests on: marking a net as clock changes neither its Steiner
+// length nor the store's current slot for it, so a design-wide sum moves
+// the net's whole length from the signal side to the clock side.
 func TestWirelengthSeparatesClock(t *testing.T) {
 	d, n := buildNet3D(t,
 		[]geom.Point{geom.Pt(0, 0), geom.Pt(10, 0)},
 		[]tech.Tier{tech.TierBottom, tech.TierBottom})
 	r := New()
-	sig1, clk1 := r.Wirelength(d)
+	c := NewCache(r, d)
+	for _, net := range d.Nets {
+		c.Extract(net)
+	}
+	split := func() (signal, clock float64) {
+		for _, net := range d.Nets {
+			wl, _, ok := c.Wiring(net)
+			if !ok {
+				t.Fatalf("net %s: no current slot", net.Name)
+			}
+			if net.IsClock {
+				clock += wl
+			} else {
+				signal += wl
+			}
+		}
+		return signal, clock
+	}
+	sig1, clk1 := split()
 	if clk1 != 0 || sig1 <= 0 {
 		t.Errorf("pre: signal=%v clock=%v", sig1, clk1)
 	}
+	wl := r.NetWirelength(n)
+	if wl <= 0 {
+		t.Fatalf("fixture: net length %v", wl)
+	}
 	n.IsClock = true
-	sig2, clk2 := r.Wirelength(d)
-	if clk2 != sig1-sig2+clk1 && clk2 <= 0 {
-		t.Errorf("post: signal=%v clock=%v", sig2, clk2)
+	if got := r.NetWirelength(n); got != wl {
+		t.Errorf("clock flag changed the net's length: %v → %v", wl, got)
+	}
+	sig2, clk2 := split()
+	if clk2 != wl || sig2 != sig1-wl {
+		t.Errorf("post: signal=%v clock=%v, want %v / %v", sig2, clk2, sig1-wl, wl)
 	}
 }
 

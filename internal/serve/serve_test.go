@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"os"
+	"regexp"
 	"testing"
 	"time"
 
@@ -181,6 +183,66 @@ func TestSessionTimingMatchesOffline(t *testing.T) {
 		}
 		if round > 0 && got.IncrementalUpdates == 0 {
 			t.Errorf("round %d: session is not using the incremental engine: %+v", round, got)
+		}
+	}
+}
+
+// TestTimingOnlySessionSettlesNothing: a what-if session that only
+// mutates and queries timing reads WNS/TNS and the endpoint counts, never
+// required times, so its incremental updates must leave the backward
+// sweep unpaid — the session-close log line reports zero settles — while
+// every answer still matches the offline twin bit for bit.
+func TestTimingOnlySessionSettlesNothing(t *testing.T) {
+	lines := make(chan string, 64)
+	_, addr := startServer(t, Options{Logf: func(format string, args ...any) {
+		select {
+		case lines <- fmt.Sprintf(format, args...):
+		default:
+		}
+	}})
+	cl := dialT(t, addr)
+	req := testWorkload
+	info, err := cl.Open(&req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := offlineTwin(t, &req)
+	for round := 0; round < 6; round++ {
+		if round > 0 {
+			muts := mutationRound(round, int(info.Cells))
+			if _, err := cl.Mutate(muts); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			applyOffline(t, twin.Design, muts)
+		}
+		got, err := cl.Timing()
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if want := analyzeOffline(t, &req, twin); !got.SameAnalysis(want) {
+			t.Fatalf("round %d: session timing %+v != offline %+v", round, got, want)
+		}
+	}
+	cl.Close()
+
+	closed := regexp.MustCompile(`^serve: session-\d+ closed: \d+ full and (\d+) incremental timing updates, \d+ nodes re-evaluated, (\d+) required-time settles over (\d+) nodes$`)
+	deadline := time.After(30 * time.Second)
+	for {
+		select {
+		case line := <-lines:
+			m := closed.FindStringSubmatch(line)
+			if m == nil {
+				continue
+			}
+			if m[1] == "0" {
+				t.Fatalf("session ran no incremental update: %q", line)
+			}
+			if m[2] != "0" || m[3] != "0" {
+				t.Fatalf("a timing-only session settled required times: %q", line)
+			}
+			return
+		case <-deadline:
+			t.Fatal("no session-close log line")
 		}
 	}
 }

@@ -280,6 +280,11 @@ func (c *serverConn) workLoop() {
 		c.sink.close()
 		c.cancel()
 		c.nc.Close()
+		if c.sess != nil {
+			st := c.sess.timer.Stats()
+			c.srv.logf("serve: session-%d closed: %d full and %d incremental timing updates, %d nodes re-evaluated, %d required-time settles over %d nodes",
+				c.sess.id, st.FullUpdates, st.IncrementalUpdates, st.NodesReevaluated, st.RequiredSweeps, st.RequiredNodes)
+		}
 		c.sess = nil
 		if c.holdSlot {
 			c.srv.admit.Release()

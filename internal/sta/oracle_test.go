@@ -2,9 +2,11 @@ package sta
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/cell"
+	"repro/internal/geom"
 	"repro/internal/netlist"
 	"repro/internal/route"
 	"repro/internal/tech"
@@ -179,8 +181,12 @@ func (o *oracle) worst() (setup, hold float64) {
 // order-free oracle on random register-bounded DAGs whose cells mix
 // register and combinational fanin and span both tiers. Beyond the
 // per-cell values it checks that the reported predecessor is a
-// worst-arrival driver and that WNS is the worst capture slack.
+// worst-arrival driver and that WNS is the worst capture slack. Each
+// design is checked after the full pass and again after a few unread
+// incremental updates, whose required times the check reads through the
+// settle SlackMap runs.
 func TestAnalyzeMatchesOracle(t *testing.T) {
+	var settles int64
 	for seed := int64(0); seed < 30; seed++ {
 		d := randomDAG(t, seed)
 		for i, inst := range d.Instances {
@@ -193,31 +199,49 @@ func TestAnalyzeMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := tm.Update()
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := newOracle(t, d, cfg)
-		for _, inst := range d.Instances {
-			id := inst.ID
-			o.forward(inst)
-			req := o.required(inst)
-			if got.arrOut[id] != o.arr[id] || tm.arrMinOut[id] != o.arrMin[id] ||
-				got.slewOut[id] != o.slew[id] || got.delay[id] != o.delay[id] || got.reqOut[id] != req {
-				t.Fatalf("seed %d: %s arr/min/slew/delay/req = %v/%v/%v/%v/%v, oracle %v/%v/%v/%v/%v",
-					seed, inst.Name, got.arrOut[id], tm.arrMinOut[id], got.slewOut[id], got.delay[id], got.reqOut[id],
-					o.arr[id], o.arrMin[id], o.slew[id], o.delay[id], req)
+		rng := rand.New(rand.NewSource(seed))
+		for step := 0; step < 4; step++ {
+			if step > 0 {
+				inst := d.Instances[rng.Intn(len(d.Instances))]
+				inst.SetLoc(geom.Pt(rng.Float64()*60, rng.Float64()*40))
 			}
-			if f := inst.Master.Function; f.IsSequential() || f.IsMacro() {
-				continue
+			got, err := tm.Update()
+			if err != nil {
+				t.Fatal(err)
 			}
-			if p := got.pred[id]; p >= 0 && got.arrOut[p]+got.inWire[id] != o.arrIn[id] {
-				t.Fatalf("seed %d: %s pred %d arrives at %v, worst input at %v",
-					seed, inst.Name, p, got.arrOut[p]+got.inWire[id], o.arrIn[id])
-			}
+			got.SlackMap()
+			checkOracle(t, seed, d, cfg, tm, got)
 		}
-		if wns, hold := o.worst(); got.WNS != wns || got.HoldWNS != hold {
-			t.Fatalf("seed %d: WNS/hold WNS %v/%v, oracle %v/%v", seed, got.WNS, got.HoldWNS, wns, hold)
+		settles += tm.Stats().RequiredSweeps
+	}
+	if settles == 0 {
+		t.Fatal("no check read required times through a settle")
+	}
+}
+
+// checkOracle compares one settled result against the oracle.
+func checkOracle(t *testing.T, seed int64, d *netlist.Design, cfg Config, tm *Timer, got *Result) {
+	t.Helper()
+	o := newOracle(t, d, cfg)
+	for _, inst := range d.Instances {
+		id := inst.ID
+		o.forward(inst)
+		req := o.required(inst)
+		if got.arrOut[id] != o.arr[id] || tm.arrMinOut[id] != o.arrMin[id] ||
+			got.slewOut[id] != o.slew[id] || got.delay[id] != o.delay[id] || got.reqOut[id] != req {
+			t.Fatalf("seed %d: %s arr/min/slew/delay/req = %v/%v/%v/%v/%v, oracle %v/%v/%v/%v/%v",
+				seed, inst.Name, got.arrOut[id], tm.arrMinOut[id], got.slewOut[id], got.delay[id], got.reqOut[id],
+				o.arr[id], o.arrMin[id], o.slew[id], o.delay[id], req)
 		}
+		if f := inst.Master.Function; f.IsSequential() || f.IsMacro() {
+			continue
+		}
+		if p := got.pred[id]; p >= 0 && got.arrOut[p]+got.inWire[id] != o.arrIn[id] {
+			t.Fatalf("seed %d: %s pred %d arrives at %v, worst input at %v",
+				seed, inst.Name, p, got.arrOut[p]+got.inWire[id], o.arrIn[id])
+		}
+	}
+	if wns, hold := o.worst(); got.WNS != wns || got.HoldWNS != hold {
+		t.Fatalf("seed %d: WNS/hold WNS %v/%v, oracle %v/%v", seed, got.WNS, got.HoldWNS, wns, hold)
 	}
 }

@@ -39,6 +39,7 @@ type EndpointSnap struct {
 // Snapshot exports the result for serialization. Slices are copied; the
 // snapshot does not alias the result.
 func (res *Result) Snapshot() *Snapshot {
+	res.Settle()
 	s := &Snapshot{
 		Period:               res.cfg.Period,
 		WNS:                  res.WNS,

@@ -3,6 +3,7 @@ package sta
 import (
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/netlist"
 	"repro/internal/route"
@@ -44,7 +45,9 @@ func DefaultConfig(period float64) Config {
 }
 
 // Result carries the outcome of one analysis. Slices are indexed by
-// instance ID.
+// instance ID. A Timer's retained Result may owe required times from
+// incremental updates: SlackMap, CellSlack and Snapshot settle them
+// before reading (see Timer); every other accessor is exact as is.
 type Result struct {
 	// WNS is the worst (minimum) endpoint slack in ns — positive when
 	// timing is met. TNS sums the negative endpoint slacks (0 when met).
@@ -70,6 +73,21 @@ type Result struct {
 	// endpoint slacks for path tracing: instance endpoints (DFF D, macro
 	// A) and output ports.
 	endSlack []endpoint
+
+	// owed is the Timer whose incremental updates left reqOut stale, nil
+	// once required times are exact.
+	owed atomic.Pointer[Timer]
+}
+
+// Settle pays the required times incremental updates still owe, as the
+// first SlackMap, CellSlack or Snapshot would; a settled or restored
+// Result returns at once. Settle before disturbing what a settle reads —
+// the design or the RC store — without a following Update: fault
+// injection corrupting a finished stage's state is the one such caller.
+func (res *Result) Settle() {
+	if t := res.owed.Load(); t != nil {
+		t.settle()
+	}
 }
 
 type endpoint struct {
@@ -97,6 +115,7 @@ func Analyze(d *netlist.Design, cfg Config) (*Result, error) {
 // ("we visit the cells individually and find the worst slack among the
 // paths going through the cell", Sec. III-A1).
 func (res *Result) CellSlack(inst *netlist.Instance) float64 {
+	res.Settle()
 	s := res.reqOut[inst.ID] - res.arrOut[inst.ID]
 	// Endpoint cells: include their own capture check.
 	for _, e := range res.endSlack {
@@ -115,6 +134,7 @@ func (res *Result) CellSlack(inst *netlist.Instance) float64 {
 // checks in one pass (CellSlack's per-endpoint scan is fine for single
 // queries; flows use this bulk version).
 func (res *Result) SlackMap() []float64 {
+	res.Settle()
 	out := make([]float64, len(res.d.Instances))
 	for i := range out {
 		out[i] = res.reqOut[i] - res.arrOut[i]

@@ -3,6 +3,7 @@ package sta
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/cell"
 	"repro/internal/dense"
@@ -31,6 +32,11 @@ type TimerStats struct {
 	// they dispatched. Both count scheduled work, so they are
 	// identical at any Config.Workers value.
 	ParBatches, ParTasks int64
+	// RequiredSweeps counts the on-demand backward sweeps that settled
+	// required times owed by incremental updates, and RequiredNodes the
+	// drivers those sweeps recomputed. A full update computes required
+	// times eagerly and counts in neither.
+	RequiredSweeps, RequiredNodes int64
 }
 
 // faninEdge is one timing arc into an instance: driver, the net carrying
@@ -47,13 +53,26 @@ type faninEdge struct {
 // revision moved since the last update (master swaps, placement moves,
 // tier changes) re-propagate only from the affected cells outward, while
 // a moved topology revision (buffer insertion, reconnection) falls back
-// to an exact full recompute. Every Update leaves the retained Result in
-// the state a fresh Analyze would produce — bit for bit, including
-// tie-breaks.
+// to an exact full recompute. Every read of the retained Result answers
+// what a fresh Analyze would report — bit for bit, including tie-breaks.
 //
-// A Timer belongs to one flow and is not safe for concurrent use. It
-// only reads the design, so several Timers may share a design that no
-// one mutates.
+// Required times are settled on demand. An incremental Update leaves
+// arrivals, slews, delays and the endpoint table (hence WNS, TNS, the
+// hold rollups, the endpoint counts and CriticalPaths) exact, but only
+// records which drivers' required times it may have moved. The first
+// read that needs required times — Result.SlackMap, CellSlack or
+// Snapshot, or an explicit Result.Settle — settles everything owed
+// since the last settle in one backward sweep; reads that need none
+// (the what-if server's timing queries, the repartitioning ECO's
+// oracle) never pay for it. A settle computes from the design as the
+// last Update saw it, so it panics with "sta: settle after edit: ..."
+// when the topology or an instance revision moved since that Update:
+// call Update first.
+//
+// A Timer belongs to one flow and is not safe for concurrent use; only
+// reads of its Result may run concurrently with each other (the settle
+// is serialized). It only reads the design, so several Timers may share
+// a design that no one mutates.
 type Timer struct {
 	d   *netlist.Design
 	cfg Config
@@ -83,9 +102,9 @@ type Timer struct {
 	flev, blev dense.CSR[int32]
 	lvl        []int32 // per-instance level, buildLevels scratch
 	// endScratch holds each driver's endpoint entries from the parallel
-	// backward sweep until the sequential assembly appends them to
+	// forward sweep until the sequential assembly appends them to
 	// res.endSlack in the reference order; it is empty for every
-	// instance the sweep does not visit. Indexed by instance ID.
+	// instance without a signal output net. Indexed by instance ID.
 	endScratch [][]endpoint
 
 	// Forward-pass input-pin state replayEffective rebuilds. Kept
@@ -95,8 +114,16 @@ type Timer struct {
 	// Per-Update work-set buffers, reused across calls.
 	seedMarked []bool
 	seeds      []int32
-	dirty, inB []bool
+	dirty      []bool
 	incScratch []endpoint
+
+	// pend marks, by topological position, the drivers whose required
+	// time may be stale: every node an incremental update re-evaluated
+	// and each of its fanin drivers, accumulated over all updates since
+	// required times were last exact. settle drains it; res.owed says
+	// whether it holds anything. settleMu serializes concurrent readers.
+	pend     []bool
+	settleMu sync.Mutex
 
 	// instRev holds the journal revisions (by instance ID) the retained
 	// state reflects; Update diffs the design against them. Net
@@ -157,8 +184,10 @@ func (t *Timer) Result() *Result { return t.res }
 // Update brings the retained Result up to date with the design and
 // returns it. Instances whose journal revision moved re-propagate from
 // the dirty frontier; a moved topology revision — or a frontier so wide
-// that selectivity stops paying — recomputes from scratch. Either way the
-// result is exactly what a fresh Analyze would report.
+// that selectivity stops paying — recomputes from scratch, required
+// times included. An incremental update defers its required times to
+// the first read that needs them (see Timer). Either way every read
+// answers exactly what a fresh Analyze would report.
 func (t *Timer) Update() (*Result, error) {
 	full := t.fresh || t.cfg.ForceFull || t.topoRev != t.d.TopoRev()
 	done := false
@@ -250,11 +279,11 @@ func (t *Timer) syncRevs() {
 // a single bit of the result: extraction is per-net independent; the
 // forward sweep runs level-by-level over flevels, where a node's
 // replayEffective reads only its drivers (all in lower levels, final)
-// and it and computeNode write only the node's own slots; the backward
-// sweep runs level-by-level over blevels with each
-// driver's endpoint entries parked in endScratch, then a sequential
-// assembly appends them to res.endSlack in exactly the reference
-// (reverse-position) order.
+// and it, computeNode and endpointsOf write only the node's own slots,
+// with each driver's endpoint entries parked in endScratch; the backward
+// sweep runs level-by-level over blevels; then a sequential assembly
+// appends the endpoint entries to res.endSlack in exactly the reference
+// (reverse-position) order. Nothing is owed to a settle afterwards.
 func (t *Timer) fullUpdate() error {
 	d := t.d
 	if t.g == nil || t.topoRev != d.TopoRev() {
@@ -305,6 +334,8 @@ func (t *Timer) fullUpdate() error {
 		t.endScratch = dense.Grow(t.endScratch, n)
 	}
 	res.endSlack = res.endSlack[:0]
+	t.pend = dense.Zero(t.pend, n)
+	res.owed.Store(nil)
 	// Per-instance resets, one index-addressed fan-out. Instances with a
 	// port-driven or floating signal input can switch as early as t=0 on
 	// the min path. ParBatches/ParTasks leave this fan-out out: they keep
@@ -324,10 +355,11 @@ func (t *Timer) fullUpdate() error {
 		t.endScratch[i] = t.endScratch[i][:0]
 	})
 
-	// ---------- Forward pass: arrivals and slews ----------
+	// ---------- Forward pass: arrivals, slews, endpoint checks ----------
 	// Levels run in order; nodes within a level are independent (their
 	// fanin arcs all come from lower levels) and write only their own
-	// index-addressed state.
+	// index-addressed state. A driver's endpoint checks read only its
+	// own final arrivals, so they park in its scratch right here.
 	for lv := 0; lv < t.flev.Rows(); lv++ {
 		level := t.flev.Row(int32(lv))
 		par.ParallelFor(workers, len(level), func(k int) {
@@ -335,24 +367,25 @@ func (t *Timer) fullUpdate() error {
 			if !timingSource(inst) {
 				t.replayEffective(inst)
 			}
-			t.computeNode(inst)
+			out := d.OutputNet(inst)
+			t.computeNode(inst, out)
+			if out != nil && !out.IsClock {
+				t.endScratch[inst.ID] = t.endpointsOf(inst, out, t.endScratch[inst.ID])
+			}
 		})
 		t.noteFanout(len(level))
 	}
 
-	// ---------- Endpoint checks and backward required pass ----------
+	// ---------- Backward required pass ----------
 	// Backward levels hold exactly the drivers of a signal net: a
 	// driver's required time depends only on its combinational sinks
 	// that themselves run the backward computation — all in lower
-	// backward levels, final when the driver computes. Endpoint entries
-	// park in per-driver scratch.
+	// backward levels, final when the driver computes.
 	for lv := 0; lv < t.blev.Rows(); lv++ {
 		level := t.blev.Row(int32(lv))
 		par.ParallelFor(workers, len(level), func(k int) {
 			inst := t.g.order[level[k]]
-			var req float64
-			req, t.endScratch[inst.ID] = t.computeRequired(inst, t.endScratch[inst.ID])
-			if req < res.reqOut[inst.ID] {
+			if req := t.requiredOf(inst, d.OutputNet(inst)); req < res.reqOut[inst.ID] {
 				res.reqOut[inst.ID] = req
 			}
 		})
@@ -484,16 +517,16 @@ func (t *Timer) buildLevels() {
 	}
 }
 
-// incremental re-propagates from the seed frontier. Returns false when it
-// detects drift it cannot handle in place (the caller then runs a full
-// update).
+// incremental re-propagates from the seed frontier and rewrites the
+// endpoint entries of every driver it re-evaluates; required times are
+// left owed to the next settle. Returns false when it detects drift it
+// cannot handle in place (the caller then runs a full update).
 func (t *Timer) incremental(seeds []int32) bool {
 	d := t.d
 	n := len(d.Instances)
 	res := t.res
 	t.dirty = dense.Zero(t.dirty, n) // indexed by topological position
-	t.inB = dense.Zero(t.inB, n)     // backward work set, same indexing
-	dirty, inB := t.dirty, t.inB
+	dirty, pend := t.dirty, t.pend
 	for _, id := range seeds {
 		dirty[t.pos[id]] = true
 	}
@@ -502,7 +535,7 @@ func (t *Timer) incremental(seeds []int32) bool {
 	// earlier positions, final when it replays. Expansion follows data
 	// arcs to combinational sinks, which sit at later positions.
 	// Sequential sinks hold no live input state; their capture checks
-	// are redone by their drivers below.
+	// are redone by their drivers, which the seeds always include.
 	for p := 0; p < n; p++ {
 		if !dirty[p] {
 			continue
@@ -511,19 +544,26 @@ func (t *Timer) incremental(seeds []int32) bool {
 		if !timingSource(inst) {
 			t.replayEffective(inst)
 		}
-		changed := t.computeNode(inst)
+		out := d.OutputNet(inst)
+		changed := t.computeNode(inst, out)
 		t.stats.NodesReevaluated++
-		inB[p] = true
-		// The node's fanin drivers read its stage delay and required time
-		// in their backward recompute, so they always join the work set.
+		// The node's required time is owed, and so are its fanin
+		// drivers', which read its stage delay.
+		pend[p] = true
 		for _, e := range t.fanin.Row(int32(inst.ID)) {
-			inB[t.pos[e.drv]] = true
+			pend[t.pos[e.drv]] = true
 		}
-		if !changed {
+		if out == nil || out.IsClock {
 			continue
 		}
-		out := d.OutputNet(inst)
-		if out == nil || out.IsClock {
+		t.incScratch = t.endpointsOf(inst, out, t.incScratch[:0])
+		if int32(len(t.incScratch)) != t.endCount[inst.ID] {
+			// Endpoint membership drifted without a topology revision
+			// move; hand the update to the full pass.
+			return false
+		}
+		copy(res.endSlack[t.endStart[inst.ID]:], t.incScratch)
+		if !changed {
 			continue
 		}
 		for _, s := range out.Sinks {
@@ -535,39 +575,66 @@ func (t *Timer) incremental(seeds []int32) bool {
 			}
 		}
 	}
+	if len(seeds) > 0 {
+		res.owed.Store(t)
+	}
+	t.stats.IncrementalUpdates++
+	return true
+}
 
-	// Backward sweep in reverse topological order: requireds flow from
-	// sinks to drivers, so every position this loop adds to the work set
-	// is one it has not passed yet.
-	scratch := t.incScratch
-	defer func() { t.incScratch = scratch[:0] }()
-	for p := n - 1; p >= 0; p-- {
-		if !inB[p] {
+// settle pays the required times owed by incremental updates: one
+// backward sweep in reverse topological order over the pending drivers,
+// widened to a driver's fanin drivers whenever its required time moves
+// (every position it adds is one the sweep has not passed yet). It
+// recomputes from the state the last Update left, so it first checks
+// that the design has not been edited since.
+func (t *Timer) settle() {
+	t.settleMu.Lock()
+	defer t.settleMu.Unlock()
+	res := t.res
+	if res.owed.Load() == nil {
+		return // a concurrent reader settled first
+	}
+	t.requireUnedited()
+	d := t.d
+	for p := len(t.pend) - 1; p >= 0; p-- {
+		if !t.pend[p] {
 			continue
 		}
+		t.pend[p] = false
 		inst := t.g.order[p]
-		if out := d.OutputNet(inst); out == nil || out.IsClock {
+		out := d.OutputNet(inst)
+		if out == nil || out.IsClock {
 			continue
 		}
-		var req float64
-		req, scratch = t.computeRequired(inst, scratch[:0])
-		if int32(len(scratch)) != t.endCount[inst.ID] {
-			// Endpoint membership drifted without a topology revision
-			// move; hand the update to the full pass.
-			return false
-		}
-		copy(res.endSlack[t.endStart[inst.ID]:], scratch)
-		if req != res.reqOut[inst.ID] {
+		t.stats.RequiredNodes++
+		if req := t.requiredOf(inst, out); req != res.reqOut[inst.ID] {
 			res.reqOut[inst.ID] = req
 			if !timingSource(inst) {
 				for _, e := range t.fanin.Row(int32(inst.ID)) {
-					inB[t.pos[e.drv]] = true
+					t.pend[t.pos[e.drv]] = true
 				}
 			}
 		}
 	}
-	t.stats.IncrementalUpdates++
-	return true
+	t.stats.RequiredSweeps++
+	res.owed.Store(nil)
+}
+
+// requireUnedited panics when the design moved past the revisions the
+// last Update consumed: owed required times computed now would mix the
+// old arrivals with the new netlist.
+func (t *Timer) requireUnedited() {
+	const hint = "since the last Timer.Update; call Update before reading SlackMap, CellSlack or Snapshot"
+	if rev := t.d.TopoRev(); rev != t.topoRev {
+		panic(fmt.Sprintf("sta: settle after edit: topology revision moved from %d to %d %s", t.topoRev, rev, hint))
+	}
+	for id, rev := range t.d.InstRevs() {
+		if rev != t.instRev[id] {
+			panic(fmt.Sprintf("sta: settle after edit: instance %s revision moved from %d to %d %s",
+				t.d.Instances[id].Name, t.instRev[id], rev, hint))
+		}
+	}
 }
 
 // buildFanin records every data arc in (driver topological position, sink
@@ -642,14 +709,14 @@ func (t *Timer) replayEffective(inst *netlist.Instance) {
 }
 
 // computeNode recomputes one instance's stage delay, output arrival,
-// min-path arrival, and output slew, reporting whether any propagated
-// quantity moved (bitwise).
+// min-path arrival, and output slew from its output net out (nil when
+// unconnected), reporting whether any propagated quantity moved
+// (bitwise).
 //
 //hotpath:kernel
-func (t *Timer) computeNode(inst *netlist.Instance) bool {
-	d, res, cfg := t.d, t.res, &t.cfg
+func (t *Timer) computeNode(inst *netlist.Instance, out *netlist.Net) bool {
+	res, cfg := t.res, &t.cfg
 	id := inst.ID
-	out := d.OutputNet(inst)
 
 	var load float64
 	if out != nil {
@@ -686,33 +753,55 @@ func (t *Timer) computeNode(inst *netlist.Instance) bool {
 	return changed
 }
 
-// computeRequired redoes one driver's endpoint checks and required-time
-// accumulation, appending its endpoint entries (sinks in net order, then
-// ports) to scratch.
-func (t *Timer) computeRequired(inst *netlist.Instance, scratch []endpoint) (float64, []endpoint) {
+// endpointsOf appends one driver's endpoint entries — the setup and
+// hold checks at each register or macro data pin on its signal output
+// net out, in net order, then each output port — to scratch. It reads
+// only the driver's own arrivals.
+//
+//hotpath:kernel
+func (t *Timer) endpointsOf(inst *netlist.Instance, out *netlist.Net, scratch []endpoint) []endpoint {
 	res, cfg := t.res, &t.cfg
-	out := t.d.OutputNet(inst)
-	req := math.Inf(1)
-	si := 0
-	for _, s := range out.Sinks {
-		if s.Spec().Dir == cell.DirClk {
-			si++
+	for si, s := range out.Sinks {
+		sk := s.Inst
+		if s.Spec().Dir == cell.DirClk || !timingSource(sk) {
 			continue
 		}
 		r, cs := t.ex.Sink(out.ID, si)
 		wd := tech.RCps(r, cs+s.Spec().Cap)
-		si++
+		endReq := cfg.Period + t.lat(sk) - sk.Master.Setup
+		slack := endReq - (res.arrOut[inst.ID] + wd)
+		hold := t.arrMinOut[inst.ID] + wd - t.lat(sk) - sk.Master.Hold
+		scratch = append(scratch, endpoint{inst: sk, from: int32(inst.ID), slack: slack, hold: hold})
+	}
+	for pi, p := range out.SinkPorts {
+		// Extract appends ports after every instance sink.
+		r, cs := t.ex.Sink(out.ID, len(out.Sinks)+pi)
+		wd := tech.RCps(r, cs+p.Cap)
+		slack := cfg.Period - (res.arrOut[inst.ID] + wd)
+		scratch = append(scratch, endpoint{port: p, from: int32(inst.ID), slack: slack, hold: math.Inf(1)})
+	}
+	return scratch
+}
+
+// requiredOf returns the required time at a driver's output: the
+// tightest of its register, macro and port captures on its signal
+// output net out and of its combinational sinks' required times less
+// their stage delays.
+//
+//hotpath:kernel
+func (t *Timer) requiredOf(inst *netlist.Instance, out *netlist.Net) float64 {
+	res, cfg := t.res, &t.cfg
+	req := math.Inf(1)
+	for si, s := range out.Sinks {
+		if s.Spec().Dir == cell.DirClk {
+			continue
+		}
+		r, cs := t.ex.Sink(out.ID, si)
+		wd := tech.RCps(r, cs+s.Spec().Cap)
 		sk := s.Inst
 		var cand float64
 		if timingSource(sk) {
-			// Setup endpoint at the D/A pin, plus the hold check on the
-			// earliest arrival.
-			endReq := cfg.Period + t.lat(sk) - sk.Master.Setup
-			arrD := res.arrOut[inst.ID] + wd
-			slack := endReq - arrD
-			holdSlack := t.arrMinOut[inst.ID] + wd - t.lat(sk) - sk.Master.Hold
-			scratch = append(scratch, endpoint{inst: sk, from: int32(inst.ID), slack: slack, hold: holdSlack})
-			cand = endReq - wd
+			cand = cfg.Period + t.lat(sk) - sk.Master.Setup - wd
 		} else {
 			cand = res.reqOut[sk.ID] - res.delay[sk.ID] - wd
 		}
@@ -721,18 +810,12 @@ func (t *Timer) computeRequired(inst *netlist.Instance, scratch []endpoint) (flo
 		}
 	}
 	for pi, p := range out.SinkPorts {
-		// Extract appends ports after every instance sink.
-		ri := len(out.Sinks) + pi
-		r, cs := t.ex.Sink(out.ID, ri)
-		wd := tech.RCps(r, cs+p.Cap)
-		arrP := res.arrOut[inst.ID] + wd
-		slack := cfg.Period - arrP
-		scratch = append(scratch, endpoint{port: p, from: int32(inst.ID), slack: slack, hold: math.Inf(1)})
-		if cand := cfg.Period - wd; cand < req {
+		r, cs := t.ex.Sink(out.ID, len(out.Sinks)+pi)
+		if cand := cfg.Period - tech.RCps(r, cs+p.Cap); cand < req {
 			req = cand
 		}
 	}
-	return req, scratch
+	return req
 }
 
 // summarize rebuilds the WNS/TNS/hold rollups from the endpoint table,

@@ -2,6 +2,8 @@ package sta
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -15,7 +17,9 @@ import (
 
 // requireEqualResults asserts got (a Timer's retained result) matches want
 // (a fresh full analysis) bit for bit: summaries, every per-instance
-// array, the endpoint table, the slack map, and the worst paths.
+// array, the endpoint table, the slack map, and the worst paths. Every
+// field but the required times is checked before anything settles them;
+// those are read after SlackMap has.
 func requireEqualResults(t *testing.T, tag string, d *netlist.Design, got, want *Result) {
 	t.Helper()
 	fail := func(format string, args ...interface{}) {
@@ -38,9 +42,6 @@ func requireEqualResults(t *testing.T, tag string, d *netlist.Design, got, want 
 		id := inst.ID
 		if got.arrOut[id] != want.arrOut[id] {
 			fail("arrOut[%s] = %v, want %v", inst.Name, got.arrOut[id], want.arrOut[id])
-		}
-		if got.reqOut[id] != want.reqOut[id] {
-			fail("reqOut[%s] = %v, want %v", inst.Name, got.reqOut[id], want.reqOut[id])
 		}
 		if got.delay[id] != want.delay[id] {
 			fail("delay[%s] = %v, want %v", inst.Name, got.delay[id], want.delay[id])
@@ -68,6 +69,11 @@ func requireEqualResults(t *testing.T, tag string, d *netlist.Design, got, want 
 	for i := range gm {
 		if gm[i] != wm[i] {
 			fail("SlackMap[%d] = %v, want %v", i, gm[i], wm[i])
+		}
+	}
+	for _, inst := range d.Instances {
+		if id := inst.ID; got.reqOut[id] != want.reqOut[id] {
+			fail("reqOut[%s] = %v, want %v", inst.Name, got.reqOut[id], want.reqOut[id])
 		}
 	}
 	gp, wp := got.CriticalPaths(3), want.CriticalPaths(3)
@@ -286,7 +292,8 @@ func TestTimerEquivalenceGeneratedDesigns(t *testing.T) {
 
 // TestTimerStats pins down which update kinds the engine chooses: full on
 // the first pass and after structural edits, incremental for local moves,
-// and full always under ForceFull.
+// and full always under ForceFull; and that required times settle once,
+// on the first read that needs them.
 func TestTimerStats(t *testing.T) {
 	d := randomDAG(t, 42)
 	tm, err := NewTimer(d, DefaultConfig(0.7))
@@ -320,6 +327,16 @@ func TestTimerStats(t *testing.T) {
 	}
 	if s := tm.Stats(); s.IncrementalUpdates != 1 {
 		t.Fatalf("after move stats = %+v, want one incremental", s)
+	}
+	// Required times wait for a read that needs them: none ran with the
+	// update, one sweep runs on SlackMap, and a second read runs none.
+	if s := tm.Stats(); s.RequiredSweeps != 0 || s.RequiredNodes != 0 {
+		t.Fatalf("update alone stats = %+v, want no required sweep", s)
+	}
+	tm.Result().SlackMap()
+	tm.Result().SlackMap()
+	if s := tm.Stats(); s.RequiredSweeps != 1 || s.RequiredNodes == 0 {
+		t.Fatalf("after SlackMap stats = %+v, want one required sweep", s)
 	}
 
 	// A buffer insertion is structural: exact fallback to full.
@@ -483,5 +500,288 @@ func TestTimersShareDesign(t *testing.T) {
 			t.Fatalf("timer %d: %v", i, errs[i])
 		}
 		requireEqualResults(t, "timer"+itoa(i), d, got[i], want)
+	}
+}
+
+// nudge applies one journaled edit that keeps the topology — a move, a
+// resize or a tier flip — so the next Update stays incremental.
+func nudge(t *testing.T, d *netlist.Design, rng *rand.Rand) {
+	t.Helper()
+	inst := d.Instances[rng.Intn(len(d.Instances))]
+	switch rng.Intn(3) {
+	case 0:
+		inst.SetLoc(geom.Pt(rng.Float64()*80, rng.Float64()*80))
+	case 1:
+		m := lib12.NextDriveUp(inst.Master)
+		if m == nil {
+			m = lib12.Smallest(inst.Master.Function)
+		}
+		if m != nil && m != inst.Master {
+			if err := d.ReplaceMaster(inst, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	case 2:
+		inst.SetTier(inst.Tier.Other())
+	}
+}
+
+// TestSettleAfterUnreadUpdates lets K ∈ {1, 3, 8} incremental updates
+// pile up with no read in between, so the owed required times span
+// several updates' work sets; then whichever of SlackMap, CellSlack and
+// Snapshot reads first settles them, and all three must equal a fresh
+// Analyze bit for bit. The updates themselves must run no required
+// sweep, and the settle exactly one.
+func TestSettleAfterUnreadUpdates(t *testing.T) {
+	type session struct {
+		name string
+		d    *netlist.Design
+	}
+	var sessions []session
+	for _, name := range []designs.Name{designs.AES, designs.LDPC} {
+		d, err := designs.Generate(name, lib12, designs.Params{Scale: 0.04, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(13))
+		for _, inst := range d.Instances {
+			inst.Loc = geom.Pt(rng.Float64()*80, rng.Float64()*80)
+		}
+		sessions = append(sessions, session{string(name), d})
+	}
+	for seed := int64(30); seed < 34; seed++ {
+		sessions = append(sessions, session{"dag" + itoa(int(seed)), randomDAG(t, seed)})
+	}
+	readers := []string{"SlackMap", "CellSlack", "Snapshot"}
+	for _, ss := range sessions {
+		d := ss.d
+		cfg := DefaultConfig(0.8)
+		tm, err := NewTimer(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tm.Update(); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(len(d.Instances))))
+		for _, k := range []int{1, 3, 8} {
+			for _, first := range readers {
+				tag := ss.name + "/K" + itoa(k) + "/" + first
+				before := tm.Stats()
+				var got *Result
+				for i := 0; i < k; i++ {
+					nudge(t, d, rng)
+					if got, err = tm.Update(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				mid := tm.Stats()
+				if mid.RequiredSweeps != before.RequiredSweeps {
+					t.Fatalf("%s: updates ran %d required sweeps, want none", tag, mid.RequiredSweeps-before.RequiredSweeps)
+				}
+				owed := got.owed.Load() != nil
+				want, err := Analyze(d, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch first {
+				case "SlackMap":
+					got.SlackMap()
+				case "CellSlack":
+					got.CellSlack(d.Instances[0])
+				case "Snapshot":
+					got.Snapshot()
+				}
+				wantSweeps := int64(0)
+				if owed {
+					wantSweeps = 1
+				}
+				sweeps := tm.Stats().RequiredSweeps - mid.RequiredSweeps
+				if sweeps != wantSweeps {
+					t.Fatalf("%s: first read ran %d required sweeps, want %d", tag, sweeps, wantSweeps)
+				}
+				gm, wm := got.SlackMap(), want.SlackMap()
+				for i := range wm {
+					if gm[i] != wm[i] {
+						t.Fatalf("%s: SlackMap[%d] = %v, want %v", tag, i, gm[i], wm[i])
+					}
+				}
+				for _, inst := range d.Instances {
+					if g, w := got.CellSlack(inst), want.CellSlack(inst); g != w {
+						t.Fatalf("%s: CellSlack(%s) = %v, want %v", tag, inst.Name, g, w)
+					}
+				}
+				if gs, ws := got.Snapshot(), want.Snapshot(); !reflect.DeepEqual(gs, ws) {
+					t.Fatalf("%s: Snapshot differs from a fresh analysis", tag)
+				}
+				if s := tm.Stats(); s.RequiredSweeps-mid.RequiredSweeps != sweeps {
+					t.Fatalf("%s: later reads settled again", tag)
+				}
+			}
+		}
+		if s := tm.Stats(); s.IncrementalUpdates == 0 || s.RequiredSweeps == 0 {
+			t.Fatalf("%s: stats %+v, want incremental updates and settles", ss.name, s)
+		}
+	}
+}
+
+// TestSettleGuard pins the settle's contract: reading required times
+// right after an Update is fine, reading them after the design moved
+// past that Update panics with the documented message, and updates
+// that fall back to the full pass leave nothing owed.
+func TestSettleGuard(t *testing.T) {
+	d, err := designs.Generate(designs.AES, lib12, designs.Params{Scale: 0.04, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, inst := range d.Instances {
+		inst.Loc = geom.Pt(rng.Float64()*80, rng.Float64()*80)
+	}
+	var comb *netlist.Instance
+	for _, inst := range d.Instances {
+		if !timingSource(inst) && d.OutputNet(inst) != nil {
+			comb = inst
+			break
+		}
+	}
+	tm, err := NewTimer(d, DefaultConfig(0.8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tm.Update(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Update then read: settles without complaint.
+	comb.SetLoc(geom.Pt(5, 5))
+	res, err := tm.Update()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.owed.Load() == nil {
+		t.Fatal("an incremental update left nothing owed")
+	}
+	res.SlackMap()
+	if res.owed.Load() != nil {
+		t.Fatal("SlackMap left required times owed")
+	}
+
+	// Update, edit, read: the settle would mix two design states.
+	for _, edit := range []struct {
+		name, msg string
+		do        func()
+	}{
+		{"move", "sta: settle after edit: instance " + comb.Name + " revision moved", func() { comb.SetLoc(geom.Pt(7, 7)) }},
+		{"buffer", "sta: settle after edit: topology revision moved", func() {
+			n := d.OutputNet(comb)
+			if _, _, err := d.InsertBuffer(n, append([]netlist.PinRef{}, n.Sinks...), lib12.Smallest(cell.FuncBuf), "gb"); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		comb.SetLoc(geom.Pt(6, 6))
+		if res, err = tm.Update(); err != nil {
+			t.Fatal(err)
+		}
+		edit.do()
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, edit.msg) {
+					t.Errorf("%s: panic %q, want prefix %q", edit.name, msg, edit.msg)
+				}
+			}()
+			res.SlackMap()
+		}()
+		if _, err := tm.Update(); err != nil { // catch up for the next case
+			t.Fatal(err)
+		}
+		res.SlackMap()
+	}
+
+	// Drift fallback: an endpoint count that no longer matches sends the
+	// update to the full pass, which owes nothing.
+	drv := d.Instances[tm.fanin.Row(int32(comb.ID))[0].drv]
+	tm.endCount[drv.ID]++
+	drv.SetLoc(geom.Pt(9, 9))
+	full := tm.Stats().FullUpdates
+	if res, err = tm.Update(); err != nil {
+		t.Fatal(err)
+	}
+	if tm.Stats().FullUpdates != full+1 || res.owed.Load() != nil {
+		t.Fatalf("drift fallback: stats %+v, owed %v; want one more full update owing nothing", tm.Stats(), res.owed.Load() != nil)
+	}
+
+	// ForceFull: every update is full and owes nothing.
+	cfg := DefaultConfig(0.8)
+	cfg.ForceFull = true
+	tf, err := NewTimer(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tf.Update(); err != nil {
+		t.Fatal(err)
+	}
+	comb.SetLoc(geom.Pt(11, 11))
+	if res, err = tf.Update(); err != nil {
+		t.Fatal(err)
+	}
+	if res.owed.Load() != nil || tf.Stats().RequiredSweeps != 0 {
+		t.Fatalf("ForceFull update left required times owed (stats %+v)", tf.Stats())
+	}
+}
+
+// TestConcurrentSettle has two goroutines read one owing Result — one
+// through SlackMap, one through CellSlack — so the race detector sees
+// the settle they contend for. Both must see the settled values, and
+// the settle must run once.
+func TestConcurrentSettle(t *testing.T) {
+	d := randomDAG(t, 9)
+	tm, err := NewTimer(d, DefaultConfig(0.7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tm.Update(); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for round := 0; round < 8; round++ {
+		for i := 0; i < 3; i++ {
+			nudge(t, d, rng)
+		}
+		res, err := tm.Update()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		var slack []float64
+		cells := make([]float64, len(d.Instances))
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			slack = res.SlackMap()
+		}()
+		go func() {
+			defer wg.Done()
+			for i, inst := range d.Instances {
+				cells[i] = res.CellSlack(inst)
+			}
+		}()
+		wg.Wait()
+		want, err := Analyze(d, DefaultConfig(0.7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wm := want.SlackMap()
+		for i := range wm {
+			if slack[i] != wm[i] || cells[i] != want.CellSlack(d.Instances[i]) {
+				t.Fatalf("round %d: instance %d slack %v / cell slack %v, want %v / %v",
+					round, i, slack[i], cells[i], wm[i], want.CellSlack(d.Instances[i]))
+			}
+		}
+	}
+	if s := tm.Stats(); s.RequiredSweeps > s.IncrementalUpdates {
+		t.Fatalf("stats %+v: more settles than incremental updates", s)
 	}
 }
