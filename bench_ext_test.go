@@ -28,7 +28,7 @@ func BenchmarkLevelShifterAblation(b *testing.B) {
 	}
 	fopt := core.DefaultFmaxOptions()
 	fopt.Iterations = 4
-	fmax, err := core.FindFmax(context.Background(), src, core.Config2D12T, fopt)
+	fmax, _, err := core.FindFmax(context.Background(), fopt, core.FlowProbe(src, core.Config2D12T, core.DefaultOptions(1)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func BenchmarkTrackMix(b *testing.B) {
 	}
 	fopt := core.DefaultFmaxOptions()
 	fopt.Iterations = 4
-	fmax, err := core.FindFmax(context.Background(), src, core.Config2D12T, fopt)
+	fmax, _, err := core.FindFmax(context.Background(), fopt, core.FlowProbe(src, core.Config2D12T, core.DefaultOptions(1)))
 	if err != nil {
 		b.Fatal(err)
 	}

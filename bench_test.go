@@ -118,12 +118,14 @@ func BenchmarkTableIV(b *testing.B) {
 	printOnce(b, out)
 }
 
-// BenchmarkTableV runs the flow ablation: plain Pin-3D vs Hetero-Pin-3D
-// on the CPU design.
+// BenchmarkTableV runs the flow ablation: the plain Pin-3D flow against
+// the suite's Hetero-Pin-3D CPU record.
 func BenchmarkTableV(b *testing.B) {
+	s := suite(b)
+	b.ResetTimer()
 	var out string
 	for i := 0; i < b.N; i++ {
-		t, err := eval.TableV(*benchScale, *benchSeed)
+		t, err := s.TableV()
 		if err != nil {
 			b.Fatal(err)
 		}

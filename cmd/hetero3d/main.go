@@ -172,10 +172,10 @@ func run(ctx context.Context, design, config string, scale, clock float64, seed 
 
 	if clock <= 0 {
 		fmt.Println("sweeping 2D-12T f_max...")
-		fopt := core.DefaultFmaxOptions()
-		fopt.Flow.Seed = seed
-		fopt.Flow.FlowWorkers = budget(1)
-		clock, err = core.FindFmax(ctx, src, core.Config2D12T, fopt)
+		o := core.DefaultOptions(1)
+		o.Seed = seed
+		o.FlowWorkers = budget(1)
+		clock, _, err = core.FindFmax(ctx, core.DefaultFmaxOptions(), core.FlowProbe(src, core.Config2D12T, o))
 		if err != nil {
 			return err
 		}

@@ -1,8 +1,9 @@
 // Command ppac runs the paper's full evaluation — every design in every
 // configuration at its 2D-12T f_max — and prints Tables I, VI, VII, and
-// VIII plus the figure summaries. The per-design f_max searches and the
-// 5×4 configuration sweep execute on a bounded worker pool; results are
-// identical at any worker count.
+// VIII plus the figure summaries. The per-design f_max searches (whose
+// returned probe is the design's 2D-12T flow) and the remaining
+// configurations execute on a bounded worker pool; results are identical
+// at any worker count.
 //
 // Usage:
 //
@@ -13,22 +14,24 @@
 //	     [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-v]
 //
 // -check runs the design-integrity checker (internal/check) at stage
-// boundaries of every implementation; Error-severity findings fail the
-// run, and a per-boundary summary table prints after the paper tables.
+// boundaries of every flow, f_max probes included; Error-severity findings
+// fail the run, and a per-boundary summary table prints after the tables.
 //
 // -fault arms the deterministic fault-injection harness (internal/fault):
 // a comma-separated list of design/config/stage[@occurrence]=class
 // injections, e.g. "cpu/Hetero-M3D/eco=corrupt:extraction-cache" or
-// "*/*/cts@1=error:retryable". -retries re-attempts flows that fail with
-// transient errors; -checkpoint journals completed flows to a binary
-// evaluation journal so an interrupted evaluation resumes without
-// repeating work (designdb inspect prints the journal as text);
-// -resilience prints the per-flow fault/retry/degradation table.
+// "*/*/cts@1=error:retryable". Injections fire in the f_max probes too,
+// so @occurrence counts a 2D-12T stage's probe visits. -retries
+// re-attempts flows, probes included, that fail with transient errors;
+// -checkpoint journals completed flows to a binary evaluation journal so
+// an interrupted evaluation resumes without repeating work (designdb
+// inspect prints the journal as text); -resilience prints the per-flow
+// fault/retry/degradation table.
 //
-// -resume-from-place splits every configuration flow in two at the
-// placement boundary through the binary design database: each flow saves
-// its design into the named directory after placement, then a second run
-// loads the file and finishes the remaining stages. Results are
+// -resume-from-place splits every flow, the f_max probes included, in two
+// at the placement boundary through the binary design database: each
+// flow saves its design into the named directory after placement, then a
+// second run loads the file and finishes the remaining stages. Results are
 // byte-identical to uninterrupted flows; the saved databases stay on
 // disk for designdb inspect/verify.
 package main

@@ -29,7 +29,9 @@ func main() {
 	}
 	fmt.Printf("aes: %d cells\n", src.ComputeStats().Cells)
 
-	fmax, err := core.FindFmax(context.Background(), src, core.Config2D12T, core.DefaultFmaxOptions())
+	// The search's returned probe is the 2D-12T flow at f_max.
+	fmax, best2d, err := core.FindFmax(context.Background(), core.DefaultFmaxOptions(),
+		core.FlowProbe(src, core.Config2D12T, core.DefaultOptions(1)))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,13 +39,16 @@ func main() {
 
 	t := report.NewTable("AES across the five configurations",
 		"Config", "Si mm²", "WL m", "MIVs", "P mW", "WNS ns", "met", "PDP pJ", "Cost µC'", "PPC")
-	var het, best2d *core.PPAC
+	var het *core.PPAC
 	for _, cfg := range core.AllConfigs {
-		r, err := core.Run(context.Background(), src, cfg, core.DefaultOptions(fmax))
-		if err != nil {
-			log.Fatal(err)
+		p := best2d
+		if cfg != core.Config2D12T {
+			r, err := core.Run(context.Background(), src, cfg, core.DefaultOptions(fmax))
+			if err != nil {
+				log.Fatal(err)
+			}
+			p = r.PPAC
 		}
-		p := r.PPAC
 		t.AddRowf(string(cfg),
 			fmt.Sprintf("%.4f", p.SiAreaMM2),
 			fmt.Sprintf("%.3f", p.WLm),
@@ -56,9 +61,6 @@ func main() {
 			fmt.Sprintf("%.1f", p.PPC))
 		if cfg == core.ConfigHetero {
 			het = p
-		}
-		if cfg == core.Config2D12T {
-			best2d = p
 		}
 	}
 	if err := t.Render(os.Stdout); err != nil {

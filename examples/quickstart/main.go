@@ -30,7 +30,8 @@ func main() {
 
 	// 2. Find the design's 2D-12T maximum frequency — the paper's
 	//    iso-performance target for every implementation.
-	fmax, err := core.FindFmax(context.Background(), src, core.Config2D12T, core.DefaultFmaxOptions())
+	fmax, _, err := core.FindFmax(context.Background(), core.DefaultFmaxOptions(),
+		core.FlowProbe(src, core.Config2D12T, core.DefaultOptions(1)))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -108,7 +108,7 @@ func TestFindFmaxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	_, err := FindFmax(ctx, src, Config2D12T, DefaultFmaxOptions())
+	_, _, err := FindFmax(ctx, DefaultFmaxOptions(), FlowProbe(src, Config2D12T, DefaultOptions(1)))
 	if err == nil {
 		t.Fatal("cancelled fmax search succeeded")
 	}

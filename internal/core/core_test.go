@@ -236,22 +236,26 @@ func TestFindFmax(t *testing.T) {
 	src := genSrc(t, designs.AES, 0.04)
 	opt := DefaultFmaxOptions()
 	opt.Iterations = 4
-	f, err := FindFmax(context.Background(), src, Config2D12T, opt)
+	f, p, err := FindFmax(context.Background(), opt, FlowProbe(src, Config2D12T, DefaultOptions(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f < opt.LoGHz || f > opt.HiGHz {
 		t.Fatalf("fmax %v outside bracket", f)
 	}
-	// The found frequency must actually be achievable.
+	// The found frequency must actually be achievable, and the returned
+	// value is the probe at that frequency: a fresh run there repeats it.
+	if p.WNS < -opt.SlackFrac/f {
+		t.Errorf("fmax %v not met: WNS %v", f, p.WNS)
+	}
 	r, err := Run(context.Background(), src, Config2D12T, DefaultOptions(f))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.PPAC.WNS < -opt.SlackFrac/f {
-		t.Errorf("fmax %v not met: WNS %v", f, r.PPAC.WNS)
+	if *r.PPAC != *p {
+		t.Errorf("returned probe differs from a run at fmax %v:\nprobe %+v\nrun   %+v", f, *p, *r.PPAC)
 	}
-	if _, err := FindFmax(context.Background(), src, Config2D12T, FmaxOptions{LoGHz: 5, HiGHz: 1}); err == nil {
+	if _, _, err := FindFmax(context.Background(), FmaxOptions{LoGHz: 5, HiGHz: 1}, FlowProbe(src, Config2D12T, DefaultOptions(1))); err == nil {
 		t.Error("bad bracket should fail")
 	}
 }

@@ -68,8 +68,10 @@ type ckptRecord struct {
 }
 
 // Checkpoint is an open evaluation journal: the completed work loaded
-// from it plus an append handle for new completions. Safe for concurrent
-// use by the suite's worker pool.
+// from it when it was opened, plus an append handle for new completions
+// (which only a later open serves). Safe for concurrent use by the
+// suite's worker pool. A nil *Checkpoint is no journal: it holds
+// nothing, and its Put methods write nothing.
 type Checkpoint struct {
 	path string
 
@@ -225,6 +227,9 @@ func (c *Checkpoint) index(recs []ckptRecord) {
 // append encodes one record and writes it with a single Write call.
 // Callers hold no lock; append takes it.
 func (c *Checkpoint) append(rec any) error {
+	if c == nil {
+		return nil
+	}
 	b, err := appendRecordFrame(nil, rec)
 	if err != nil {
 		return fmt.Errorf("eval: checkpoint %s: %w", c.path, err)
@@ -246,27 +251,26 @@ func (c *Checkpoint) write(b []byte) error {
 
 // Fmax returns a design's checkpointed f_max search result, if present.
 func (c *Checkpoint) Fmax(n designs.Name) (fmaxGHz float64, cells int, ok bool) {
+	if c == nil {
+		return 0, 0, false
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r, ok := c.fmax[n]
 	return r.FmaxGHz, r.Cells, ok
 }
 
-// PutFmax records a completed f_max search.
+// PutFmax journals a completed f_max search.
 func (c *Checkpoint) PutFmax(n designs.Name, cells int, fmaxGHz float64) error {
-	rec := ckptFmax{Design: string(n), Cells: cells, FmaxGHz: fmaxGHz}
-	if err := c.append(&rec); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.fmax[n] = rec
-	c.mu.Unlock()
-	return nil
+	return c.append(&ckptFmax{Design: string(n), Cells: cells, FmaxGHz: fmaxGHz})
 }
 
 // Flow returns a checkpointed flow record, if present. A record loaded
 // from the file is marked Restored and has no layout.
 func (c *Checkpoint) Flow(design designs.Name, cfg core.ConfigName) (*FlowRecord, bool) {
+	if c == nil {
+		return nil, false
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rec, ok := c.flows[flowKey{design, cfg}]
@@ -275,13 +279,7 @@ func (c *Checkpoint) Flow(design designs.Name, cfg core.ConfigName) (*FlowRecord
 
 // PutFlow journals a finished flow's record.
 func (c *Checkpoint) PutFlow(rec *FlowRecord) error {
-	if err := c.append(rec); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.flows[flowKey{rec.Design, rec.Config}] = rec
-	c.mu.Unlock()
-	return nil
+	return c.append(rec)
 }
 
 // Close closes the append handle; the loaded records stay readable.

@@ -119,14 +119,16 @@ func TestRunSuiteDeadline(t *testing.T) {
 	}
 }
 
-// The LogSink must receive one FmaxDone per design and one ConfigDone per
-// (design, config) cell, and the suite must populate Results identically.
+// An AES-only suite reports one FmaxDone and one ConfigDone per config.
+// Its 2D-12T flows are the f_max probes: every 2D-12T stage event,
+// sign-off included, arrives before FmaxDone, and no 2D-12T flow runs
+// after it.
 func TestRunSuiteEvents(t *testing.T) {
-	sink := &countingSink{}
+	log := &eventLog{}
 	opt := DefaultSuiteOptions(0.02)
 	opt.FmaxIterations = 2
 	opt.Designs = []designs.Name{designs.AES}
-	opt.Events = sink
+	opt.Events = log
 	s, err := RunSuite(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
@@ -134,14 +136,23 @@ func TestRunSuiteEvents(t *testing.T) {
 	if got := layoutFlows(s); len(got) != 0 {
 		t.Errorf("an AES-only suite kept layouts for %v; no figure draws AES", got)
 	}
-	if got := sink.fmax.Load(); got != 1 {
-		t.Errorf("FmaxDone called %d times, want 1", got)
+	nFmax, fmaxAt, _ := log.count("fmax aes")
+	if nFmax != 1 {
+		t.Errorf("FmaxDone called %d times, want 1", nFmax)
 	}
-	if got := sink.configs.Load(); got != int32(len(core.AllConfigs)) {
+	if got, _, _ := log.count("config "); got != len(core.AllConfigs) {
 		t.Errorf("ConfigDone called %d times, want %d", got, len(core.AllConfigs))
 	}
-	if sink.stageStarts.Load() == 0 || sink.stageDones.Load() != sink.stageStarts.Load() {
-		t.Errorf("stage events unbalanced: %d starts, %d dones",
-			sink.stageStarts.Load(), sink.stageDones.Load())
+	starts, _, _ := log.count("start ")
+	if dones, _, _ := log.count("done "); starts == 0 || dones != starts {
+		t.Errorf("stage events unbalanced: %d starts, %d dones", starts, dones)
+	}
+	signoffs, _, lastSignoff := log.count("done aes/2D-12T/" + core.StageSignoff)
+	if signoffs == 0 || lastSignoff > fmaxAt {
+		t.Errorf("%d 2D-12T sign-offs, the last at event %d, FmaxDone at %d; want all inside the search",
+			signoffs, lastSignoff, fmaxAt)
+	}
+	if _, _, lastStart := log.count("start aes/2D-12T/"); lastStart > fmaxAt {
+		t.Errorf("a 2D-12T stage started at event %d, after FmaxDone at %d", lastStart, fmaxAt)
 	}
 }

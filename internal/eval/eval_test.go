@@ -10,8 +10,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cell"
 	"repro/internal/core"
 	"repro/internal/designs"
+	"repro/internal/tech"
 )
 
 // One tiny suite shared by all tests in this package (building it runs
@@ -161,7 +163,7 @@ func TestTableIV(t *testing.T) {
 }
 
 func TestTableV(t *testing.T) {
-	tb, err := TableV(0.02, 1)
+	tb, err := testSuite(t).TableV()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,17 +173,16 @@ func TestTableV(t *testing.T) {
 			t.Errorf("Table V missing %q:\n%s", want, out)
 		}
 	}
+	if _, err := (&Suite{Opt: DefaultSuiteOptions(0.02)}).TableV(); err == nil {
+		t.Error("Table V of a suite without the CPU should fail")
+	}
 }
 
-// TestTableVSeed: Table V runs its f_max search and both flows at the
-// seed it is given, so its Hetero-Pin-3D column is the suite's CPU
-// Hetero-M3D flow at that seed.
+// TestTableVSeed: Table V's Hetero-Pin-3D column is the suite's CPU
+// Hetero-M3D record, and its Pin-3D column is the plain flow run at the
+// suite's scale, seed and CPU f_max.
 func TestTableVSeed(t *testing.T) {
 	const scale, seed = 0.02, 2
-	tb, err := TableV(scale, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
 	opt := DefaultSuiteOptions(scale)
 	opt.Seed = seed
 	opt.Designs = []designs.Name{designs.CPU}
@@ -190,21 +191,38 @@ func TestTableVSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := s.Results[designs.CPU][core.ConfigHetero].PPAC
-	want := map[string]string{
-		"Frequency":   fmt.Sprintf("%.3f", s.Fmax[designs.CPU]),
-		"WL":          fmt.Sprintf("%.3f", p.WLm),
-		"WNS":         fmt.Sprintf("%+.3f", p.WNS),
-		"Total Power": fmt.Sprintf("%.1f", p.PowerMW),
+	tb, err := s.TableV()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := designs.Generate(designs.CPU, cell.NewLibrary(tech.Variant12T()),
+		designs.Params{Scale: scale, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmax := s.Fmax[designs.CPU]
+	plain := core.DefaultOptions(fmax)
+	plain.Seed = seed
+	plain.EnableTimingPartition, plain.Enable3DCTS, plain.EnableRepartition = false, false, false
+	r, err := core.Run(context.Background(), src, core.ConfigHetero, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, h := r.PPAC, s.Results[designs.CPU][core.ConfigHetero].PPAC
+	want := map[string][2]string{
+		"Frequency":   {fmt.Sprintf("%.3f", fmax), fmt.Sprintf("%.3f", fmax)},
+		"WL":          {fmt.Sprintf("%.3f", p.WLm), fmt.Sprintf("%.3f", h.WLm)},
+		"WNS":         {fmt.Sprintf("%+.3f", p.WNS), fmt.Sprintf("%+.3f", h.WNS)},
+		"Total Power": {fmt.Sprintf("%.1f", p.PowerMW), fmt.Sprintf("%.1f", h.PowerMW)},
 	}
 	out := tb.String()
 	for metric, v := range want {
 		found := false
 		for _, line := range strings.Split(out, "\n") {
-			if f := strings.Fields(line); strings.HasPrefix(line, metric+" ") && len(f) > 0 {
+			if f := strings.Fields(line); strings.HasPrefix(line, metric+" ") && len(f) >= 2 {
 				found = true
-				if got := f[len(f)-1]; got != v {
-					t.Errorf("Table V %s: Hetero-Pin-3D %s, suite at seed %d %s", metric, got, seed, v)
+				if got := [2]string{f[len(f)-2], f[len(f)-1]}; got != v {
+					t.Errorf("Table V %s: Pin-3D, Hetero-Pin-3D = %v, want %v (seed %d)", metric, got, v, seed)
 				}
 			}
 		}

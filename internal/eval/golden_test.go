@@ -73,7 +73,7 @@ func tableRenders(t *testing.T, s *Suite) map[string]string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t5, err := TableV(s.Opt.Scale, s.Opt.Seed)
+	t5, err := s.TableV()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,9 @@
 // package.
 //
 // RunSuite is a parallel orchestrator: the per-design f_max searches run
-// concurrently, then each design's configurations fan out as independent
-// worker-pool jobs (bounded by SuiteOptions.Workers). Every flow is
+// concurrently, then each design's other configurations fan out as
+// independent worker-pool jobs (bounded by SuiteOptions.Workers); the
+// search's returned probe is the design's 2D-12T flow. Every flow is
 // deterministic given its seed, so the results are identical at any
 // worker count.
 //
@@ -65,7 +66,7 @@ type SuiteOptions struct {
 	Designs []designs.Name
 	// Configs to implement (default: all five).
 	Configs []core.ConfigName
-	// FmaxIterations bounds the per-design frequency search.
+	// FmaxIterations bounds the per-design frequency search (0 = core's).
 	FmaxIterations int
 	// Workers bounds the number of concurrently executing flow jobs —
 	// f_max searches and per-config implementations share the pool.
@@ -83,32 +84,32 @@ type SuiteOptions struct {
 	// LogSink adapts the events back to log lines for CLI use.
 	Events EventSink
 	// Check runs the design-integrity checker at stage boundaries of
-	// every configuration implementation (not the f_max probes, which
-	// exist only to steer the frequency search). Error-severity findings
-	// fail the owning flow and therefore the suite. Empty means off.
+	// every flow, the f_max probes included (a probe may be the design's
+	// 2D-12T result). Error-severity findings fail the owning flow and
+	// therefore the suite. Empty means off.
 	Check core.CheckMode
-	// Retry is the per-flow retry policy: a configuration flow failing
-	// with a transient (flow.Retryable) error re-attempts with a fresh
-	// derived seed and capped exponential backoff. The zero value runs
-	// each flow once. The f_max searches are not retried — their probes
-	// only steer the search.
+	// Retry is the per-flow retry policy: a flow failing with a
+	// transient (flow.Retryable) error, f_max probes included,
+	// re-attempts with a fresh derived seed and capped exponential
+	// backoff. The zero value runs each flow once.
 	Retry flow.RetryPolicy
 	// Checkpoint is the path of the resumable journal ("" = off): every
 	// completed f_max search and flow is appended as it finishes, and a
 	// rerun with the same options serves completed work from the journal,
 	// producing byte-identical tables.
 	Checkpoint string
-	// Fault is the fault-injection plan armed in every configuration
-	// flow; nil = no injection. The f_max probes are exempt, like Check.
+	// Fault is the fault-injection plan armed in every flow, f_max probes
+	// included, so an injection's occurrence counts probe visits too;
+	// nil = no injection.
 	Fault *fault.Plan
-	// ResumeFromPlace, when set to a directory, runs every configuration
-	// flow in two legs through the binary design database: a truncated
-	// leg that saves the design right after placement, then a second
-	// flow that loads the saved file and runs the remaining stages. The
-	// suite's results must be byte-identical either way — this is the
-	// determinism harness for the save/restore path, not a performance
-	// feature. Excluded from the checkpoint header: it changes how
-	// results are computed, never what they are.
+	// ResumeFromPlace, when set to a directory, runs every flow, f_max
+	// probes included, in two legs through the binary design database: a
+	// truncated leg that saves the design right after placement, then a
+	// second flow that loads the saved file and runs the remaining
+	// stages. The suite's results must be byte-identical either way —
+	// this is the determinism harness for the save/restore path, not a
+	// performance feature. Excluded from the checkpoint header: it
+	// changes how results are computed, never what they are.
 	ResumeFromPlace string
 }
 
@@ -131,7 +132,7 @@ func DefaultSuiteOptions(scale float64) SuiteOptions {
 		Seed:           1,
 		Designs:        append([]designs.Name{}, designs.All...),
 		Configs:        append([]core.ConfigName{}, core.AllConfigs...),
-		FmaxIterations: 5,
+		FmaxIterations: core.DefaultFmaxOptions().Iterations,
 	}
 }
 
@@ -192,14 +193,35 @@ func badNames[T ~string](bad []string, kind string, names, known []T) []string {
 	return bad
 }
 
-// shield runs fn behind a panic barrier: a panicking job surfaces as a
-// stage-attributed *flow.Error instead of unwinding the worker goroutine
-// — one crashed flow can fail the suite, never the process or its
-// sibling workers. (Stage panics are already recovered inside flow.Run;
-// this catches everything outside the pipeline: generation, result
-// bookkeeping, the flow drivers' own setup.)
-func shield(design, config string, fn func() error) error {
-	return flow.Shield(design, config, "worker", fn)
+// runFlow implements design name in cfg at clockGHz under the suite's
+// options and returns the finished flow's record. The f_max probes and
+// the configuration jobs both build their flows with it.
+func runFlow(ctx context.Context, opt SuiteOptions, flowWorkers int, src *netlist.Design,
+	name designs.Name, cfg core.ConfigName, clockGHz float64) (*FlowRecord, error) {
+	o := core.DefaultOptions(clockGHz)
+	o.Seed = opt.Seed
+	o.Events = opt.Events
+	o.Check = opt.Check
+	o.Fault = opt.Fault
+	o.FlowWorkers = flowWorkers
+	if opt.ResumeFromPlace != "" {
+		// Leg 1: run to placement and save the design database. Leg 2
+		// below resumes from it.
+		dbPath := filepath.Join(opt.ResumeFromPlace, fmt.Sprintf("%s-%s.db", name, cfg))
+		save := o
+		save.SaveDesign = dbPath
+		save.SaveAfter = core.StagePlace
+		save.StopAfter = core.StagePlace
+		if _, err := core.Run(ctx, src, cfg, save); err != nil {
+			return nil, fmt.Errorf("eval: save leg %s/%s: %w", name, cfg, err)
+		}
+		o.LoadDesign = dbPath
+	}
+	r, _, err := core.RunWithRetry(ctx, src, cfg, o, opt.Retry)
+	if err != nil {
+		return nil, err
+	}
+	return newFlowRecord(name, cfg, r)
 }
 
 // RunSuite executes the evaluation under ctx. Cancelling ctx (or hitting
@@ -256,7 +278,9 @@ func RunSuite(ctx context.Context, opt SuiteOptions) (*Suite, error) {
 	}
 
 	// The pool: a limiter bounds concurrently executing jobs; the first
-	// failure cancels every other job via jctx.
+	// failure cancels every other job via jctx. Each job runs behind
+	// flow.Shield, so a panic outside the pipeline (generation, result
+	// bookkeeping) fails the suite with attribution, never the process.
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	slots := par.NewLimiter(workers)
@@ -279,26 +303,21 @@ func RunSuite(ctx context.Context, opt SuiteOptions) (*Suite, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var (
-				src   *netlist.Design
-				fmax  float64
-				cells int
-			)
-			haveFmax := false
-			if ck != nil {
-				fmax, cells, haveFmax = ck.Fmax(name)
-			}
-			// Generation is needed unless every piece of this design's
-			// work is already in the journal.
+			// The journal serves a search only together with the 2D-12T
+			// flow it returns. Generation is needed unless every piece
+			// of this design's work is journaled.
+			fmax, cells, haveFmax := ck.Fmax(name)
 			needSrc := !haveFmax
-			if ck != nil && !needSrc {
-				for _, cfg := range opt.Configs {
-					if _, ok := ck.Flow(name, cfg); !ok {
-						needSrc = true
-						break
-					}
+			for _, cfg := range opt.Configs {
+				if _, ok := ck.Flow(name, cfg); !ok {
+					needSrc = true
+					haveFmax = haveFmax && cfg != core.Config2D12T
 				}
 			}
+			var (
+				src   *netlist.Design
+				rec12 *FlowRecord // the search's returned probe
+			)
 			if needSrc {
 				// Generation and the f_max search occupy one worker
 				// slot; the search itself is sequential (each probe's
@@ -306,32 +325,36 @@ func RunSuite(ctx context.Context, opt SuiteOptions) (*Suite, error) {
 				if slots.Acquire(jctx) != nil {
 					return
 				}
-				err := shield(string(name), "", func() error {
+				err := flow.Shield(string(name), "", "worker", func() error {
 					d, err := designs.Generate(name, lib12, designs.Params{Scale: opt.Scale, Seed: opt.Seed})
 					if err != nil {
 						return fmt.Errorf("eval: generate %s: %w", name, err)
 					}
 					src = d
-					if !haveFmax {
-						fopt := core.DefaultFmaxOptions()
-						if opt.FmaxIterations > 0 {
-							fopt.Iterations = opt.FmaxIterations
-						}
-						fopt.Flow.Seed = opt.Seed
-						fopt.Flow.Events = opt.Events
-						fopt.Flow.FlowWorkers = flowWorkers
-						fmax, err = core.FindFmax(jctx, d, core.Config2D12T, fopt)
-						if err != nil {
-							return fmt.Errorf("eval: fmax %s: %w", name, err)
-						}
-						cells = d.ComputeStats().Cells
-						if ck != nil {
-							if err := ck.PutFmax(name, cells, fmax); err != nil {
-								return err
-							}
-						}
+					if haveFmax {
+						return nil
 					}
-					return nil
+					fopt := core.DefaultFmaxOptions()
+					if opt.FmaxIterations > 0 {
+						fopt.Iterations = opt.FmaxIterations
+					}
+					fmax, rec12, err = core.FindFmax(jctx, fopt, func(ctx context.Context, f float64) (*FlowRecord, *core.PPAC, error) {
+						rec, err := runFlow(ctx, opt, flowWorkers, d, name, core.Config2D12T, f)
+						if err != nil {
+							return nil, nil, err
+						}
+						return rec, rec.PPAC, nil
+					})
+					if err != nil {
+						return fmt.Errorf("eval: fmax %s: %w", name, err)
+					}
+					cells = d.ComputeStats().Cells
+					if !slices.Contains(opt.Configs, core.Config2D12T) {
+						rec12 = nil
+					} else if err := ck.PutFlow(rec12); err != nil {
+						return err
+					}
+					return ck.PutFmax(name, cells, fmax)
 				})
 				slots.Release()
 				if err != nil {
@@ -346,72 +369,48 @@ func RunSuite(ctx context.Context, opt SuiteOptions) (*Suite, error) {
 				opt.Events.FmaxDone(string(name), cells, fmax)
 			}
 
-			// The design's configurations fan out as independent jobs.
+			// finish installs a finished flow's record and reports it.
+			finish := func(rec *FlowRecord) {
+				mu.Lock()
+				s.Results[name][rec.Config] = rec
+				mu.Unlock()
+				if opt.Events != nil {
+					opt.Events.ConfigDone(string(name), rec.Config, rec.PPAC)
+				}
+			}
+			// The design's other configurations fan out as independent
+			// jobs.
 			for _, cfg := range opt.Configs {
+				if cfg == core.Config2D12T && rec12 != nil {
+					finish(rec12)
+					continue
+				}
 				cfg := cfg
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					if ck != nil {
-						if rec, ok := ck.Flow(name, cfg); ok {
-							mu.Lock()
-							s.Results[name][cfg] = rec
-							mu.Unlock()
-							if opt.Events != nil {
-								opt.Events.ConfigDone(string(name), cfg, rec.PPAC)
-							}
-							return
-						}
+					if rec, ok := ck.Flow(name, cfg); ok {
+						finish(rec)
+						return
 					}
 					if slots.Acquire(jctx) != nil {
 						return
 					}
 					defer slots.Release()
 					var rec *FlowRecord
-					err := shield(string(name), string(cfg), func() error {
-						o := core.DefaultOptions(fmax)
-						o.Seed = opt.Seed
-						o.Events = opt.Events
-						o.Check = opt.Check
-						o.Fault = opt.Fault
-						o.FlowWorkers = flowWorkers
-						if opt.ResumeFromPlace != "" {
-							// Leg 1: run to placement and save the design
-							// database. Leg 2 below resumes from it.
-							dbPath := filepath.Join(opt.ResumeFromPlace,
-								fmt.Sprintf("%s-%s.db", name, cfg))
-							save := o
-							save.SaveDesign = dbPath
-							save.SaveAfter = core.StagePlace
-							save.StopAfter = core.StagePlace
-							if _, err := core.Run(jctx, src, cfg, save); err != nil {
-								return fmt.Errorf("eval: save leg %s/%s: %w", name, cfg, err)
-							}
-							o.LoadDesign = dbPath
-						}
-						r, _, err := core.RunWithRetry(jctx, src, cfg, o, opt.Retry)
-						if err != nil {
-							return err
-						}
-						rec, err = newFlowRecord(name, cfg, r)
+					err := flow.Shield(string(name), string(cfg), "worker", func() (err error) {
+						rec, err = runFlow(jctx, opt, flowWorkers, src, name, cfg, fmax)
 						return err
 					})
 					if err != nil {
 						fail(fmt.Errorf("eval: %w", err))
 						return
 					}
-					if ck != nil {
-						if err := ck.PutFlow(rec); err != nil {
-							fail(err)
-							return
-						}
+					if err := ck.PutFlow(rec); err != nil {
+						fail(err)
+						return
 					}
-					mu.Lock()
-					s.Results[name][cfg] = rec
-					mu.Unlock()
-					if opt.Events != nil {
-						opt.Events.ConfigDone(string(name), cfg, rec.PPAC)
-					}
+					finish(rec)
 				}()
 			}
 		}()

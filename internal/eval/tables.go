@@ -149,32 +149,25 @@ func TableIV() *report.Table {
 
 // TableV runs the Table V ablation: the CPU design through the plain
 // Pin-3D flow (heterogeneous tiers, no enhancements) versus the full
-// Hetero-Pin-3D flow, at the CPU's 2D-12T f_max.
-func TableV(scale float64, seed int64) (*report.Table, error) {
-	lib12 := cell.NewLibrary(tech.Variant12T())
-	src, err := designs.Generate(designs.CPU, lib12, designs.Params{Scale: scale, Seed: seed})
+// Hetero-Pin-3D flow, at the CPU's 2D-12T f_max. The Hetero-Pin-3D column
+// is the suite's CPU Hetero-M3D record; only the plain Pin-3D flow runs
+// here, at the suite's scale and seed.
+func (s *Suite) TableV() (*report.Table, error) {
+	fmax, rh := s.Fmax[designs.CPU], s.Results[designs.CPU][core.ConfigHetero]
+	if rh == nil {
+		return nil, fmt.Errorf("eval: Table V needs the CPU in %s", core.ConfigHetero)
+	}
+	src, err := designs.Generate(designs.CPU, cell.NewLibrary(tech.Variant12T()),
+		designs.Params{Scale: s.Opt.Scale, Seed: s.Opt.Seed})
 	if err != nil {
 		return nil, err
 	}
-	fopt := core.DefaultFmaxOptions()
-	fopt.Iterations = 5
-	fopt.Flow.Seed = seed
-	ctx := context.Background()
-	fmax, err := core.FindFmax(ctx, src, core.Config2D12T, fopt)
-	if err != nil {
-		return nil, err
-	}
-	full := core.DefaultOptions(fmax)
-	full.Seed = seed
-	plain := full
+	plain := core.DefaultOptions(fmax)
+	plain.Seed = s.Opt.Seed
 	plain.EnableTimingPartition = false
 	plain.Enable3DCTS = false
 	plain.EnableRepartition = false
-	rp, err := core.Run(ctx, src, core.ConfigHetero, plain)
-	if err != nil {
-		return nil, err
-	}
-	rh, err := core.Run(ctx, src, core.ConfigHetero, full)
+	rp, err := core.Run(context.Background(), src, core.ConfigHetero, plain)
 	if err != nil {
 		return nil, err
 	}

@@ -126,9 +126,9 @@ func (s *Server) designFor(name string, scale float64, seed int64) (*netlist.Des
 }
 
 // fmaxFor returns the cached 2D-12T f_max of a workload, searching on
-// first use with exactly the evaluation suite's recipe so a served PPAC
-// reproduces cmd/ppac's numbers.
-func (s *Server) fmaxFor(ctx context.Context, src *netlist.Design, req *PPACRequest, events flow.Sink, workers int) (float64, int, error) {
+// first use with exactly the evaluation suite's recipe, its probes run
+// under o, so a served PPAC reproduces cmd/ppac's numbers.
+func (s *Server) fmaxFor(ctx context.Context, src *netlist.Design, req *PPACRequest, o core.Options) (float64, int, error) {
 	key := fmt.Sprintf("%s|%d", designKey(req.Design, req.Scale, req.Seed), req.FmaxIterations)
 	s.mu.Lock()
 	e, ok := s.fmaxes[key]
@@ -149,10 +149,7 @@ func (s *Server) fmaxFor(ctx context.Context, src *netlist.Design, req *PPACRequ
 	if req.FmaxIterations > 0 {
 		fopt.Iterations = int(req.FmaxIterations)
 	}
-	fopt.Flow.Seed = req.Seed
-	fopt.Flow.Events = events
-	fopt.Flow.FlowWorkers = workers
-	e.fmax, e.err = core.FindFmax(ctx, src, core.Config2D12T, fopt)
+	e.fmax, _, e.err = core.FindFmax(ctx, fopt, core.FlowProbe(src, core.Config2D12T, o))
 	if e.err == nil {
 		e.cells = src.ComputeStats().Cells
 	} else {
@@ -538,20 +535,21 @@ func (c *serverConn) handlePPAC(ctx context.Context, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	fmax, cells, err := c.srv.fmaxFor(ctx, src, req, events, workers)
+	// The evaluation suite's exact flow recipe, for the f_max probes and
+	// for the flow at the searched f_max — this is what makes the served
+	// PPAC byte-identical to cmd/ppac's.
+	o := core.DefaultOptions(1)
+	o.Seed = req.Seed
+	o.Events = events
+	o.FlowWorkers = workers
+	fmax, cells, err := c.srv.fmaxFor(ctx, src, req, o)
 	if err != nil {
 		return err
 	}
 	if events != nil {
 		c.sink.FmaxDone(req.Design, cells, fmax)
 	}
-
-	// The evaluation suite's exact flow recipe at the searched f_max —
-	// this is what makes the served PPAC byte-identical to cmd/ppac's.
-	o := core.DefaultOptions(fmax)
-	o.Seed = req.Seed
-	o.Events = events
-	o.FlowWorkers = workers
+	o.ClockGHz = fmax
 	res, err := core.Run(ctx, src, cfg, o)
 	if err != nil {
 		return err
