@@ -5,7 +5,13 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/designs"
+	"repro/internal/fault"
+	"repro/internal/flow"
 )
 
 // TestGoldenTablesResumed is the design-database acceptance proof: the
@@ -61,5 +67,49 @@ func TestGoldenTablesResumed(t *testing.T) {
 	wantFiles := len(opt.Designs) * len(opt.Configs)
 	if len(matches) != wantFiles {
 		t.Errorf("%d databases saved, want %d", len(matches), wantFiles)
+	}
+}
+
+// TestResumeFromPlaceRetries: with ResumeFromPlace set, a retried attempt
+// saves its own place-boundary database under its own attempt seed
+// before loading it, so a transient fault after placement recovers
+// exactly as it does without the save/restore split: the suite succeeds
+// with a record equal to the uninterrupted run's.
+func TestResumeFromPlaceRetries(t *testing.T) {
+	run := func(resumeDir string) *FlowRecord {
+		t.Helper()
+		plan, err := fault.ParseSpec("aes/Hetero-M3D/timing-repair@1=error:retryable")
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := DefaultSuiteOptions(0.02)
+		opt.FmaxIterations = 3
+		opt.Designs = []designs.Name{designs.AES}
+		opt.Configs = []core.ConfigName{core.ConfigHetero}
+		opt.Fault = plan
+		opt.Retry = flow.RetryPolicy{Attempts: 2}
+		opt.ResumeFromPlace = resumeDir
+		s, err := RunSuite(context.Background(), opt)
+		if err != nil {
+			t.Fatalf("resume-from-place %q: a retried transient fault failed the suite: %v", resumeDir, err)
+		}
+		if n := len(plan.Fired()); n != 1 {
+			t.Fatalf("resume-from-place %q: %d injections fired, want 1", resumeDir, n)
+		}
+		return s.Results[designs.AES][core.ConfigHetero]
+	}
+	want := run("")
+	got := run(t.TempDir())
+	if got.Attempts != 2 || want.Attempts != 2 {
+		t.Fatalf("attempts = %d resumed, %d uninterrupted; want 2 each", got.Attempts, want.Attempts)
+	}
+	if !reflect.DeepEqual(got.PPAC, want.PPAC) {
+		t.Errorf("resumed PPAC %+v != uninterrupted %+v", got.PPAC, want.PPAC)
+	}
+	if !reflect.DeepEqual(got.Dive, want.Dive) {
+		t.Errorf("resumed deep dive differs from the uninterrupted run's")
+	}
+	if !reflect.DeepEqual(got.Degraded, want.Degraded) || !reflect.DeepEqual(got.Checks, want.Checks) {
+		t.Errorf("resumed degradations/checks %v/%v != uninterrupted %v/%v", got.Degraded, got.Checks, want.Degraded, want.Checks)
 	}
 }

@@ -204,23 +204,33 @@ func runFlow(ctx context.Context, opt SuiteOptions, flowWorkers int, src *netlis
 	o.Check = opt.Check
 	o.Fault = opt.Fault
 	o.FlowWorkers = flowWorkers
-	if opt.ResumeFromPlace != "" {
-		// Leg 1: run to placement and save the design database. Leg 2
-		// below resumes from it.
-		dbPath := filepath.Join(opt.ResumeFromPlace, fmt.Sprintf("%s-%s.db", name, cfg))
-		save := o
-		save.SaveDesign = dbPath
-		save.SaveAfter = core.StagePlace
-		save.StopAfter = core.StagePlace
-		if _, err := core.Run(ctx, src, cfg, save); err != nil {
-			return nil, fmt.Errorf("eval: save leg %s/%s: %w", name, cfg, err)
+	// Each attempt runs at its own derived seed, so under ResumeFromPlace
+	// each attempt saves its own placement (leg 1) before resuming from
+	// it (leg 2): a database saved under another attempt's seed does not
+	// load.
+	var r *core.Result
+	trace, err := opt.Retry.Do(ctx, o.Seed, func(_ int, seed int64) error {
+		a := o
+		a.Seed = seed
+		if opt.ResumeFromPlace != "" {
+			dbPath := filepath.Join(opt.ResumeFromPlace, fmt.Sprintf("%s-%s.db", name, cfg))
+			save := a
+			save.SaveDesign = dbPath
+			save.SaveAfter = core.StagePlace
+			save.StopAfter = core.StagePlace
+			if _, err := core.Run(ctx, src, cfg, save); err != nil {
+				return fmt.Errorf("eval: save leg %s/%s: %w", name, cfg, err)
+			}
+			a.LoadDesign = dbPath
 		}
-		o.LoadDesign = dbPath
-	}
-	r, _, err := core.RunWithRetry(ctx, src, cfg, o, opt.Retry)
+		var err error
+		r, err = core.Run(ctx, src, cfg, a)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
+	r.Attempts = trace.Attempts
 	return newFlowRecord(name, cfg, r)
 }
 

@@ -467,33 +467,6 @@ func TestInstancesOnTier(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	d := buildMini(t)
-	d.Instance("u1").Loc = geom.Pt(7, 8)
-	d.Instance("u2").Tier = tech.TierTop
-	c, err := d.Clone("mini2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Instance("u1").Loc != geom.Pt(7, 8) {
-		t.Error("clone lost location")
-	}
-	if c.Instance("u2").Tier != tech.TierTop {
-		t.Error("clone lost tier")
-	}
-	if c.Net("clk") == nil || !c.Net("clk").IsClock {
-		t.Error("clone lost clock flag")
-	}
-	// Mutating the clone must not affect the original.
-	c.Instance("u1").Loc = geom.Pt(0, 0)
-	if d.Instance("u1").Loc != geom.Pt(7, 8) {
-		t.Error("clone aliases original")
-	}
-}
-
 func TestCloneIntoRetarget(t *testing.T) {
 	d := buildMini(t)
 	c, err := d.CloneInto("mini9t", func(m *cell.Master) (*cell.Master, error) {

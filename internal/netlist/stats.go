@@ -126,7 +126,98 @@ func (d *Design) CloneInto(name string, pick func(*cell.Master) (*cell.Master, e
 	return nd, nil
 }
 
-// Clone returns an identical deep copy of the design.
-func (d *Design) Clone(name string) (*Design, error) {
-	return d.CloneInto(name, func(m *cell.Master) (*cell.Master, error) { return m, nil })
+// Clone returns an exact structural copy of the design: the same name,
+// dense IDs, instance/net/port names, pin bindings, sink and sink-port
+// orders, physical state and change-journal revisions (topology, per
+// instance, per net), so every revision-keyed view built over d — an RC
+// store's slots, a Timer's baselines — is valid over the copy as is.
+// The copy shares only the immutable cell masters; its instances journal
+// into the copy, so mutating it moves no revision of d. Objects are
+// allocated in slabs and the name maps pre-sized: this is the fork a
+// what-if session pays instead of decoding a design database. d must be
+// quiescent and structurally consistent (every pin reference and port
+// net belongs to d).
+func (d *Design) Clone() *Design {
+	nd := &Design{
+		Name:       d.Name,
+		Instances:  make([]*Instance, len(d.Instances)),
+		Nets:       make([]*Net, len(d.Nets)),
+		Ports:      make([]*Port, len(d.Ports)),
+		instByName: make(map[string]*Instance, len(d.Instances)),
+		netByName:  make(map[string]*Net, len(d.Nets)),
+		portByName: make(map[string]*Port, len(d.Ports)),
+		jn: journal{
+			topoRev: d.jn.topoRev,
+			maxTopo: d.jn.maxTopo,
+			instRev: append([]uint64(nil), d.jn.instRev...),
+			netRev:  append([]uint64(nil), d.jn.netRev...),
+		},
+	}
+	insts := make([]Instance, len(d.Instances))
+	nets := make([]Net, len(d.Nets))
+	ports := make([]Port, len(d.Ports))
+	portOf := make(map[*Port]*Port, len(d.Ports))
+	for i, p := range d.Ports {
+		np := &ports[i]
+		*np = *p
+		if p.Net != nil {
+			np.Net = &nets[p.Net.ID]
+		}
+		nd.Ports[i] = np
+		nd.portByName[np.Name] = np
+		portOf[p] = np
+	}
+
+	pins, sinks, sinkPorts := 0, 0, 0
+	for _, inst := range d.Instances {
+		pins += len(inst.nets)
+	}
+	for _, n := range d.Nets {
+		sinks += len(n.Sinks)
+		sinkPorts += len(n.SinkPorts)
+	}
+	pinSlab := make([]*Net, pins)
+	sinkSlab := make([]PinRef, sinks)
+	portSlab := make([]*Port, sinkPorts)
+	for i, inst := range d.Instances {
+		ni := &insts[i]
+		*ni = *inst
+		ni.design = nd
+		k := len(inst.nets)
+		ni.nets, pinSlab = pinSlab[:k:k], pinSlab[k:]
+		for pi, n := range inst.nets {
+			if n != nil {
+				ni.nets[pi] = &nets[n.ID]
+			}
+		}
+		nd.Instances[i] = ni
+		nd.instByName[ni.Name] = ni
+	}
+	ref := func(p PinRef) PinRef {
+		if p.Inst == nil {
+			return p
+		}
+		return PinRef{Inst: &insts[p.Inst.ID], Pin: p.Pin}
+	}
+	for i, n := range d.Nets {
+		nn := &nets[i]
+		*nn = *n
+		nn.Driver = ref(n.Driver)
+		if n.DriverPort != nil {
+			nn.DriverPort = portOf[n.DriverPort]
+		}
+		k := len(n.Sinks)
+		nn.Sinks, sinkSlab = sinkSlab[:k:k], sinkSlab[k:]
+		for si, s := range n.Sinks {
+			nn.Sinks[si] = ref(s)
+		}
+		k = len(n.SinkPorts)
+		nn.SinkPorts, portSlab = portSlab[:k:k], portSlab[k:]
+		for si, p := range n.SinkPorts {
+			nn.SinkPorts[si] = portOf[p]
+		}
+		nd.Nets[i] = nn
+		nd.netByName[nn.Name] = nn
+	}
+	return nd
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"repro/internal/netlist"
 )
@@ -48,16 +49,21 @@ type Cache struct {
 	pooled bool
 	// slots is indexed by net ID.
 	slots []slot
+	// shared is set once the store has been forked: its RCs may now be
+	// read by forks, so a re-extraction here recycles nothing.
+	shared atomic.Bool
 }
 
 // slot is one net's extraction, the journal revision it was taken at,
 // and the net's own lookup counters (summed by Stats, so a fan-out's
-// work items never share a counter).
+// work items never share a counter). borrowed marks an RC copied from
+// the store this one was forked from: it is read here, never recycled.
 type slot struct {
 	rc           *NetRC
 	rev          uint64
 	hits, misses uint32
 	valid        bool
+	borrowed     bool
 }
 
 // NewCache wraps an extractor (usually a *Router) with revision-keyed
@@ -94,10 +100,33 @@ func (c *Cache) Extract(n *netlist.Net) *NetRC {
 		return s.rc
 	}
 	s.misses++
-	old := s.rc
-	s.rc, s.rev, s.valid = c.inner.Extract(n), rev, true
-	c.recycle(old)
+	old, owned := s.rc, !s.borrowed && !c.shared.Load()
+	s.rc, s.rev, s.valid, s.borrowed = c.inner.Extract(n), rev, true, false
+	if owned {
+		c.recycle(old)
+	}
 	return s.rc
+}
+
+// Fork returns a store over d, an exact copy of this store's design
+// (netlist.Design.Clone: same net IDs, same journal revisions), whose
+// slots start as this store's: every valid slot stays a hit at its
+// revision, sharing this store's RC. Counters start at zero. The fork
+// treats the shared RCs as read-only: it never writes, poisons or
+// recycles an RC it did not extract itself, and once forked this store
+// recycles nothing either, since its RCs now have readers it cannot
+// see. Forks may be taken concurrently with each other and with reads;
+// the store must not extract while a fork is being taken.
+//
+//pool:boundary forks share the store's published NetRC results read-only
+func (c *Cache) Fork(d *netlist.Design) *Cache {
+	c.shared.Store(true)
+	f := &Cache{inner: c.inner, d: d, pooled: c.pooled, slots: make([]slot, len(c.slots))}
+	for i := range c.slots {
+		s := &c.slots[i]
+		f.slots[i] = slot{rc: s.rc, rev: s.rev, valid: s.valid, borrowed: s.rc != nil}
+	}
+	return f
 }
 
 // Refresh re-extracts n when its slot is stale. Unlike Extract it counts
@@ -239,7 +268,7 @@ func (c *Cache) Poison(seed int64) int {
 		bad.WireLen = math.Nextafter(bad.WireLen, math.MaxFloat64) + 1e-9
 		bad.SinkR = append([]float64(nil), s.rc.SinkR...)
 		bad.SinkCapShare = append([]float64(nil), s.rc.SinkCapShare...)
-		s.rc = &bad
+		s.rc, s.borrowed = &bad, false
 		poisoned++
 	}
 	return poisoned

@@ -2,6 +2,7 @@ package route
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -51,6 +52,54 @@ func TestCacheRecyclesReplaced(t *testing.T) {
 		}
 	}
 	t.Fatal("the RC a re-extraction replaced never returned to the free list")
+}
+
+// TestCacheFork pins the fork's sharing rule: a fork starts with the
+// source's slots as hits (the same RCs, zero counters) on the source
+// design's exact copy, and re-extracting a moved net on either side
+// replaces the slot without recycling the shared RC or writing to it.
+func TestCacheFork(t *testing.T) {
+	d, mid := cacheDesign(t)
+	r := New()
+	base := NewCache(r, d)
+	held := base.Extract(mid)
+	want := *held
+	want.SinkR = append([]float64(nil), held.SinkR...)
+	want.SinkCapShare = append([]float64(nil), held.SinkCapShare...)
+
+	c := d.Clone()
+	f := base.Fork(c)
+	if s := f.Stats(); s != (CacheStats{}) {
+		t.Fatalf("fork starts with counters %+v, want zero", s)
+	}
+	if got := f.Extract(c.Net("mid")); got != held {
+		t.Fatal("fork does not serve the source's extraction at the same revision")
+	}
+	if s := f.Stats(); s.Hits != 1 || s.Misses != 0 {
+		t.Fatalf("fork counters %+v after one lookup, want one hit", s)
+	}
+
+	// The fork and then the source re-extract the net; neither hands
+	// the shared RC to the free list.
+	c.Instance("i2").SetLoc(geom.Pt(30, 5))
+	if f.Extract(c.Net("mid")) == held {
+		t.Fatal("fork served a stale extraction of a moved net")
+	}
+	d.Instance("i2").SetLoc(geom.Pt(40, 9))
+	if base.Extract(mid) == held {
+		t.Fatal("source served a stale extraction of a moved net")
+	}
+	for i := 0; i < 64; i++ {
+		rc := r.Extract(d.Net("out"))
+		if rc == held {
+			t.Fatal("a shared RC went back to the free list")
+		}
+		RecycleRC(rc)
+	}
+	if held.WireCap != want.WireCap || held.WireLen != want.WireLen || held.MIVs != want.MIVs ||
+		!slices.Equal(held.SinkR, want.SinkR) || !slices.Equal(held.SinkCapShare, want.SinkCapShare) {
+		t.Fatal("the shared RC was written after the fork")
+	}
 }
 
 // TestExtractWLM checks the pre-placement wire-load model against its

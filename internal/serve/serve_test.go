@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"regexp"
+	"sync"
 	"testing"
 	"time"
 
@@ -279,9 +280,10 @@ func TestHeteroSessionMatchesFlowSignoff(t *testing.T) {
 	}
 }
 
-// TestSessionSnapshotCache: a second identical OPEN must restore from
-// the server's snapshot instead of re-running the flow, and still
-// produce bit-identical timing.
+// TestSessionSnapshotCache: a second identical OPEN must not re-run the
+// flow: it forks the snapshot's timed baseline, so its first TIMQ is an
+// incremental update with nothing dirty — no full update — and still
+// bit-identical to the first session's answer.
 func TestSessionSnapshotCache(t *testing.T) {
 	_, addr := startServer(t, Options{})
 	req := testWorkload
@@ -305,18 +307,127 @@ func TestSessionSnapshotCache(t *testing.T) {
 	start := time.Now()
 	cl2, _ := open()
 	defer cl2.Close()
-	restoreWall := time.Since(start)
+	forkWall := time.Since(start)
 	t2, err := cl2.Timing()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !t1.SameAnalysis(*t2) {
-		t.Fatalf("restored session timing %+v != first session %+v", t2, t1)
+		t.Fatalf("forked session timing %+v != first session %+v", t2, t1)
 	}
-	// The restore leg skips every stage; it should be far cheaper than
-	// a flow. Bound it loosely to catch the cache silently not engaging.
-	if restoreWall > 5*time.Second {
-		t.Errorf("cached re-open took %v — snapshot cache not engaging?", restoreWall)
+	if t2.FullUpdates != 0 || t2.IncrementalUpdates != 1 {
+		t.Fatalf("forked session's first TIMQ ran %d full and %d incremental updates, want 0 and 1",
+			t2.FullUpdates, t2.IncrementalUpdates)
+	}
+	// The re-open runs no stage (a zero-stage restore, then forks); it
+	// should be far cheaper than a flow. Bound it loosely to catch the
+	// cache silently not engaging.
+	if forkWall > 5*time.Second {
+		t.Errorf("cached re-open took %v — snapshot cache not engaging?", forkWall)
+	}
+}
+
+// TestForkedSessionsIsolated: sessions forked from one baseline share its
+// RC extractions but nothing they write. One session mutates heavily —
+// batches wide enough to force full updates, tier flips — while another
+// runs alongside, and every answer of each still equals its own offline
+// twin; a session opened afterwards answers the untouched boundary
+// state, from an incremental first update.
+func TestForkedSessionsIsolated(t *testing.T) {
+	_, addr := startServer(t, Options{})
+	req := testWorkload
+	req.Config = string(core.ConfigHetero)
+
+	// The cold open runs the flow and saves the snapshot; the sessions
+	// below all fork its baseline.
+	cl0 := dialT(t, addr)
+	if _, err := cl0.Open(&req, nil); err != nil {
+		t.Fatal(err)
+	}
+	cl0.Close()
+
+	heavyTwin, quietTwin := offlineTwin(t, &req), offlineTwin(t, &req)
+	boundary := analyzeOffline(t, &req, quietTwin)
+	heavy, quiet := dialT(t, addr), dialT(t, addr)
+	defer heavy.Close()
+	defer quiet.Close()
+	info, err := heavy.Open(&req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := quiet.Open(&req, nil); err != nil {
+		t.Fatal(err)
+	}
+	cells := int(info.Cells)
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for r := 0; r < 4; r++ {
+			// Half the design and more per batch: past the incremental
+			// engine's threshold, so the fork re-extracts wholesale.
+			muts := make([]Mutation, 0, cells/2+8)
+			for k := 0; k < cells/2+8; k++ {
+				id := int32((r*131 + k*7) % cells)
+				if k%5 == 0 {
+					muts = append(muts, Mutation{ID: id, Kind: MutSetTier, Tier: uint8((r + k) % 2)})
+				} else {
+					muts = append(muts, Mutation{ID: id, Kind: MutSetLoc,
+						X: float64((r*17+k)%97) * 1.75, Y: float64((r*5+k*3)%89) * 1.5})
+				}
+			}
+			if _, err := heavy.Mutate(muts); err != nil {
+				t.Errorf("heavy round %d: mutate: %v", r, err)
+				return
+			}
+			applyOffline(t, heavyTwin.Design, muts)
+			got, err := heavy.Timing()
+			if err != nil {
+				t.Errorf("heavy round %d: timing: %v", r, err)
+				return
+			}
+			if want := analyzeOffline(t, &req, heavyTwin); !got.SameAnalysis(want) {
+				t.Errorf("heavy round %d: timing %+v != offline %+v", r, got, want)
+				return
+			}
+			if got.FullUpdates != int64(r+1) {
+				t.Errorf("heavy round %d: %d full updates so far, want every wide batch to run one", r, got.FullUpdates)
+			}
+		}
+	}()
+	for r := 0; r < 6; r++ {
+		if r > 0 {
+			muts := mutationRound(r, cells)
+			if _, err := quiet.Mutate(muts); err != nil {
+				t.Fatalf("quiet round %d: mutate: %v", r, err)
+			}
+			applyOffline(t, quietTwin.Design, muts)
+		}
+		got, err := quiet.Timing()
+		if err != nil {
+			t.Fatalf("quiet round %d: timing: %v", r, err)
+		}
+		if want := analyzeOffline(t, &req, quietTwin); !got.SameAnalysis(want) {
+			t.Fatalf("quiet round %d: timing %+v != offline %+v", r, got, want)
+		}
+	}
+	wg.Wait()
+
+	late := dialT(t, addr)
+	defer late.Close()
+	if _, err := late.Open(&req, nil); err != nil {
+		t.Fatal(err)
+	}
+	got, err := late.Timing()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.SameAnalysis(boundary) {
+		t.Fatalf("session opened after the others answers %+v, boundary state is %+v", got, boundary)
+	}
+	if got.FullUpdates != 0 {
+		t.Fatalf("late session's first TIMQ ran %d full updates, want 0", got.FullUpdates)
 	}
 }
 

@@ -31,8 +31,9 @@ type Options struct {
 	// MaxFrame caps a received frame's payload. Default DefaultMaxFrame.
 	MaxFrame int
 	// CacheDir holds the server's design-database snapshots (first OPEN
-	// of a design/config/boundary runs the flow and saves; identical
-	// OPENs restore from the file). Empty means a private temp dir,
+	// of a design/config/boundary runs the flow and saves; the next
+	// identical OPEN restores the file once into a timed baseline that
+	// every identical OPEN forks). Empty means a private temp dir,
 	// removed on Shutdown.
 	CacheDir string
 	// Logf, when set, receives one line per connection-level event.
