@@ -81,9 +81,26 @@ type Result struct {
 	Levels int
 }
 
-// LatencyFunc adapts the result to sta.Config.Latency.
+// LatencyFunc adapts the result to sta.Config.Latency. It copies
+// Latency into a slice indexed by instance ID once, so the timer's
+// per-endpoint calls index memory instead of hashing; an instance the
+// tree does not clock reads 0, as a missing map key does. Later edits to
+// Latency do not reach the returned function.
 func (r *Result) LatencyFunc() func(*netlist.Instance) float64 {
-	return func(inst *netlist.Instance) float64 { return r.Latency[inst.ID] }
+	n := 0
+	for id := range r.Latency {
+		n = max(n, id+1)
+	}
+	lat := make([]float64, n)
+	for id, v := range r.Latency {
+		lat[id] = v
+	}
+	return func(inst *netlist.Instance) float64 {
+		if inst.ID < len(lat) {
+			return lat[inst.ID]
+		}
+		return 0
+	}
 }
 
 // node is one buffer of the tree under construction.

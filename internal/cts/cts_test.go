@@ -1,7 +1,6 @@
 package cts
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/cell"
@@ -181,13 +180,18 @@ func TestLatencyFunc(t *testing.T) {
 			if f(inst) > 0 {
 				found = true
 			}
-			if math.Abs(f(inst)-res.Latency[inst.ID]) > 1e-12 {
-				t.Error("LatencyFunc disagrees with map")
-			}
+		}
+		if f(inst) != res.Latency[inst.ID] {
+			t.Errorf("LatencyFunc(%s) = %v, map holds %v", inst.Name, f(inst), res.Latency[inst.ID])
 		}
 	}
 	if !found {
 		t.Error("no positive latencies")
+	}
+	// An instance added after the tree was built reads 0, as its missing
+	// map key does.
+	if got := f(&netlist.Instance{ID: len(d.Instances) + 100}); got != 0 {
+		t.Errorf("LatencyFunc of an unclocked new instance = %v, want 0", got)
 	}
 }
 

@@ -3,7 +3,6 @@ package sta
 import (
 	"slices"
 
-	"repro/internal/dense"
 	"repro/internal/netlist"
 	"repro/internal/route"
 )
@@ -11,11 +10,14 @@ import (
 // Fork returns a Timer over d that starts where t stands: d must be an
 // exact copy of t's design (netlist.Design.Clone — same dense IDs, same
 // journal revisions), and the fork's RC store is t's store forked onto
-// d (route.Cache.Fork), sharing its extractions read-only. Every piece
-// of retained state is copied — arrivals, slews, delays, required times
-// and whatever of them is still owed, the endpoint table, the graph
-// order and fanin arcs re-pointed by ID into d, the dependency levels,
-// the revision baselines — so the fork's next Update is exactly the
+// d (route.Cache.Fork), sharing its extractions read-only. The compiled
+// graph — order, positions, levels, arcs, fanin, fanout and endpoint
+// rows — is shared too: it is immutable until the topology revision
+// moves, and whichever of t and its forks rebuilds first builds a new
+// graph of its own. Everything a session writes is copied: arrivals,
+// slews, delays, required times and whatever of them is still owed, the
+// endpoint table re-pointed into d, the compiled wire delays and loads,
+// and the revision baselines. So the fork's next Update is exactly the
 // update t would run on the same edits: after a fully updated t it is
 // incremental, with nothing dirty until d is edited, and every answer
 // is bit-identical to a fresh Analyze of d. The fork's Config is t's
@@ -33,37 +35,25 @@ func (t *Timer) Fork(d *netlist.Design, workers int) *Timer {
 	if cfg.Router == route.Extractor(t.ex) {
 		cfg.Router = ex
 	}
-	f := &Timer{
-		d:          d,
-		cfg:        cfg,
-		lat:        t.lat,
-		ex:         ex,
-		topoRev:    t.topoRev,
-		pos:        slices.Clone(t.pos),
-		minZero:    slices.Clone(t.minZero),
-		endStart:   slices.Clone(t.endStart),
-		endCount:   slices.Clone(t.endCount),
-		flev:       cloneCSR(t.flev),
-		blev:       cloneCSR(t.blev),
-		endScratch: make([][]endpoint, len(t.endScratch)),
-		arrIn:      slices.Clone(t.arrIn),
-		arrMinIn:   slices.Clone(t.arrMinIn),
-		slewIn:     slices.Clone(t.slewIn),
-		arrMinOut:  slices.Clone(t.arrMinOut),
-		pend:       slices.Clone(t.pend),
-		instRev:    slices.Clone(t.instRev),
-		fresh:      t.fresh,
-	}
 	if t.g != nil {
-		f.g = &graph{d: d, order: make([]*netlist.Instance, len(t.g.order))}
-		for i, inst := range t.g.order {
-			f.g.order[i] = d.Instances[inst.ID]
-		}
+		t.g.shared.Store(true)
 	}
-	f.fanin.Off = slices.Clone(t.fanin.Off)
-	f.fanin.Dat = make([]faninEdge, len(t.fanin.Dat))
-	for i, e := range t.fanin.Dat {
-		f.fanin.Dat[i] = faninEdge{drv: e.drv, net: d.Nets[e.net.ID], idx: e.idx}
+	f := &Timer{
+		d:         d,
+		cfg:       cfg,
+		lat:       t.lat,
+		g:         t.g,
+		topoRev:   t.topoRev,
+		ex:        ex,
+		wd:        slices.Clone(t.wd),
+		load:      slices.Clone(t.load),
+		arrIn:     slices.Clone(t.arrIn),
+		arrMinIn:  slices.Clone(t.arrMinIn),
+		slewIn:    slices.Clone(t.slewIn),
+		arrMinOut: slices.Clone(t.arrMinOut),
+		pend:      slices.Clone(t.pend),
+		instRev:   slices.Clone(t.instRev),
+		fresh:     t.fresh,
 	}
 
 	r := t.res
@@ -101,10 +91,4 @@ func (t *Timer) Fork(d *netlist.Design, workers int) *Timer {
 		f.res.owed.Store(f)
 	}
 	return f
-}
-
-// cloneCSR copies a CSR's rows; the build cursor is left for the next
-// Seal to size.
-func cloneCSR[T any](c dense.CSR[T]) dense.CSR[T] {
-	return dense.CSR[T]{Off: slices.Clone(c.Off), Dat: slices.Clone(c.Dat)}
 }

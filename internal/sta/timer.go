@@ -3,9 +3,9 @@ package sta
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
-	"repro/internal/cell"
 	"repro/internal/dense"
 	"repro/internal/netlist"
 	"repro/internal/par"
@@ -39,15 +39,6 @@ type TimerStats struct {
 	RequiredSweeps, RequiredNodes int64
 }
 
-// faninEdge is one timing arc into an instance: driver, the net carrying
-// it, and the sink's index on that net (which is also its index into the
-// extraction's SinkR/SinkCapShare arrays).
-type faninEdge struct {
-	drv int32
-	net *netlist.Net
-	idx int32
-}
-
 // Timer is a persistent incremental timing session over one design. At
 // each Update it reads the design's change journal: instances whose
 // revision moved since the last update (master swaps, placement moves,
@@ -69,6 +60,14 @@ type faninEdge struct {
 // when the topology or an instance revision moved since that Update:
 // call Update first.
 //
+// The sweeps read flat ID-indexed arrays only: the compiled graph (g)
+// for structure, and per-arc wire delays (wd) and per-net driver loads
+// (load) for the electrical view. wd and load are refreshed from the RC
+// store for every net the full pass extracts and, in an incremental
+// update, for every net of a changed instance — the rule that keeps
+// them exact, since a master swap moves a sink's pin capacitance
+// without moving any net revision.
+//
 // A Timer belongs to one flow and is not safe for concurrent use; only
 // reads of its Result may run concurrently with each other (the settle
 // is serialized). It only reads the design, so several Timers may share
@@ -79,50 +78,37 @@ type Timer struct {
 	res *Result
 	lat func(*netlist.Instance) float64
 
+	// g is the compiled graph of topology revision topoRev, shared
+	// read-only with forks (see Fork).
 	g       *graph
 	topoRev uint64
 	// ex is the per-net RC store the timer reads wire parasitics from:
 	// Config.Router itself when it is a *route.Cache, a store wrapping it
 	// otherwise. Clock nets carry no RC for timing (their delay comes
-	// from the CTS latency model), so every read tests IsClock first.
-	ex      *route.Cache
-	pos     []int32 // instance ID → topological position
-	minZero []bool  // instance has a port-driven or floating input
-	// fanin holds every instance's timing arcs (rows by instance ID) in
-	// driver position order, as one flat CSR payload.
-	fanin dense.CSR[faninEdge]
-	// endStart/endCount locate each driver's endpoint entries inside
-	// res.endSlack so incremental updates can rewrite them in place.
-	endStart, endCount []int32
-	// flev/blev group topological positions into dependency levels of
-	// the forward and backward sweeps: nodes within a level are mutually
-	// independent, so the full pass runs each level as one parallel
-	// fan-out over the level's flat row. Rebuilt with the graph (purely
-	// structural), keyed on topoRev like fanin.
-	flev, blev dense.CSR[int32]
-	lvl        []int32 // per-instance level, buildLevels scratch
-	// endScratch holds each driver's endpoint entries from the parallel
-	// forward sweep until the sequential assembly appends them to
-	// res.endSlack in the reference order; it is empty for every
-	// instance without a signal output net. Indexed by instance ID.
-	endScratch [][]endpoint
+	// from the CTS latency model).
+	ex *route.Cache
+	// wd holds every arc's Elmore wire delay (indexed like g.arcTo) and
+	// load every net's driver load: wire plus pin capacitance for a
+	// signal net, pin capacitance alone for a clock net.
+	wd, load []float64
 
 	// Forward-pass input-pin state replayEffective rebuilds. Kept
 	// outside Result: only combinational instances' entries carry meaning.
 	arrIn, arrMinIn, slewIn, arrMinOut []float64
 
-	// Per-Update work-set buffers, reused across calls.
-	seedMarked []bool
+	// Per-Update work-set buffers, reused across calls. The marks are
+	// all clear between updates: each walk clears the ones it set.
+	seedMarked []bool // by instance ID
+	netMarked  []bool // by net ID
 	seeds      []int32
-	dirty      []bool
-	incScratch []endpoint
+	dirty      posSet // by topological position
 
 	// pend marks, by topological position, the drivers whose required
 	// time may be stale: every node an incremental update re-evaluated
 	// and each of its fanin drivers, accumulated over all updates since
 	// required times were last exact. settle drains it; res.owed says
 	// whether it holds anything. settleMu serializes concurrent readers.
-	pend     []bool
+	pend     posSet
 	settleMu sync.Mutex
 
 	// instRev holds the journal revisions (by instance ID) the retained
@@ -132,7 +118,20 @@ type Timer struct {
 
 	fresh bool // no update has run yet
 	stats TimerStats
+	// netEntries counts the net memberships (driver and sinks) the seed
+	// walks visited: the cost the linearity test bounds.
+	netEntries int64
 }
+
+// posSet is a set of topological positions, one bit each. The sweeps
+// visit its members in position order a word at a time, clearing each
+// as they take it, so a drained set is empty again at no extra cost.
+type posSet []uint64
+
+func (s posSet) add(p int32) { s[p>>6] |= 1 << (p & 63) }
+
+// posWords is the posSet length covering n positions.
+func posWords(n int) int { return (n + 63) >> 6 }
 
 // NewTimer validates and defaults cfg exactly like Analyze and returns a
 // session whose first Update performs a full analysis.
@@ -173,8 +172,8 @@ func (t *Timer) Close() {}
 func (t *Timer) Stats() TimerStats { return t.stats }
 
 // Extraction returns the RC store the timer reads: its Stats count the
-// extraction work, and Audit, Invalidate and Poison act on what the
-// timer will read next.
+// extraction work, and Audit, Invalidate and Poison act on the store
+// the timer refreshes its wire delays and loads from.
 func (t *Timer) Extraction() *route.Cache { return t.ex }
 
 // Result returns the retained result of the last Update (zero-valued
@@ -190,16 +189,14 @@ func (t *Timer) Result() *Result { return t.res }
 // answers exactly what a fresh Analyze would report.
 func (t *Timer) Update() (*Result, error) {
 	full := t.fresh || t.cfg.ForceFull || t.topoRev != t.d.TopoRev()
-	done := false
 	if !full {
-		seeds := t.resolveSeeds()
-		// Past half the design, frontier bookkeeping costs more than it
-		// saves.
-		if len(seeds)*2 <= len(t.d.Instances) {
-			done = t.incremental(seeds)
+		seeds, ok := t.resolveSeeds()
+		if ok {
+			t.incremental(seeds)
 		}
+		full = !ok
 	}
-	if !done {
+	if full {
 		if err := t.fullUpdate(); err != nil {
 			return nil, err
 		}
@@ -209,57 +206,115 @@ func (t *Timer) Update() (*Result, error) {
 	return t.res, nil
 }
 
-func timingSource(inst *netlist.Instance) bool {
-	f := inst.Master.Function
-	return f.IsSequential() || f.IsMacro()
-}
-
 // resolveSeeds turns the instances whose journal revision moved since
 // the last update into the set of instances whose forward state must be
-// recomputed, and refreshes the stored extraction of every signal net
-// of theirs whose revision moved. The seed set is deliberately a
-// superset: the changed instance plus every driver and sink of each of
-// its nets — that covers load changes at drivers, wire-delay changes at
-// sibling sinks, and the derate dependencies that reach one net away in
-// both directions. The baselines advance as the changes are consumed.
-func (t *Timer) resolveSeeds() []int32 {
-	d := t.d
-	t.seedMarked = dense.Zero(t.seedMarked, len(d.Instances))
+// recomputed, and refreshes every net of theirs: the stored extraction
+// when its revision moved, then its arcs' wire delays and its driver
+// load. The seed set is deliberately a superset: the changed instance
+// plus every driver and sink of each of its nets — that covers load
+// changes at drivers, wire-delay changes at sibling sinks, and the
+// derate dependencies that reach one net away in both directions. Each
+// net is walked once however many changed instances share it, so the
+// walk costs O(changed pins + entries of the nets they touch).
+//
+// It reports false when the update must run the full pass instead:
+// when the changed instances alone, or the seeds, exceed half the
+// design (past that, frontier bookkeeping costs more than it saves),
+// or when a changed master flipped a timing source, which the compiled
+// graph cannot absorb. The baselines advance as the changes are
+// consumed; the full pass resynchronizes them anyway.
+func (t *Timer) resolveSeeds() ([]int32, bool) {
+	d, g := t.d, t.g
+	n := len(d.Instances)
+	if len(t.seedMarked) < n {
+		t.seedMarked = make([]bool, n)
+	}
+	if len(t.netMarked) < len(d.Nets) {
+		t.netMarked = make([]bool, len(d.Nets))
+	}
 	marked := t.seedMarked
 	seeds := t.seeds[:0]
-	add := func(id int) {
-		if !marked[id] {
+	revs := d.InstRevs()
+	base := t.instRev[:len(revs)]
+	for id, rev := range revs {
+		if rev != base[id] {
+			base[id] = rev
 			marked[id] = true
 			seeds = append(seeds, int32(id))
 		}
 	}
-	revs := d.InstRevs()
-	base := t.instRev[:len(revs)]
-	for id, rev := range revs {
-		if rev == base[id] {
-			continue
+	changed := len(seeds)
+	ok := changed*2 <= n
+	for i := 0; ok && i < changed; i++ {
+		ok = timingSource(d.Instances[seeds[i]]) == g.src[seeds[i]]
+	}
+	if ok {
+		add := func(id int) {
+			if !marked[id] {
+				marked[id] = true
+				seeds = append(seeds, int32(id))
+			}
 		}
-		base[id] = rev
-		add(id)
-		inst := d.Instances[id]
-		for pi := range inst.Master.Pins {
-			n := d.NetAt(inst, pi)
-			if n == nil {
-				continue
+		for _, id := range seeds[:changed] {
+			inst := d.Instances[id]
+			for pi := range inst.Master.Pins {
+				net := d.NetAt(inst, pi)
+				if net == nil || t.netMarked[net.ID] {
+					continue
+				}
+				t.netMarked[net.ID] = true
+				t.netEntries += int64(len(net.Sinks)) + 1
+				if net.Driver.Valid() {
+					add(net.Driver.Inst.ID)
+				}
+				for _, s := range net.Sinks {
+					add(s.Inst.ID)
+				}
+				if !net.IsClock {
+					t.ex.Refresh(net)
+				}
+				t.compileNet(net)
 			}
-			if n.Driver.Valid() {
-				add(n.Driver.Inst.ID)
-			}
-			for _, s := range n.Sinks {
-				add(s.Inst.ID)
-			}
-			if !n.IsClock {
-				t.ex.Refresh(n)
+		}
+		for _, id := range seeds[:changed] {
+			inst := d.Instances[id]
+			for pi := range inst.Master.Pins {
+				if net := d.NetAt(inst, pi); net != nil {
+					t.netMarked[net.ID] = false
+				}
 			}
 		}
 	}
+	for _, id := range seeds {
+		marked[id] = false
+	}
 	t.seeds = seeds
-	return seeds
+	return seeds, ok && len(seeds)*2 <= n
+}
+
+// compileNet refreshes net n's driver load and its arcs' wire delays
+// from the RC store, which must hold n's extraction when n is a signal
+// net. The pin capacitances sum in TotalPinCap's order.
+func (t *Timer) compileNet(n *netlist.Net) {
+	if n.IsClock {
+		t.load[n.ID] = n.TotalPinCap()
+		return
+	}
+	pin := 0.0
+	a := int(t.g.arcOff[n.ID])
+	for i, s := range n.Sinks {
+		c := s.Spec().Cap
+		pin += c
+		r, cs := t.ex.Sink(n.ID, i)
+		t.wd[a+i] = tech.RCps(r, cs+c)
+	}
+	a += len(n.Sinks)
+	for i, p := range n.SinkPorts {
+		pin += p.Cap
+		r, cs := t.ex.Sink(n.ID, len(n.Sinks)+i)
+		t.wd[a+i] = tech.RCps(r, cs+p.Cap)
+	}
+	t.load[n.ID] = t.ex.WireCap(n.ID) + pin
 }
 
 // syncRevs records every instance's current journal revision as the
@@ -271,47 +326,49 @@ func (t *Timer) syncRevs() {
 }
 
 // fullUpdate recomputes everything: graph (when the topology revision
-// moved), revision baselines, extraction, forward arrivals, and the
-// backward required pass. This is the reference computation — Analyze is
-// exactly one of these.
+// moved or a timing source flipped), revision baselines, extraction and
+// the compiled wire delays and loads, forward arrivals, and the backward
+// required pass. This is the reference computation — Analyze is exactly
+// one of these.
 //
 // With Config.Workers > 1 the expensive phases fan out without changing
-// a single bit of the result: extraction is per-net independent; the
-// forward sweep runs level-by-level over flevels, where a node's
+// a single bit of the result: extraction is per-net independent and
+// each net writes only its own arcs' delays and its own load; the
+// forward sweep runs level-by-level over flev, where a node's
 // replayEffective reads only its drivers (all in lower levels, final)
-// and it, computeNode and endpointsOf write only the node's own slots,
-// with each driver's endpoint entries parked in endScratch; the backward
-// sweep runs level-by-level over blevels; then a sequential assembly
-// appends the endpoint entries to res.endSlack in exactly the reference
-// (reverse-position) order. Nothing is owed to a settle afterwards.
+// and it, computeNode and endpointsOf write only the node's own slots
+// and its own endpoint entries (placed by g.endStart); the backward
+// sweep runs level-by-level over blev. Nothing is owed to a settle
+// afterwards.
 func (t *Timer) fullUpdate() error {
 	d := t.d
-	if t.g == nil || t.topoRev != d.TopoRev() {
-		if t.g == nil {
-			t.g = &graph{}
+	if t.g == nil || t.topoRev != d.TopoRev() || t.g.drifted(d) {
+		g := t.g
+		if g == nil || g.shared.Load() {
+			g = &graph{} // forks still read the old one
 		}
-		if err := t.g.rebuild(d); err != nil {
+		if err := g.build(d); err != nil {
 			return err
 		}
-		t.topoRev = d.TopoRev()
-		t.pos = dense.Grow(t.pos, len(d.Instances))
-		for p, inst := range t.g.order {
-			t.pos[inst.ID] = int32(p)
-		}
-		t.buildFanin()
-		t.buildLevels()
+		t.g, t.topoRev = g, d.TopoRev()
 	}
+	g := t.g
 	t.syncRevs()
 	workers := t.cfg.Workers
-	// Bring every signal net's stored extraction up to date. The store
-	// is sized serially; inside the fan-out each net touches only its
-	// own slot, so the fill stays deterministic.
+	// Bring every signal net's stored extraction up to date and compile
+	// every net. The store is sized serially; inside the fan-out each net
+	// touches only its own slot, arcs and load, so the fill stays
+	// deterministic.
 	nNets := len(d.Nets)
 	t.ex.Grow()
+	t.wd = dense.Grow(t.wd, len(g.arcTo))
+	t.load = dense.Grow(t.load, nNets)
 	par.ParallelFor(workers, nNets, func(i int) {
-		if n := d.Nets[i]; !n.IsClock {
+		n := d.Nets[i]
+		if !n.IsClock {
 			t.ex.Extract(n)
 		}
+		t.compileNet(n)
 	})
 	t.noteFanout(nNets)
 
@@ -328,13 +385,9 @@ func (t *Timer) fullUpdate() error {
 		t.arrMinIn = dense.Grow(t.arrMinIn, n)
 		t.slewIn = dense.Grow(t.slewIn, n)
 		t.arrMinOut = dense.Grow(t.arrMinOut, n)
-		t.minZero = dense.Grow(t.minZero, n)
-		t.endStart = dense.Grow(t.endStart, n)
-		t.endCount = dense.Grow(t.endCount, n)
-		t.endScratch = dense.Grow(t.endScratch, n)
 	}
-	res.endSlack = res.endSlack[:0]
-	t.pend = dense.Zero(t.pend, n)
+	res.endSlack = dense.Grow(res.endSlack, len(g.ends.Dat))
+	t.pend = dense.Zero(t.pend, posWords(n))
 	res.owed.Store(nil)
 	// Per-instance resets, one index-addressed fan-out. Instances with a
 	// port-driven or floating signal input can switch as early as t=0 on
@@ -342,36 +395,31 @@ func (t *Timer) fullUpdate() error {
 	// counting the extraction and the sweeps, as the stage metrics that
 	// saved databases carry always have.
 	par.ParallelFor(workers, n, func(i int) {
-		t.minZero[i] = earlyInput(d, d.Instances[i])
 		t.arrIn[i] = 0
 		t.arrMinIn[i] = math.Inf(1)
-		if t.minZero[i] {
+		if g.early[i] {
 			t.arrMinIn[i] = 0
 		}
 		t.slewIn[i] = t.cfg.InputSlew
 		res.pred[i] = -1
 		res.inWire[i] = 0
 		res.reqOut[i] = math.Inf(1)
-		t.endScratch[i] = t.endScratch[i][:0]
 	})
 
 	// ---------- Forward pass: arrivals, slews, endpoint checks ----------
 	// Levels run in order; nodes within a level are independent (their
 	// fanin arcs all come from lower levels) and write only their own
 	// index-addressed state. A driver's endpoint checks read only its
-	// own final arrivals, so they park in its scratch right here.
-	for lv := 0; lv < t.flev.Rows(); lv++ {
-		level := t.flev.Row(int32(lv))
+	// own final arrivals, so they land in its endpoint entries right here.
+	for lv := 0; lv < g.flev.Rows(); lv++ {
+		level := g.flev.Row(int32(lv))
 		par.ParallelFor(workers, len(level), func(k int) {
-			inst := t.g.order[level[k]]
-			if !timingSource(inst) {
-				t.replayEffective(inst)
+			id := g.order[level[k]]
+			if !g.src[id] {
+				t.replayEffective(id)
 			}
-			out := d.OutputNet(inst)
-			t.computeNode(inst, out)
-			if out != nil && !out.IsClock {
-				t.endScratch[inst.ID] = t.endpointsOf(inst, out, t.endScratch[inst.ID])
-			}
+			t.computeNode(id)
+			t.endpointsOf(id)
 		})
 		t.noteFanout(len(level))
 	}
@@ -381,43 +429,19 @@ func (t *Timer) fullUpdate() error {
 	// driver's required time depends only on its combinational sinks
 	// that themselves run the backward computation — all in lower
 	// backward levels, final when the driver computes.
-	for lv := 0; lv < t.blev.Rows(); lv++ {
-		level := t.blev.Row(int32(lv))
+	for lv := 0; lv < g.blev.Rows(); lv++ {
+		level := g.blev.Row(int32(lv))
 		par.ParallelFor(workers, len(level), func(k int) {
-			inst := t.g.order[level[k]]
-			if req := t.requiredOf(inst, d.OutputNet(inst)); req < res.reqOut[inst.ID] {
-				res.reqOut[inst.ID] = req
+			id := g.order[level[k]]
+			if req := t.requiredOf(id); req < res.reqOut[id] {
+				res.reqOut[id] = req
 			}
 		})
 		t.noteFanout(len(level))
 	}
-	// Sequential assembly in the reference order (reverse topological
-	// position), so endSlack bytes match the serial sweep exactly.
-	// Instances the backward sweep skipped contribute empty scratch.
-	for i := len(t.g.order) - 1; i >= 0; i-- {
-		id := t.g.order[i].ID
-		scratch := t.endScratch[id]
-		t.endStart[id] = int32(len(res.endSlack))
-		t.endCount[id] = int32(len(scratch))
-		res.endSlack = append(res.endSlack, scratch...)
-	}
 	t.stats.FullUpdates++
-	t.stats.NodesReevaluated += int64(len(t.g.order))
+	t.stats.NodesReevaluated += int64(n)
 	return nil
-}
-
-// earlyInput reports whether inst has a port-driven or floating signal
-// input.
-func earlyInput(d *netlist.Design, inst *netlist.Instance) bool {
-	for i, pin := range inst.Master.Pins {
-		if pin.Dir != cell.DirIn {
-			continue
-		}
-		if nn := d.NetAt(inst, i); nn == nil || nn.DriverPort != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // noteFanout records one scheduled parallel fan-out of n items (counted
@@ -427,108 +451,22 @@ func (t *Timer) noteFanout(n int) {
 	t.stats.ParTasks += int64(n)
 }
 
-// buildLevels derives the dependency levels of the sweeps from the
-// fanin arcs — purely structural, rebuilt with the graph.
-//
-// Forward: flevel(v) = 1 + max flevel(d) over v's fanin drivers;
-// sources and cells without instance-driven inputs sit at level 0.
-// Backward: blevel(v) = 1 + max blevel(s) over v's combinational sinks
-// that run the backward computation (have a non-clock output net); a
-// sink that does not keeps its +Inf required time. Levels hold
-// topological positions in ascending (forward) / descending (backward)
-// position order.
-func (t *Timer) buildLevels() {
-	d := t.d
-	order := t.g.order
-	t.lvl = dense.Zero(t.lvl, len(d.Instances))
-	level := t.lvl
-
-	maxF := int32(0)
-	for _, inst := range order {
-		lv := int32(0)
-		if !timingSource(inst) {
-			for _, e := range t.fanin.Row(int32(inst.ID)) {
-				if l := level[e.drv] + 1; l > lv {
-					lv = l
-				}
-			}
-		}
-		level[inst.ID] = lv
-		if lv > maxF {
-			maxF = lv
-		}
-	}
-	t.flev.Reset(int(maxF) + 1)
-	for _, inst := range order {
-		t.flev.Count(level[inst.ID])
-	}
-	t.flev.Seal()
-	for p, inst := range order {
-		t.flev.Append(level[inst.ID], int32(p))
-	}
-
-	// participates mirrors the runtime guard: only a signal output net
-	// carries an RC for timing.
-	participates := func(inst *netlist.Instance) *netlist.Net {
-		out := d.OutputNet(inst)
-		if out == nil || out.IsClock {
-			return nil
-		}
-		return out
-	}
-	for i := range level {
-		level[i] = 0
-	}
-	maxB := int32(-1)
-	for i := len(order) - 1; i >= 0; i-- {
-		inst := order[i]
-		out := participates(inst)
-		if out == nil {
-			continue
-		}
-		lv := int32(0)
-		for _, s := range out.Sinks {
-			sk := s.Inst
-			if s.Spec().Dir == cell.DirClk || timingSource(sk) || participates(sk) == nil {
-				continue
-			}
-			if l := level[sk.ID] + 1; l > lv {
-				lv = l
-			}
-		}
-		level[inst.ID] = lv
-		if lv > maxB {
-			maxB = lv
-		}
-	}
-	t.blev.Reset(int(maxB) + 1)
-	for _, inst := range order {
-		if participates(inst) != nil {
-			t.blev.Count(level[inst.ID])
-		}
-	}
-	t.blev.Seal()
-	for i := len(order) - 1; i >= 0; i-- {
-		inst := order[i]
-		if participates(inst) == nil {
-			continue
-		}
-		t.blev.Append(level[inst.ID], int32(i))
-	}
-}
-
 // incremental re-propagates from the seed frontier and rewrites the
 // endpoint entries of every driver it re-evaluates; required times are
-// left owed to the next settle. Returns false when it detects drift it
-// cannot handle in place (the caller then runs a full update).
-func (t *Timer) incremental(seeds []int32) bool {
-	d := t.d
-	n := len(d.Instances)
-	res := t.res
-	t.dirty = dense.Zero(t.dirty, n) // indexed by topological position
+// left owed to the next settle. Dirty positions are visited in order
+// from the lowest seed's word to the highest word marked so far; each
+// mark is cleared as it is taken.
+func (t *Timer) incremental(seeds []int32) {
+	g := t.g
+	if w := posWords(len(g.order)); len(t.dirty) < w {
+		t.dirty = make(posSet, w)
+	}
 	dirty, pend := t.dirty, t.pend
+	lo, hi := int32(len(dirty)), int32(-1)
 	for _, id := range seeds {
-		dirty[t.pos[id]] = true
+		p := g.pos[id]
+		dirty.add(p)
+		lo, hi = min(lo, p>>6), max(hi, p>>6)
 	}
 
 	// Forward sweep in topological order: a node's drivers all sit at
@@ -536,50 +474,43 @@ func (t *Timer) incremental(seeds []int32) bool {
 	// arcs to combinational sinks, which sit at later positions.
 	// Sequential sinks hold no live input state; their capture checks
 	// are redone by their drivers, which the seeds always include.
-	for p := 0; p < n; p++ {
-		if !dirty[p] {
+	for w := lo; w <= hi; {
+		word := dirty[w]
+		if word == 0 {
+			w++
 			continue
 		}
-		inst := t.g.order[p]
-		if !timingSource(inst) {
-			t.replayEffective(inst)
+		b := int32(bits.TrailingZeros64(word))
+		dirty[w] = word &^ (1 << b)
+		p := w<<6 | b
+		id := g.order[p]
+		if !g.src[id] {
+			t.replayEffective(id)
 		}
-		out := d.OutputNet(inst)
-		changed := t.computeNode(inst, out)
+		changed := t.computeNode(id)
 		t.stats.NodesReevaluated++
 		// The node's required time is owed, and so are its fanin
 		// drivers', which read its stage delay.
-		pend[p] = true
-		for _, e := range t.fanin.Row(int32(inst.ID)) {
-			pend[t.pos[e.drv]] = true
+		pend.add(p)
+		for _, e := range g.fanin.Row(id) {
+			pend.add(g.pos[e.drv])
 		}
-		if out == nil || out.IsClock {
+		if !g.sig[id] {
 			continue
 		}
-		t.incScratch = t.endpointsOf(inst, out, t.incScratch[:0])
-		if int32(len(t.incScratch)) != t.endCount[inst.ID] {
-			// Endpoint membership drifted without a topology revision
-			// move; hand the update to the full pass.
-			return false
-		}
-		copy(res.endSlack[t.endStart[inst.ID]:], t.incScratch)
+		t.endpointsOf(id)
 		if !changed {
 			continue
 		}
-		for _, s := range out.Sinks {
-			if s.Spec().Dir == cell.DirClk {
-				continue
-			}
-			if !timingSource(s.Inst) {
-				dirty[t.pos[s.Inst.ID]] = true
-			}
+		for _, q := range g.fanout.Row(id) {
+			dirty.add(q)
+			hi = max(hi, q>>6)
 		}
 	}
 	if len(seeds) > 0 {
-		res.owed.Store(t)
+		t.res.owed.Store(t)
 	}
 	t.stats.IncrementalUpdates++
-	return true
 }
 
 // settle pays the required times owed by incremental updates: one
@@ -596,23 +527,25 @@ func (t *Timer) settle() {
 		return // a concurrent reader settled first
 	}
 	t.requireUnedited()
-	d := t.d
-	for p := len(t.pend) - 1; p >= 0; p-- {
-		if !t.pend[p] {
+	g, pend := t.g, t.pend
+	for w := int32(len(pend)) - 1; w >= 0; {
+		word := pend[w]
+		if word == 0 {
+			w--
 			continue
 		}
-		t.pend[p] = false
-		inst := t.g.order[p]
-		out := d.OutputNet(inst)
-		if out == nil || out.IsClock {
+		b := int32(63 - bits.LeadingZeros64(word))
+		pend[w] = word &^ (1 << b)
+		id := g.order[w<<6|b]
+		if !g.sig[id] {
 			continue
 		}
 		t.stats.RequiredNodes++
-		if req := t.requiredOf(inst, out); req != res.reqOut[inst.ID] {
-			res.reqOut[inst.ID] = req
-			if !timingSource(inst) {
-				for _, e := range t.fanin.Row(int32(inst.ID)) {
-					t.pend[t.pos[e.drv]] = true
+		if req := t.requiredOf(id); req != res.reqOut[id] {
+			res.reqOut[id] = req
+			if !g.src[id] {
+				for _, e := range g.fanin.Row(id) {
+					pend.add(g.pos[e.drv])
 				}
 			}
 		}
@@ -637,42 +570,6 @@ func (t *Timer) requireUnedited() {
 	}
 }
 
-// buildFanin records every data arc in (driver topological position, sink
-// index) order, so replayEffective's strict-comparison tie-breaks depend
-// only on the structure. The arcs live in one flat CSR payload keyed by
-// sink instance ID; the two-pass build preserves that order within each
-// row and reallocates nothing once the storage is warm.
-func (t *Timer) buildFanin() {
-	conn := t.d.Conn()
-	t.fanin.Reset(len(t.d.Instances))
-	for _, inst := range t.g.order {
-		out := conn.OutputNet(inst)
-		if out == nil || out.IsClock {
-			continue
-		}
-		for _, s := range out.Sinks {
-			if s.Spec().Dir == cell.DirClk {
-				continue
-			}
-			t.fanin.Count(int32(s.Inst.ID))
-		}
-	}
-	t.fanin.Seal()
-	for _, inst := range t.g.order {
-		out := conn.OutputNet(inst)
-		if out == nil || out.IsClock {
-			continue
-		}
-		for i, s := range out.Sinks {
-			if s.Spec().Dir == cell.DirClk {
-				continue
-			}
-			t.fanin.Append(int32(s.Inst.ID),
-				faninEdge{drv: int32(inst.ID), net: out, idx: int32(i)})
-		}
-	}
-}
-
 // replayEffective rebuilds the input-pin state a combinational instance
 // consumes when it computes its outputs — worst and earliest arrival,
 // worst slew — plus its worst-arrival predecessor and incoming wire
@@ -682,52 +579,47 @@ func (t *Timer) buildFanin() {
 // earliest driver at any worker count.
 //
 //hotpath:kernel
-func (t *Timer) replayEffective(inst *netlist.Instance) {
-	id := inst.ID
+func (t *Timer) replayEffective(id int32) {
+	res := t.res
 	ai, si := 0.0, t.cfg.InputSlew
 	ami := math.Inf(1)
-	if t.minZero[id] {
+	if t.g.early[id] {
 		ami = 0
 	}
 	pred, inw := int32(-1), 0.0
-	for _, e := range t.fanin.Row(int32(id)) {
-		r, cs := t.ex.Sink(e.net.ID, int(e.idx))
-		wd := tech.RCps(r, cs+e.net.Sinks[e.idx].Spec().Cap)
-		if a := t.res.arrOut[e.drv] + wd; a > ai {
+	for _, e := range t.g.fanin.Row(id) {
+		wd := t.wd[e.arc]
+		if a := res.arrOut[e.drv] + wd; a > ai {
 			ai = a
 			pred, inw = e.drv, wd
 		}
 		if am := t.arrMinOut[e.drv] + wd; am < ami {
 			ami = am
 		}
-		if sw := t.res.slewOut[e.drv] + wd; sw > si {
+		if sw := res.slewOut[e.drv] + wd; sw > si {
 			si = sw
 		}
 	}
 	t.arrIn[id], t.arrMinIn[id], t.slewIn[id] = ai, ami, si
-	t.res.pred[id], t.res.inWire[id] = pred, inw
+	res.pred[id], res.inWire[id] = pred, inw
 }
 
 // computeNode recomputes one instance's stage delay, output arrival,
-// min-path arrival, and output slew from its output net out (nil when
-// unconnected), reporting whether any propagated quantity moved
-// (bitwise).
+// min-path arrival, and output slew from its output net's load,
+// reporting whether any propagated quantity moved (bitwise).
 //
 //hotpath:kernel
-func (t *Timer) computeNode(inst *netlist.Instance, out *netlist.Net) bool {
-	res, cfg := t.res, &t.cfg
-	id := inst.ID
+func (t *Timer) computeNode(id int32) bool {
+	res, cfg, g := t.res, &t.cfg, t.g
+	inst := t.d.Instances[id]
 
 	var load float64
-	if out != nil {
-		load = out.TotalPinCap()
-		if !out.IsClock {
-			load = t.ex.WireCap(out.ID) + load
-		}
+	if out := g.out[id]; out >= 0 {
+		load = t.load[out]
 	}
 
 	var arr, arrMin, slw, d0 float64
-	if timingSource(inst) {
+	if g.src[id] {
 		// Launch: clock latency + CLK→Q (or access) delay.
 		d0 = inst.Master.Delay.Lookup(cfg.InputSlew, load)
 		s0 := inst.Master.OutSlew.Lookup(cfg.InputSlew, load)
@@ -753,65 +645,63 @@ func (t *Timer) computeNode(inst *netlist.Instance, out *netlist.Net) bool {
 	return changed
 }
 
-// endpointsOf appends one driver's endpoint entries — the setup and
-// hold checks at each register or macro data pin on its signal output
-// net out, in net order, then each output port — to scratch. It reads
-// only the driver's own arrivals.
+// endpointsOf rewrites one driver's endpoint entries in place — the
+// setup and hold checks at each register or macro data pin on its
+// signal output net, in net order, then each output port. It reads only
+// the driver's own arrivals.
 //
 //hotpath:kernel
-func (t *Timer) endpointsOf(inst *netlist.Instance, out *netlist.Net, scratch []endpoint) []endpoint {
-	res, cfg := t.res, &t.cfg
-	for si, s := range out.Sinks {
-		sk := s.Inst
-		if s.Spec().Dir == cell.DirClk || !timingSource(sk) {
+func (t *Timer) endpointsOf(id int32) {
+	g, res, cfg := t.g, t.res, &t.cfg
+	row := g.ends.Row(id)
+	if len(row) == 0 {
+		return
+	}
+	dst := res.endSlack[g.endStart[id]:][:len(row)]
+	arr, arrMin := res.arrOut[id], t.arrMinOut[id]
+	for k, a := range row {
+		wd := t.wd[a]
+		if sk := g.arcTo[a]; sk >= 0 {
+			inst := t.d.Instances[sk]
+			endReq := cfg.Period + t.lat(inst) - inst.Master.Setup
+			slack := endReq - (arr + wd)
+			hold := arrMin + wd - t.lat(inst) - inst.Master.Hold
+			dst[k] = endpoint{inst: inst, from: id, slack: slack, hold: hold}
 			continue
 		}
-		r, cs := t.ex.Sink(out.ID, si)
-		wd := tech.RCps(r, cs+s.Spec().Cap)
-		endReq := cfg.Period + t.lat(sk) - sk.Master.Setup
-		slack := endReq - (res.arrOut[inst.ID] + wd)
-		hold := t.arrMinOut[inst.ID] + wd - t.lat(sk) - sk.Master.Hold
-		scratch = append(scratch, endpoint{inst: sk, from: int32(inst.ID), slack: slack, hold: hold})
+		// An output port: the net's ports own its last arcs.
+		net := g.out[id]
+		ports := t.d.Nets[net].SinkPorts
+		p := ports[int(a-g.arcOff[net+1])+len(ports)]
+		dst[k] = endpoint{port: p, from: id, slack: cfg.Period - (arr + wd), hold: math.Inf(1)}
 	}
-	for pi, p := range out.SinkPorts {
-		// Extract appends ports after every instance sink.
-		r, cs := t.ex.Sink(out.ID, len(out.Sinks)+pi)
-		wd := tech.RCps(r, cs+p.Cap)
-		slack := cfg.Period - (res.arrOut[inst.ID] + wd)
-		scratch = append(scratch, endpoint{port: p, from: int32(inst.ID), slack: slack, hold: math.Inf(1)})
-	}
-	return scratch
 }
 
-// requiredOf returns the required time at a driver's output: the
-// tightest of its register, macro and port captures on its signal
-// output net out and of its combinational sinks' required times less
-// their stage delays.
+// requiredOf returns the required time at the output of a driver of a
+// signal net: the tightest of its register, macro and port captures and
+// of its combinational sinks' required times less their stage delays,
+// taken in net order.
 //
 //hotpath:kernel
-func (t *Timer) requiredOf(inst *netlist.Instance, out *netlist.Net) float64 {
-	res, cfg := t.res, &t.cfg
+func (t *Timer) requiredOf(id int32) float64 {
+	g, res, cfg := t.g, t.res, &t.cfg
+	net := g.out[id]
 	req := math.Inf(1)
-	for si, s := range out.Sinks {
-		if s.Spec().Dir == cell.DirClk {
-			continue
-		}
-		r, cs := t.ex.Sink(out.ID, si)
-		wd := tech.RCps(r, cs+s.Spec().Cap)
-		sk := s.Inst
+	for a := g.arcOff[net]; a < g.arcOff[net+1]; a++ {
+		wd := t.wd[a]
 		var cand float64
-		if timingSource(sk) {
-			cand = cfg.Period + t.lat(sk) - sk.Master.Setup - wd
-		} else {
-			cand = res.reqOut[sk.ID] - res.delay[sk.ID] - wd
+		switch sk := g.arcTo[a]; {
+		case sk == arcClkPin:
+			continue
+		case sk == arcPort:
+			cand = cfg.Period - wd
+		case g.src[sk]:
+			inst := t.d.Instances[sk]
+			cand = cfg.Period + t.lat(inst) - inst.Master.Setup - wd
+		default:
+			cand = res.reqOut[sk] - res.delay[sk] - wd
 		}
 		if cand < req {
-			req = cand
-		}
-	}
-	for pi, p := range out.SinkPorts {
-		r, cs := t.ex.Sink(out.ID, len(out.Sinks)+pi)
-		if cand := cfg.Period - tech.RCps(r, cs+p.Cap); cand < req {
 			req = cand
 		}
 	}

@@ -700,17 +700,41 @@ func TestSettleGuard(t *testing.T) {
 		res.SlackMap()
 	}
 
-	// Drift fallback: an endpoint count that no longer matches sends the
-	// update to the full pass, which owes nothing.
-	drv := d.Instances[tm.fanin.Row(int32(comb.ID))[0].drv]
-	tm.endCount[drv.ID]++
-	drv.SetLoc(geom.Pt(9, 9))
-	full := tm.Stats().FullUpdates
-	if res, err = tm.Update(); err != nil {
-		t.Fatal(err)
+	// Drift fallback: a master swap that turns a combinational sink into
+	// a timing source, or back, keeps the topology revision but changes
+	// what the compiled graph holds (order, fanout, endpoint rows). The
+	// update must reach the full pass, which rebuilds the graph, owes
+	// nothing and matches a fresh analysis.
+	var sink *netlist.Instance
+	for _, s := range d.OutputNet(comb).Sinks {
+		if !timingSource(s.Inst) && d.OutputNet(s.Inst) != nil {
+			sink = s.Inst
+			break
+		}
 	}
-	if tm.Stats().FullUpdates != full+1 || res.owed.Load() != nil {
-		t.Fatalf("drift fallback: stats %+v, owed %v; want one more full update owing nothing", tm.Stats(), res.owed.Load() != nil)
+	if sink == nil {
+		t.Fatal("no combinational sink on the test cell's net")
+	}
+	orig := sink.Master
+	macro := *orig
+	macro.Function = cell.FuncMacroRAM
+	for _, m := range []*cell.Master{&macro, orig} {
+		if err := d.ReplaceMaster(sink, m); err != nil {
+			t.Fatal(err)
+		}
+		full := tm.Stats().FullUpdates
+		if res, err = tm.Update(); err != nil {
+			t.Fatal(err)
+		}
+		if tm.Stats().FullUpdates != full+1 || res.owed.Load() != nil {
+			t.Fatalf("drift to %v: stats %+v, owed %v; want one more full update owing nothing",
+				m.Function, tm.Stats(), res.owed.Load() != nil)
+		}
+		want, err := Analyze(d, DefaultConfig(0.8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireEqualResults(t, "drift to "+m.Function.String(), d, res, want)
 	}
 
 	// ForceFull: every update is full and owes nothing.
