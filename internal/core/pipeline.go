@@ -236,10 +236,18 @@ func (s *flowState) settleTiming() {
 	}
 }
 
-// stageMap clones the source onto the base (bottom) library and prepares
-// it for implementation.
+// stageMap copies the source with every standard cell remapped onto the
+// base (bottom) library — "the netlists are synthesized in the
+// respective technology nodes" (Sec. IV-A2); macros pass through
+// unchanged — and prepares it for implementation.
 func (s *flowState) stageMap(fc *flow.Context) error {
-	d, err := cloneMapped(s.src, s.libs[0], s.src.Name)
+	lib := s.libs[0]
+	d, err := s.src.CloneMapped(func(m *cell.Master) (*cell.Master, error) {
+		if m.Function.IsMacro() {
+			return m, nil
+		}
+		return lib.Equivalent(m)
+	})
 	if err != nil {
 		return err
 	}

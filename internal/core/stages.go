@@ -16,18 +16,6 @@ import (
 	"repro/internal/tech"
 )
 
-// cloneMapped clones src with every standard cell remapped onto lib
-// (macros pass through unchanged) — "the netlists are synthesized in the
-// respective technology nodes" (Sec. IV-A2).
-func cloneMapped(src *netlist.Design, lib *cell.Library, name string) (*netlist.Design, error) {
-	return src.CloneInto(name, func(m *cell.Master) (*cell.Master, error) {
-		if m.Function.IsMacro() {
-			return m, nil
-		}
-		return lib.Equivalent(m)
-	})
-}
-
 // assignMacroTiers balances hard macros across the two dies by area
 // (largest first onto the lighter die) and returns the assignment as a
 // preassign map for the tier partitioner.

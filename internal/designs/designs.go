@@ -44,8 +44,9 @@ type Params struct {
 	// paper-comparable cell counts (netcard ≈ 250 k, cpu ≈ 150 k,
 	// aes ≈ 20 k, ldpc ≈ 40 k). Tests use small scales for speed.
 	Scale float64
-	// Seed feeds the deterministic topology randomness (LDPC wiring,
-	// netcard control fanout). Same seed → same netlist.
+	// Seed feeds the deterministic topology randomness; only LDPC's
+	// random check/variable-node wiring draws from it, so the other
+	// designs are the same at every seed. Same seed → same netlist.
 	Seed int64
 }
 

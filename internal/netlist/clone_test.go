@@ -2,6 +2,8 @@ package netlist_test
 
 import (
 	"bytes"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cell"
@@ -109,5 +111,88 @@ func TestClone(t *testing.T) {
 	}
 	if len(d.Instances) != len(c.Instances)-1 || d.Instance("clone_buf2") != nil {
 		t.Error("a structural edit of the clone reached the source")
+	}
+}
+
+// TestCloneMapped: the map stage's copy equals an independent reference —
+// the source's snapshot with its master list remapped, replayed through
+// ImportState — byte for byte, journal included, for every design on
+// both libraries, and leaves the source's bytes and revisions as they
+// were. Journaled history on the source makes the journal check bite: a
+// copy that rebuilt its journal would not match the source's restored one.
+func TestCloneMapped(t *testing.T) {
+	lib12 := cell.NewLibrary(tech.Variant12T())
+	lib9 := cell.NewLibrary(tech.Variant9T())
+	for _, name := range designs.All {
+		src, err := designs.Generate(name, lib12, designs.Params{Scale: 0.02, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, inst := range src.Instances {
+			if i%11 == 0 {
+				inst.SetLoc(geom.Pt(float64(i%40), float64(i%23)))
+			}
+		}
+		for _, lib := range []*cell.Library{lib12, lib9} {
+			pick := func(m *cell.Master) (*cell.Master, error) {
+				if m.Function.IsMacro() {
+					return m, nil
+				}
+				return lib.Equivalent(m)
+			}
+			before := exported(src)
+			topo := src.TopoRev()
+			instRevs := append([]uint64(nil), src.InstRevs()...)
+			netRevs := append([]uint64(nil), src.NetRevs()...)
+
+			c, err := src.CloneMapped(pick)
+			if err != nil {
+				t.Fatalf("%s onto %v: %v", name, lib.Variant.Track, err)
+			}
+			snap := src.ExportState()
+			for i, m := range snap.Masters {
+				if snap.Masters[i], err = pick(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ref, err := netlist.ImportState(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(exported(c), exported(ref)) {
+				t.Errorf("%s onto %v: mapped copy's bytes differ from the remapped snapshot's", name, lib.Variant.Track)
+			}
+			if err := c.Validate(); err != nil {
+				t.Errorf("%s onto %v: %v", name, lib.Variant.Track, err)
+			}
+			if !bytes.Equal(exported(src), before) || src.TopoRev() != topo ||
+				!slices.Equal(src.InstRevs(), instRevs) || !slices.Equal(src.NetRevs(), netRevs) {
+				t.Errorf("%s onto %v: copying moved the source", name, lib.Variant.Track)
+			}
+		}
+	}
+
+	// A substitute with another pin layout is refused, naming the
+	// instance, and no copy is returned.
+	src, err := designs.Generate(designs.AES, lib12, designs.Params{Scale: 0.02, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := src.Instances[0]
+	wrong := lib12.Smallest(cell.FuncNand2)
+	if len(first.Master.Pins) == len(wrong.Pins) {
+		wrong = lib12.Smallest(cell.FuncInv)
+	}
+	c, err := src.CloneMapped(func(m *cell.Master) (*cell.Master, error) {
+		if m == first.Master {
+			return wrong, nil
+		}
+		return m, nil
+	})
+	if err == nil || c != nil {
+		t.Fatalf("pin-layout mismatch: copy %v, err %v; want an error and no copy", c != nil, err)
+	}
+	if !strings.Contains(err.Error(), first.Name) {
+		t.Errorf("pin-layout mismatch error %q does not name instance %s", err, first.Name)
 	}
 }

@@ -19,18 +19,26 @@ import (
 // connected nets' extraction revisions stay put and cached RC survives
 // the whole sizing loop.
 func (d *Design) ReplaceMaster(inst *Instance, m *cell.Master) error {
-	if len(m.Pins) != len(inst.Master.Pins) {
-		return fmt.Errorf("netlist: master %s has %d pins, %s has %d",
-			m.Name, len(m.Pins), inst.Master.Name, len(inst.Master.Pins))
-	}
-	for i := range m.Pins {
-		if m.Pins[i].Name != inst.Master.Pins[i].Name || m.Pins[i].Dir != inst.Master.Pins[i].Dir {
-			return fmt.Errorf("netlist: pin %d mismatch replacing %s with %s",
-				i, inst.Master.Name, m.Name)
-		}
+	if err := samePins(inst.Master, m); err != nil {
+		return fmt.Errorf("netlist: %w", err)
 	}
 	inst.Master = m
 	d.bumpInst(inst)
+	return nil
+}
+
+// samePins checks that m can stand in for old with every pin binding
+// kept by index: the same pin names and directions in the same order.
+func samePins(old, m *cell.Master) error {
+	if len(m.Pins) != len(old.Pins) {
+		return fmt.Errorf("master %s has %d pins, %s has %d",
+			m.Name, len(m.Pins), old.Name, len(old.Pins))
+	}
+	for i := range m.Pins {
+		if m.Pins[i].Name != old.Pins[i].Name || m.Pins[i].Dir != old.Pins[i].Dir {
+			return fmt.Errorf("pin %d mismatch replacing %s with %s", i, old.Name, m.Name)
+		}
+	}
 	return nil
 }
 

@@ -120,7 +120,7 @@ func TestJournalRevisions(t *testing.T) {
 
 func TestJournalCloneIndependence(t *testing.T) {
 	d, i1, _, mid := journalDesign(t)
-	c, err := d.CloneInto("copy", func(m *cell.Master) (*cell.Master, error) { return m, nil })
+	c, err := d.CloneMapped(func(m *cell.Master) (*cell.Master, error) { return m, nil })
 	if err != nil {
 		t.Fatal(err)
 	}

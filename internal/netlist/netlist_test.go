@@ -467,16 +467,17 @@ func TestInstancesOnTier(t *testing.T) {
 	}
 }
 
-func TestCloneIntoRetarget(t *testing.T) {
+func TestCloneMappedRetarget(t *testing.T) {
 	d := buildMini(t)
-	c, err := d.CloneInto("mini9t", func(m *cell.Master) (*cell.Master, error) {
-		return lib9.Equivalent(m)
-	})
+	c, err := d.CloneMapped(lib9.Equivalent)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	if c.Name != d.Name {
+		t.Errorf("mapped copy named %q, source %q", c.Name, d.Name)
 	}
 	for _, inst := range c.Instances {
 		if inst.Master.Track != tech.Track9 {

@@ -72,60 +72,6 @@ func (d *Design) InstancesOnTier(t tech.Tier) []*Instance {
 	return out
 }
 
-// CloneInto deep-copies the design structure into a fresh Design, mapping
-// every instance onto a master from pick (called with the original
-// master). This is how a synthesized netlist is re-implemented in a
-// different library (9-track vs 12-track synthesis runs), and how flows
-// fork a working copy per configuration. Locations, tiers, and flags are
-// preserved.
-func (d *Design) CloneInto(name string, pick func(*cell.Master) (*cell.Master, error)) (*Design, error) {
-	nd := New(name)
-	for _, inst := range d.Instances {
-		m, err := pick(inst.Master)
-		if err != nil {
-			return nil, fmt.Errorf("netlist: clone %s: %w", inst.Name, err)
-		}
-		ni, err := nd.AddInstance(inst.Name, m)
-		if err != nil {
-			return nil, err
-		}
-		ni.Tier = inst.Tier
-		ni.Loc = inst.Loc
-		ni.Fixed = inst.Fixed
-	}
-	for _, n := range d.Nets {
-		nn, err := nd.AddNet(n.Name)
-		if err != nil {
-			return nil, err
-		}
-		nn.IsClock = n.IsClock
-	}
-	for _, p := range d.Ports {
-		np, err := nd.AddPort(p.Name, p.Dir, nd.Net(p.Net.Name))
-		if err != nil {
-			return nil, err
-		}
-		np.Loc = p.Loc
-		np.Cap = p.Cap
-	}
-	for _, n := range d.Nets {
-		nn := nd.Net(n.Name)
-		if n.Driver.Valid() {
-			ni := nd.Instance(n.Driver.Inst.Name)
-			if err := nd.Connect(ni, n.Driver.Spec().Name, nn); err != nil {
-				return nil, err
-			}
-		}
-		for _, s := range n.Sinks {
-			ni := nd.Instance(s.Inst.Name)
-			if err := nd.Connect(ni, s.Spec().Name, nn); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return nd, nil
-}
-
 // Clone returns an exact structural copy of the design: the same name,
 // dense IDs, instance/net/port names, pin bindings, sink and sink-port
 // orders, physical state and change-journal revisions (topology, per
@@ -137,7 +83,37 @@ func (d *Design) CloneInto(name string, pick func(*cell.Master) (*cell.Master, e
 // what-if session pays instead of decoding a design database. d must be
 // quiescent and structurally consistent (every pin reference and port
 // net belongs to d).
-func (d *Design) Clone() *Design {
+func (d *Design) Clone() *Design { return d.clone(nil) }
+
+// CloneMapped is Clone with each instance's master replaced by
+// pick(master), called once per distinct master: how the map stage
+// re-implements a netlist in another library. Bindings are copied by pin
+// index, so a substitute must pass ReplaceMaster's pin-layout check; the
+// first instance whose master fails pick or the check is named in the
+// error, and no copy is built. The substitution journals nothing (no
+// consumer has read the copy), so the copy keeps d's revisions, which for
+// a d built only through Add*/Connect equal a rebuild by name's.
+func (d *Design) CloneMapped(pick func(*cell.Master) (*cell.Master, error)) (*Design, error) {
+	onto := make(map[*cell.Master]*cell.Master)
+	for _, inst := range d.Instances {
+		if _, done := onto[inst.Master]; done {
+			continue
+		}
+		m, err := pick(inst.Master)
+		if err == nil {
+			err = samePins(inst.Master, m)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("netlist: clone %s: %w", inst.Name, err)
+		}
+		onto[inst.Master] = m
+	}
+	return d.clone(onto), nil
+}
+
+// clone is the one copy loop behind Clone and CloneMapped; onto (nil for
+// an exact copy) maps an original master to its substitute.
+func (d *Design) clone(onto map[*cell.Master]*cell.Master) *Design {
 	nd := &Design{
 		Name:       d.Name,
 		Instances:  make([]*Instance, len(d.Instances)),
@@ -183,6 +159,9 @@ func (d *Design) Clone() *Design {
 		ni := &insts[i]
 		*ni = *inst
 		ni.design = nd
+		if m, ok := onto[inst.Master]; ok {
+			ni.Master = m
+		}
 		k := len(inst.nets)
 		ni.nets, pinSlab = pinSlab[:k:k], pinSlab[k:]
 		for pi, n := range inst.nets {

@@ -244,8 +244,15 @@ func (s *Server) handleConn(nc net.Conn) {
 func (c *serverConn) readLoop() {
 	defer c.srv.wg.Done()
 	// Unblock the worker when the peer goes away, and the queue-send
-	// below when the worker goes away.
-	defer c.cancel()
+	// below when the worker goes away. A queued poison frame leaves the
+	// teardown to the worker, so the requests ahead of it and its typed
+	// error are answered first.
+	poisoned := false
+	defer func() {
+		if !poisoned {
+			c.cancel()
+		}
+	}()
 	defer close(c.reqs)
 	for {
 		tag, payload, err := db.ReadFrame(c.br, c.srv.opt.MaxFrame)
@@ -258,6 +265,7 @@ func (c *serverConn) readLoop() {
 				}
 				select {
 				case c.reqs <- frame{err: err}:
+					poisoned = true
 				case <-c.ctx.Done():
 				}
 			}

@@ -294,3 +294,36 @@ func TestUnframeableStreamHangsUp(t *testing.T) {
 		t.Fatal("connection survived an unframeable stream")
 	}
 }
+
+// TestPipelinedOpenBeforeCorruptFrame: a request queued ahead of an
+// unframeable frame is answered in full before the typed corrupt error
+// and the hang-up. The bad frame ends the stream, not the work already
+// queued on it.
+func TestPipelinedOpenBeforeCorruptFrame(t *testing.T) {
+	_, addr := startServer(t, Options{})
+	cl := dialT(t, addr)
+	defer cl.Close()
+
+	req := testWorkload
+	raw, err := db.AppendFrame(nil, TagOpen, req.encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := db.AppendFrame(nil, TagPing, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad[len(bad)-1] ^= 0xff
+	if _, err := cl.nc.Write(append(raw, bad...)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.await(TagSession, nil); err != nil {
+		t.Fatalf("OPEN queued ahead of a corrupt frame: %v", err)
+	}
+	if _, err := cl.await(TagPong, nil); !errors.Is(err, db.ErrCorrupt) {
+		t.Fatalf("corrupt frame: err = %v, want db.ErrCorrupt", err)
+	}
+	if _, err := cl.await(TagPong, nil); err == nil {
+		t.Fatal("connection survived an unframeable stream")
+	}
+}
